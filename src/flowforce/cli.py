@@ -25,7 +25,12 @@ import numpy as np
 from .continuation import trace_branch
 from .dispersion import dispersion_table, kernel_is_simple
 from .errors import ConfigError, KernelNotSimple
-from .fields import reconstruct, surface_curve, validate_solution
+from .fields import (
+    MIN_VALIDATION_ROWS,
+    reconstruct,
+    surface_curve,
+    validate_solution,
+)
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, grid_nodes
 from .surface_equation import TrialState
@@ -147,7 +152,7 @@ def load_config(path=None):
                 "physical", "atmospheric_pressure", _DEFAULT_PHYSICAL.p_atm
             ),
         )
-        return RunConfig(
+        config = RunConfig(
             physical=physical,
             n_modes=get("discretization", "modes", 32, int),
             vertical_points=get("discretization", "vertical_points", 64, int),
@@ -164,6 +169,11 @@ def load_config(path=None):
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    if config.steps < 1:
+        _reject(
+            path, f"continuation.steps = {config.steps} must be at least 1", "steps"
+        )
+    return config
 
 
 def _apply_flags(config, args):
@@ -214,6 +224,8 @@ def _write_json(path, payload):
 
 
 def _fmt(value):
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return repr(float(value))
@@ -377,6 +389,11 @@ def _load_branch(path):
 
 
 def cmd_validate(config, branch_path):
+    if config.vertical_points < MIN_VALIDATION_ROWS:
+        raise ConfigError(
+            f"validation needs discretization.vertical_points >= "
+            f"{MIN_VALIDATION_ROWS}, got {config.vertical_points}"
+        )
     params, points = _load_branch(branch_path)
     reports = []
     all_passed = True
@@ -424,22 +441,20 @@ def cmd_reconstruct(config, branch_path, index):
             f"point index {index} out of range for {len(points)} points"
         ) from None
     field = reconstruct(state, params, n_y=config.vertical_points)
-    x = field.u.x_nodes
-    y = field.u.y_nodes
-    rows = []
-    for i, yi in enumerate(y):
-        for j, xj in enumerate(x):
-            rows.append(
-                (
-                    xj,
-                    yi,
-                    field.u.values[i, j],
-                    field.v.values[i, j],
-                    field.harmonic_potential.values[i, j],
-                    field.raw_force.values[i, j],
-                    field.flow_force.values[i, j],
-                )
-            )
+    n_x, n_rows = field.u.n_x, field.u.n_y + 1
+    # one row per grid node, x fastest; tolist() hands _csv_lines Python
+    # floats, whose repr is the same as that of the numpy scalars
+    rows = np.column_stack(
+        [
+            np.tile(field.u.x_nodes, n_rows),
+            np.repeat(field.u.y_nodes, n_x),
+            field.u.values.ravel(),
+            field.v.values.ravel(),
+            field.harmonic_potential.values.ravel(),
+            field.raw_force.values.ravel(),
+            field.flow_force.values.ravel(),
+        ]
+    ).tolist()
     header = (
         "x [rad],y [-],X [m],Y [m],zeta [m^3/s^2],xi [m^3/s^2],S [m^3/s^2]"
     )

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dispersion import kernel_is_simple, onset_speed_sq, transversality_value
 from .errors import (
+    FlowForceError,
     InadmissibleIterate,
     KernelNotSimple,
     NoConvergence,
@@ -180,7 +181,8 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
     The kernel at the chosen wavenumber must be simple (scan up to
     scan_limit modes); otherwise KernelNotSimple is raised.  A step that
     fails to converge truncates the branch and records the failure
-    instead of raising.
+    instead of raising; any toolkit error raised inside a step counts
+    as such a failure.
     """
     steps = int(steps)
     if steps < 1:
@@ -202,7 +204,7 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
             corrected, iters, norm = newton_correct(
                 predictor, s_j, p, n_modes=n_modes, tol=tol, max_iter=max_iter
             )
-        except (NoConvergence, SingularJacobian, InadmissibleIterate) as exc:
+        except FlowForceError as exc:
             failure = f"step {j} at amplitude {s_j:.6e}: {exc}"
             break
         points.append(

@@ -45,6 +45,8 @@ __all__ = [
     "validate_solution",
 ]
 
+MIN_VALIDATION_ROWS = 8  # vertical intervals validate_solution needs
+
 
 @dataclass(frozen=True)
 class SurfaceCurve:
@@ -185,7 +187,9 @@ class FlowForceField:
 
     flow_force = harmonic_potential - (g/2) v^2 + correction pullback;
     its top trace is the constant surface_value and its bottom trace is
-    zero.  u and v are the conformal map components.
+    zero.  u and v are the conformal map components; surface_abscissa
+    holds, per grid node, the surface parameter whose physical abscissa
+    equals u there (the inversion the correction pullback is built on).
     """
 
     u: StripGridField
@@ -195,6 +199,7 @@ class FlowForceField:
     flow_force: StripGridField
     surface_value: float
     correction: SurfaceCorrection
+    surface_abscissa: np.ndarray
 
 
 def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None, shift=0.0):
@@ -216,6 +221,7 @@ def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None, shift=0.0):
     zeta = harmonic_extension(boundary, d, n_y, u.n_x)
     xi_vals = zeta.values - 0.5 * p.g * v.values**2
     x_s = curve.invert(u.values, x0=np.broadcast_to(u.x_nodes, u.values.shape))
+    x_s.flags.writeable = False
     heights = curve.height(x_s)
     pullback = e0.eval_at(x_s) * v.values / heights
     flow = xi_vals + pullback
@@ -227,6 +233,7 @@ def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None, shift=0.0):
         flow_force=StripGridField(flow, d),
         surface_value=s0,
         correction=SurfaceCorrection(e0, p.p_atm, p.sigma),
+        surface_abscissa=x_s,
     )
 
 
@@ -290,15 +297,15 @@ def _map_gradient_sq(elevation, p: PhysicalParams, n_y, n_x):
     return vx**2 + vy**2
 
 
-def _force_balance_defect(state, p, curve, n_y, n_x, shift):
+def _force_balance_defect(field, state, p):
     """Sup defect of lap(S) = -g + correction curvature, FD against spectral.
 
-    The Laplacian is taken in physical variables: five-point stencil on
-    the strip divided by the conformal factor.  The correction curvature
-    is assembled from spectral derivatives along the surface and
-    evaluated at the inverted abscissa.
+    field is the reconstruction of state under p.  The Laplacian is
+    taken in physical variables: five-point stencil on the strip divided
+    by the conformal factor.  The correction curvature is assembled from
+    spectral derivatives along the surface and evaluated at the field's
+    inverted surface abscissa.
     """
-    field = reconstruct(state, p, n_y=n_y, n_x=n_x, shift=shift)
     w = state.elevation
     n = max(1, w.n_modes)
     m = max(8, 4 * n)
@@ -312,13 +319,11 @@ def _force_balance_defect(state, p, curve, n_y, n_x, shift):
     q = analyze(tension.samples(m) / v_s).truncated(w.n_modes)
     r1 = analyze(derivative(q).samples(m) / dnv_s).truncated(w.n_modes)
     curvature = analyze(derivative(r1).samples(m) / dnv_s).truncated(w.n_modes)
-    x_s = curve.invert(
-        field.u.values, x0=np.broadcast_to(field.u.x_nodes, field.u.values.shape)
-    )
     grad_sq = _map_gradient_sq(w, p, field.u.n_y, field.u.n_x)
     lap = _five_point_laplacian(field.flow_force.values, p.strip_depth)
     physical = lap / grad_sq[1:-1]
-    target = -p.g + curvature.eval_at(x_s[1:-1]) * field.v.values[1:-1]
+    bend = curvature.eval_at(field.surface_abscissa[1:-1])
+    target = -p.g + bend * field.v.values[1:-1]
     return float(np.max(np.abs(physical - target)))
 
 
@@ -364,16 +369,26 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     of the generating wave, gauge invariance under a shift of the
     atmospheric pressure, the physical force balance with the
     correction curvature, and admissibility of the surface.
+
+    Work per call: three reconstructions when p_atm = 0 (the doubled
+    grid for the harmonic refinement, the gauge-shifted field, and the
+    gauge-free field on the base grid for the coarse force balance),
+    four otherwise (the doubled grid is rebuilt gauge-free for the fine
+    force balance).  Each reconstruction inverts the surface abscissa
+    once, and the force-balance checks reuse that inversion
+    (FlowForceField.surface_abscissa) instead of inverting again; the
+    input field is read, never rebuilt.
     """
     zeta = field.harmonic_potential
     n_y, n_x = zeta.n_y, zeta.n_x
-    if n_y < 8:
-        raise ValueError("validation needs at least 8 vertical intervals")
+    if n_y < MIN_VALIDATION_ROWS:
+        raise ValueError(
+            f"validation needs at least {MIN_VALIDATION_ROWS} vertical intervals"
+        )
     w = state.elevation
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     curve0 = surface_curve(w, p, 0.0)
     shift = float(field.u.top_row[0] - curve0.abscissa(0.0))
-    curve = surface_curve(w, p, shift)
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so
@@ -408,10 +423,16 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     # sit on an eps*p_atm/h^2 noise floor that grows under refinement
     balance_floor = 1e-10 * max(1.0, p.g)
     gauge_free = p.replace(p_atm=0.0)
-    balance_coarse = _force_balance_defect(trial, gauge_free, curve, n_y, n_x, shift)
-    balance_fine = _force_balance_defect(
-        trial, gauge_free, curve, 2 * n_y, 2 * n_x, shift
+    balance_coarse = _force_balance_defect(
+        reconstruct(trial, gauge_free, n_y=n_y, n_x=n_x, shift=shift),
+        trial, gauge_free,
     )
+    # without atmospheric pressure the refined harmonicity field above
+    # already is the gauge-free reconstruction on the doubled grid
+    fine_free = fine_field if p.p_atm == 0.0 else reconstruct(
+        trial, gauge_free, n_y=2 * n_y, n_x=2 * n_x, shift=shift
+    )
+    balance_fine = _force_balance_defect(fine_free, trial, gauge_free)
     _, balance_order = _refinement_order(balance_coarse, balance_fine, balance_floor)
 
     admissibility = check_admissibility(w, p)

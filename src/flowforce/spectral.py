@@ -57,6 +57,28 @@ def _trig_matrices(m, n_modes):
     return cos_mat, sin_mat
 
 
+def _reinsch_recurrence(lam, coeffs):
+    """Clenshaw's recurrence for sum_n coeffs[n-1] cos(ny) or sin(ny), cos(y) >= 0.
+
+    Plain Clenshaw, c_k = a_k + 2 cos(y) c_{k+1} - c_{k+2}, gives
+    sum_n a_n cos(ny) = c_1 cos(y) - c_2 and sum_n a_n sin(ny) = c_1 sin(y),
+    but loses O(N^2 eps) near y = 0, where 2 cos(y) -> 2.  Reinsch's
+    form carries d_k = c_k - c_{k+1} instead, with lam = 2 cos(y) - 2 =
+    -4 sin^2(y/2) passed in free of cancellation: d_k = a_k + lam c_{k+1}
+    + d_{k+1}, c_k = d_k + c_{k+1}.  Returns (c_1, d_1); the cosine sum
+    is lam/2 c_1 + d_1.  The error stays O(N eps) while cos(y) >= 0.
+    """
+    c = np.zeros_like(lam)
+    d = np.zeros_like(lam)
+    tmp = np.empty_like(lam)
+    for coeff in coeffs[::-1]:
+        np.multiply(lam, c, out=tmp)
+        tmp += coeff
+        d += tmp
+        c += d
+    return c, d
+
+
 def scaled_coth(z):
     """coth(z) for z > 0 without overflow; exactly 1.0 once z is large."""
     z = np.asarray(z, dtype=float)
@@ -180,14 +202,44 @@ class PeriodicFunction:
         return out
 
     def eval_at(self, x):
-        """Evaluate at arbitrary points."""
+        """Evaluate at arbitrary points of any shape (a scalar gives a scalar).
+
+        Clenshaw's recurrence in Reinsch's stable form (_reinsch_recurrence),
+        cost O(points * N) with a few point-sized work arrays and no
+        (points x N) temporary.  A series whose coefficients are all zero
+        is skipped, so even parity never runs the sine series.  Points
+        with cos(x) < 0 are summed as x = y + pi, which flips the sign of
+        the odd modes: lam = -4 cos^2(x/2) and sin(y) = -sin(x).
+        """
         x = np.asarray(x, dtype=float)
-        n = np.arange(1, self.n_modes + 1)
-        arg = np.multiply.outer(x, n)
-        out = self.cos_coeffs[0] + np.cos(arg) @ self.cos_coeffs[1:]
-        if self.parity != "even":
-            out = out + np.sin(arg) @ self.sin_coeffs
-        return out
+        out = np.full(x.shape, self.cos_coeffs[0])
+        a, b = self.cos_coeffs[1:], self.sin_coeffs
+        has_cos = bool(np.any(a))
+        has_sin = bool(np.any(b))
+        if not (has_cos or has_sin):
+            return out[()]
+        half = 0.5 * x.reshape(-1)
+        s, c = np.sin(half), np.cos(half)
+        near_pi = np.abs(s) > np.abs(c)
+        lam = -4.0 * np.where(near_pi, c, s) ** 2
+        if has_sin:
+            sin_y = 2.0 * np.where(near_pi, -s, s) * c
+        flip = np.ones(self.n_modes)
+        flip[::2] = -1.0
+        flat = out.reshape(-1)
+        for sel, sign in ((~near_pi, 1.0), (near_pi, flip)):
+            if not np.any(sel):
+                continue
+            lam_sel = lam[sel]
+            acc = flat[sel]
+            if has_cos:
+                c_1, d_1 = _reinsch_recurrence(lam_sel, sign * a)
+                acc += 0.5 * lam_sel * c_1 + d_1
+            if has_sin:
+                c_1, _ = _reinsch_recurrence(lam_sel, sign * b)
+                acc += c_1 * sin_y[sel]
+            flat[sel] = acc
+        return out[()]
 
     def sup_norm(self, m=None):
         return float(np.max(np.abs(self.samples(m))))

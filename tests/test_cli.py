@@ -296,6 +296,43 @@ def test_branch_convergence_failure_exit_code(tmp_path, capsys):
     assert payload["points"] == []
 
 
+def test_branch_singular_quotient_exit_code(tmp_path, capsys):
+    # microcapillary scale: the first Newton step hits a quotient below
+    # its floor, which must truncate the branch instead of escaping
+    out = tmp_path / "out"
+    cfg = _write(
+        tmp_path / "c.ini",
+        "[physical]\ndepth = 1e-3\nwavenumber = 1000.0\n"
+        "[continuation]\namplitude_max = 1e-5\nsteps = 4\n",
+    )
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 3
+    assert "denominator" in capsys.readouterr().err
+    payload = json.loads((out / "branch.json").read_text())
+    assert payload["failure"].startswith("step 1 ")
+    assert payload["points"] == []
+
+
+def test_zero_steps_in_config_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.ini", "[continuation]\nsteps = 0\n")
+    assert main(["--config", cfg, "--out", str(tmp_path), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert "continuation.steps" in err
+    assert f"{cfg}:2" in err
+
+
+def test_validate_needs_eight_vertical_points(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    coarse = _write(tmp_path / "coarse.ini", "[discretization]\nvertical_points = 7\n")
+    code = main(
+        ["--config", coarse, "--out", str(out), "validate", str(out / "branch.json")]
+    )
+    assert code == 4
+    assert "vertical_points" in capsys.readouterr().err
+    assert not (out / "validation.json").exists()
+
+
 def test_missing_branch_file_rejected(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "validate", str(tmp_path / "nope.json")])
     assert code == 4

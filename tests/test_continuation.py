@@ -145,6 +145,17 @@ def test_exhausted_iterations_yield_partial_branch(water):
     assert isinstance(branch, Branch)
 
 
+def test_singular_expression_yields_partial_branch():
+    # microcapillary regime (h = 1 mm, k = 1000) at steepness 0.01: the
+    # surface-equation quotient falls below its floor in the first step
+    p = PhysicalParams(g=9.81, sigma=0.073, h=1e-3, k=1000.0)
+    branch = trace_branch(1e-5, 4, p, n_modes=32)
+    assert not branch.completed
+    assert branch.failure.startswith("step 1 ")
+    assert "below floor" in branch.failure
+    assert branch.points == ()
+
+
 def test_partial_branch_keeps_earlier_points(water):
     # a tolerance no corrector step can reach forces failure after the
     # first point only if the predictor is already that accurate, so

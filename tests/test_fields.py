@@ -14,9 +14,11 @@ from flowforce import (
     InadmissibleIterate,
     PeriodicFunction,
     PhysicalParams,
+    SurfaceCurve,
     TrialState,
     conformal_map,
     derivative,
+    fields,
     grid_nodes,
     hilbert_strip,
     laminar_flow_force,
@@ -199,3 +201,45 @@ def test_validation_needs_vertical_resolution(water, wave_point):
     field = reconstruct(wave_point, water, n_y=4)
     with pytest.raises(ValueError):
         validate_solution(field, wave_point, water)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
+    # reconstruction for the caller, then the doubled grid, the gauge
+    # shift and the gauge-free base grid; the fine force balance reuses
+    # the doubled grid and no check inverts a field a second time
+    inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
+    rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
+    field = fields.reconstruct(wave_point, water, n_y=16)
+    report = validate_solution(field, wave_point, water)
+    assert report.passed, report.failures
+    assert len(inverts) <= 4
+    assert len(rebuilds) <= 4
+
+
+def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
+    # p_atm != 0 rebuilds the gauge-free doubled grid instead of reusing
+    # the harmonicity field; the audit sees the same gauge-free balance
+    pressured = water.replace(p_atm=101325.0)
+    plain = validate_solution(
+        reconstruct(wave_point, water, n_y=16), wave_point, water
+    )
+    inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
+    report = validate_solution(
+        reconstruct(wave_point, pressured, n_y=16), wave_point, pressured
+    )
+    assert report.passed, report.failures
+    assert len(inverts) <= 5
+    assert report.force_balance_coarse == plain.force_balance_coarse
+    assert report.force_balance_fine == plain.force_balance_fine

@@ -68,6 +68,62 @@ def test_value_level_round_trip(coeffs, extra):
     np.testing.assert_allclose(back, vals, atol=1e-12)
 
 
+def _dense_eval(f, x):
+    """Reference evaluation through the full (points x N) phase table."""
+    n = np.arange(1, f.n_modes + 1)
+    arg = np.multiply.outer(np.asarray(x, dtype=float), n)
+    return (
+        f.cos_coeffs[0] + np.cos(arg) @ f.cos_coeffs[1:] + np.sin(arg) @ f.sin_coeffs
+    )
+
+
+# points within 1e-6 of 0 and of pi on both sides, plus the |x| <= 30 range
+# that the bisection brackets of SurfaceCurve.invert reach
+_EVAL_POINTS = np.concatenate(
+    [
+        np.linspace(-1e-6, 1e-6, 41),
+        np.pi + np.linspace(-1e-6, 1e-6, 41),
+        -np.pi + np.linspace(-1e-6, 1e-6, 41),
+        np.linspace(-30.0, 30.0, 1201),
+    ]
+)
+
+
+@pytest.mark.parametrize("parity", ["even", "general"])
+@pytest.mark.parametrize("n_modes", [0, 1, 8, 64, 256])
+def test_eval_at_matches_dense_formula(parity, n_modes):
+    rng = np.random.default_rng(n_modes)
+    a = rng.standard_normal(n_modes + 1)
+    b = rng.standard_normal(n_modes) if parity == "general" else np.zeros(n_modes)
+    f = PeriodicFunction(a, b, parity)
+    tol = 1e-12 * (np.abs(a).sum() + np.abs(b).sum())
+    got = f.eval_at(_EVAL_POINTS)
+    assert got.shape == _EVAL_POINTS.shape
+    np.testing.assert_allclose(got, _dense_eval(f, _EVAL_POINTS), rtol=0, atol=tol)
+    grid = _EVAL_POINTS[:1200].reshape(40, 30)
+    np.testing.assert_allclose(f.eval_at(grid), _dense_eval(f, grid), rtol=0, atol=tol)
+    for x in (0.0, 1e-7, math.pi, -math.pi + 1e-7, 29.5):
+        value = f.eval_at(x)
+        assert np.ndim(value) == 0
+        assert abs(value - _dense_eval(f, x)) <= tol
+
+
+def test_eval_at_stable_where_recurrence_root_is_double():
+    # at x = 0 and x = pi the plain Clenshaw recurrence has a double root
+    # and its rounding error grows like N^2 eps on same-sign coefficients
+    f = PeriodicFunction.from_cosines(np.ones(1025))
+    x = _EVAL_POINTS[:82]
+    np.testing.assert_allclose(
+        f.eval_at(x), _dense_eval(f, x), rtol=0.0, atol=1e-13 * 1025
+    )
+
+
+def test_eval_at_constant_returns_exact_mean():
+    f = PeriodicFunction.constant(2.5)
+    assert f.eval_at(1.0) == 2.5
+    assert np.array_equal(f.eval_at(np.zeros((2, 3))), np.full((2, 3), 2.5))
+
+
 def test_analyze_rejects_bad_input():
     with pytest.raises(InvalidSamples):
         analyze(np.array([1.0]))
