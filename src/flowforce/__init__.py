@@ -19,12 +19,10 @@ from .continuation import (
     trace_branch,
 )
 from .dispersion import (
-    DispersionPoint,
     DispersionRow,
     KernelReport,
     dispersion_table,
     kernel_is_simple,
-    mode_collision_gap,
     monotone_dispersion,
     onset_speed_sq,
     physical_constants,
@@ -59,7 +57,6 @@ from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
     StripGridField,
-    StripParams,
     analyze,
     conjugate_extension,
     derivative,
@@ -67,7 +64,6 @@ from .spectral import (
     grid_nodes,
     harmonic_extension,
     hilbert_strip,
-    pointwise_compose,
 )
 from .surface_equation import (
     AdmissibilityReport,
@@ -76,9 +72,7 @@ from .surface_equation import (
     galerkin_residual,
     jacobian_fd,
     linearization_symbol,
-    normal_coeff,
     residual,
-    tangent_coeff,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +83,6 @@ __all__ = [
     "BranchPoint",
     "ConfigError",
     "DegenerateParameters",
-    "DispersionPoint",
     "DispersionRow",
     "FlowForceError",
     "FlowForceField",
@@ -104,7 +97,6 @@ __all__ = [
     "SingularExpression",
     "SingularJacobian",
     "StripGridField",
-    "StripParams",
     "SurfaceCorrection",
     "SurfaceCurve",
     "SurfaceInversionFailed",
@@ -127,18 +119,14 @@ __all__ = [
     "kernel_is_simple",
     "laminar_flow_force",
     "linearization_symbol",
-    "mode_collision_gap",
     "monotone_dispersion",
     "newton_correct",
-    "normal_coeff",
     "onset_speed_sq",
     "physical_constants",
-    "pointwise_compose",
     "reconstruct",
     "residual",
     "solver_parameters",
     "surface_curve",
-    "tangent_coeff",
     "trace_branch",
     "transversality_value",
     "validate_solution",

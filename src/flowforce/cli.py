@@ -173,6 +173,15 @@ def load_config(path=None):
         _reject(
             path, f"continuation.steps = {config.steps} must be at least 1", "steps"
         )
+    if config.n_modes < 1:
+        _reject(
+            path, f"discretization.modes = {config.n_modes} must be at least 1", "modes"
+        )
+    for key in ("k_min", "k_max"):
+        if not getattr(config, key) > 0.0:
+            _reject(
+                path, f"dispersion.{key} = {getattr(config, key)} must be positive", key
+            )
     return config
 
 
@@ -196,6 +205,30 @@ def _apply_flags(config, args):
         config = replace(config, n_modes=args.n_modes)
     out = args.out or os.environ.get(_ENV_OUT) or config.out_dir
     return replace(config, out_dir=out)
+
+
+def _check_command(config, args):
+    """Limits that only the chosen command imposes, as located config errors."""
+    rows = {"validate": MIN_VALIDATION_ROWS, "reconstruct": 2}.get(args.command)
+    if rows is not None and config.vertical_points < rows:
+        _reject(
+            args.config,
+            f"{args.command} needs discretization.vertical_points >= {rows}, "
+            f"got {config.vertical_points}",
+            "vertical_points",
+        )
+    if args.command == "branch":
+        # the first predictor amplitude, bounded as in initial_guess
+        first = abs(config.amplitude_max) / config.steps
+        limit = 0.1 * config.physical.h
+        if first > limit:
+            message = (
+                f"first amplitude step amplitude_max / steps = {first:.3e} exceeds "
+                f"the small-amplitude limit 0.1 * depth = {limit:.3e}"
+            )
+            if args.s_max is not None:
+                raise ConfigError(f"--s-max: {message}")
+            _reject(args.config, message, "amplitude_max")
 
 
 def _jsonable(value):
@@ -389,11 +422,6 @@ def _load_branch(path):
 
 
 def cmd_validate(config, branch_path):
-    if config.vertical_points < MIN_VALIDATION_ROWS:
-        raise ConfigError(
-            f"validation needs discretization.vertical_points >= "
-            f"{MIN_VALIDATION_ROWS}, got {config.vertical_points}"
-        )
     params, points = _load_branch(branch_path)
     reports = []
     all_passed = True
@@ -501,6 +529,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = _apply_flags(load_config(args.config), args)
+        _check_command(config, args)
         if args.command == "dispersion":
             return cmd_dispersion(config)
         if args.command == "kernel-check":

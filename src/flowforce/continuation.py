@@ -24,6 +24,8 @@ from .params import PhysicalParams
 from .spectral import PeriodicFunction, derivative, grid_nodes
 from .surface_equation import (
     TrialState,
+    _trial_state,
+    _unknowns,
     check_admissibility,
     galerkin_residual,
     jacobian_fd,
@@ -98,39 +100,6 @@ def initial_guess(s, p: PhysicalParams, n_modes=32):
     return TrialState(onset_speed_sq(1, p.k, p), 0.0, w)
 
 
-def _with_amplitude(state, s, n_modes):
-    """Copy of state with the first cosine coefficient pinned to s."""
-    a = np.zeros(n_modes + 1)
-    keep = min(n_modes, state.elevation.n_modes)
-    a[: keep + 1] = state.elevation.cos_coeffs[: keep + 1]
-    a[1] = s
-    w = PeriodicFunction(a, np.zeros(n_modes), "even")
-    return TrialState(state.speed_sq, state.bernoulli_shift, w)
-
-
-def _active_labels(n_modes):
-    return ("speed_sq", "bernoulli_shift") + tuple(
-        f"a{j}" for j in range(2, n_modes + 1)
-    )
-
-
-def _apply_update(state, delta, labels, n_modes):
-    a = np.zeros(n_modes + 1)
-    keep = min(n_modes, state.elevation.n_modes)
-    a[: keep + 1] = state.elevation.cos_coeffs[: keep + 1]
-    speed_sq = state.speed_sq
-    shift = state.bernoulli_shift
-    for label, d in zip(labels, delta):
-        if label == "speed_sq":
-            speed_sq -= d
-        elif label == "bernoulli_shift":
-            shift -= d
-        else:
-            a[int(label[1:])] -= d
-    w = PeriodicFunction(a, np.zeros(n_modes), "even")
-    return TrialState(speed_sq, shift, w)
-
-
 def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
                    tol=1e-11, max_iter=25):
     """Correct a predictor at frozen amplitude s = first cosine coefficient.
@@ -142,8 +111,11 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     iterate leaves the physical regime, NoConvergence after max_iter.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
-    labels = _active_labels(n)
-    current = _with_amplitude(state, s, n)
+    theta, a0 = _unknowns(state, n)
+    theta[2] = s
+    # every unknown but a_1 (theta[2]), which is the frozen amplitude
+    active = np.r_[0, 1, 3 : n + 2]
+    current = _trial_state(theta, a0)
     norm = float("inf")
     for it in range(max_iter + 1):
         r = galerkin_residual(current, p, n_modes=n)
@@ -152,14 +124,14 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
             return current, it, norm
         if it == max_iter:
             break
-        jac = jacobian_fd(current, p, active=labels, n_modes=n)
+        jac = jacobian_fd(current, p, active=active, n_modes=n)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularJacobian(
                 f"Galerkin Jacobian condition {cond:.3e} exceeds {_COND_LIMIT:.0e}"
             )
-        delta = np.linalg.solve(jac, r)
-        current = _apply_update(current, delta, labels, n)
+        theta[active] -= np.linalg.solve(jac, r)
+        current = _trial_state(theta, a0)
         report = check_admissibility(current.elevation, p, n_modes=n)
         if not report.passed:
             raise InadmissibleIterate(

@@ -15,11 +15,9 @@ from .errors import DegenerateParameters
 from .params import PhysicalParams
 
 __all__ = [
-    "DispersionPoint",
     "DispersionRow",
     "KernelReport",
     "onset_speed_sq",
-    "mode_collision_gap",
     "kernel_is_simple",
     "monotone_dispersion",
     "transversality_value",
@@ -27,15 +25,6 @@ __all__ = [
     "solver_parameters",
     "dispersion_table",
 ]
-
-
-@dataclass(frozen=True)
-class DispersionPoint:
-    """One (mode, wavenumber) point of the dispersion relation."""
-
-    mode: int
-    k: float
-    onset_speed_sq: float
 
 
 @dataclass(frozen=True)
@@ -74,20 +63,6 @@ def onset_speed_sq(mode, k, p: PhysicalParams):
         raise ValueError("wavenumber must be positive")
     m = mode * k
     return (p.sigma * m + p.g / m) * math.tanh(m * p.h)
-
-
-def mode_collision_gap(mode, k, p: PhysicalParams):
-    """|onset(1, mode*k) - onset(mode, k)|, evaluated by two routes.
-
-    The mode-n side is computed with its own association order so the
-    comparison is a genuine consistency audit rather than a tautology;
-    the result is zero up to a few ulps.
-    """
-    mode = int(mode)
-    if mode < 1:
-        raise ValueError("mode index must be >= 1")
-    direct = (p.sigma * k * mode + p.g / (k * mode)) * math.tanh(mode * k * p.h)
-    return abs(onset_speed_sq(1, mode * k, p) - direct)
 
 
 def monotone_dispersion(p: PhysicalParams):

@@ -17,11 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidSamples, MeanNotZero, SingularExpression
+from .errors import InvalidSamples, MeanNotZero
 
 __all__ = [
     "PeriodicFunction",
-    "StripParams",
     "StripGridField",
     "analyze",
     "derivative",
@@ -29,7 +28,6 @@ __all__ = [
     "dirichlet_neumann",
     "harmonic_extension",
     "conjugate_extension",
-    "pointwise_compose",
     "grid_nodes",
     "scaled_coth",
     "sinh_ratio",
@@ -279,7 +277,7 @@ class PeriodicFunction:
         total = float(np.sum(en))
         return 0.0 if total == 0.0 else float(np.sum(en[cut:])) / total
 
-    # -- arithmetic (coefficient-wise; products live in pointwise_compose)
+    # -- arithmetic (coefficient-wise)
 
     def __add__(self, other):
         if isinstance(other, PeriodicFunction):
@@ -345,21 +343,10 @@ def derivative(f):
 
 
 def _depth_value(d):
-    val = d.d if isinstance(d, StripParams) else float(d)
+    val = float(d)
     if not (val > 0.0) or not np.isfinite(val):
         raise ValueError("strip depth must be positive and finite")
     return val
-
-
-@dataclass(frozen=True)
-class StripParams:
-    """Depth d of the reference strip -d < y < 0 (d = k*h in applications)."""
-
-    d: float
-
-    def __post_init__(self):
-        if not (self.d > 0.0) or not np.isfinite(self.d):
-            raise ValueError("strip depth must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,38 +472,3 @@ def conjugate_extension(f, d, n_y, n_x=None):
         vals = (ratio * f.cos_coeffs[1:]) @ sin_mat
         vals = vals - (ratio * f.sin_coeffs) @ cos_mat
     return StripGridField(vals, dv)
-
-
-def pointwise_compose(expr, *funcs, n_modes=None, denominator=None, floor=1e-10):
-    """Evaluate an algebraic expression of several functions by collocation.
-
-    The inputs are sampled on a shared oversampled grid (4x the target
-    mode count), expr is applied to the sample arrays, and the result is
-    re-expanded and truncated back to n_modes.  When `denominator` is
-    given it is evaluated first and checked against `floor`; a node
-    below the floor raises SingularExpression with its location.
-    """
-    if not funcs and n_modes is None:
-        raise ValueError("need at least one function or an explicit n_modes")
-    n_target = max(f.n_modes for f in funcs) if funcs else 0
-    if n_modes is not None:
-        n_target = int(n_modes)
-    n_eval = max(n_target, max((f.n_modes for f in funcs), default=0))
-    m = max(8, 4 * max(1, n_eval))
-    arrays = [f.samples(m) for f in funcs]
-    if denominator is not None:
-        den = np.asarray(denominator(*arrays), dtype=float)
-        bad = np.abs(den) < floor
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise SingularExpression(
-                f"denominator {den[j]:.3e} below floor {floor:.3e}",
-                node_x=float(grid_nodes(m)[j]),
-                value=float(den[j]),
-            )
-    vals = np.asarray(expr(*arrays), dtype=float)
-    if vals.shape != (m,):
-        vals = np.broadcast_to(vals, (m,)).astype(float)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidSamples("expression produced non-finite values")
-    return analyze(vals).truncated(n_target)

@@ -17,10 +17,12 @@ T = (w''/k + w'' C(w') - w' C(w'')) / metric^(3/2), and
 D = A*w' + B*(1/k + C(w')) - (p_atm - sigma*T)*metric.
 
 A and B are the tangential and normal boundary derivative coefficients
-of the conjugated flow-force potential; their closed forms live in
-tangent_coeff / normal_coeff.  Nonlinear algebra happens on an
-oversampled collocation grid; every transform step truncates back to
-the working mode count.
+of the conjugated flow-force potential.  One array function,
+_residual_rows, evaluates the whole residual for a stack of states (a
+leading batch axis): residual and galerkin_residual pass one state,
+jacobian_fd passes the perturbed states of its central differences in
+blocks.  Nonlinear algebra happens on an oversampled collocation grid;
+every transform step truncates back to the working mode count.
 """
 
 from dataclasses import dataclass
@@ -28,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import onset_speed_sq
-from .errors import MeanNotZero, SingularExpression
+from .errors import FlowForceError, InvalidSamples, MeanNotZero, SingularExpression
 from .params import PhysicalParams
 from .spectral import (
+    _PARITY_TOL,
     PeriodicFunction,
-    analyze,
+    _trig_matrices,
     derivative,
     grid_nodes,
     hilbert_strip,
@@ -43,18 +46,17 @@ __all__ = [
     "PhysicalParams",
     "TrialState",
     "AdmissibilityReport",
-    "tangent_coeff",
-    "normal_coeff",
     "residual",
     "galerkin_residual",
     "linearization_symbol",
     "jacobian_fd",
     "check_admissibility",
-    "unknown_labels",
 ]
 
 _METRIC_FLOOR = 1e-10
 _MEAN_TOL = 1e-10
+# grid values (rows x nodes) per jacobian_fd block; bounds its work arrays
+_BLOCK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -79,113 +81,180 @@ class TrialState:
             raise ValueError("elevation must have zero mean")
 
 
-def _grid_arrays(w, p, n_modes):
-    """Shared sample arrays of w and its strip-transform derivatives."""
-    n = w.n_modes if n_modes is None else int(n_modes)
-    m = max(8, 4 * max(1, n))
-    d = p.strip_depth
-    wp = derivative(w)
-    wpp = derivative(wp)
-    cwp = hilbert_strip(wp, d)
-    cwpp = hilbert_strip(wpp, d)
-    w_s = w.samples(m)
-    wp_s = wp.samples(m)
-    wpp_s = wpp.samples(m)
-    cwp_s = cwp.samples(m)
-    cwpp_s = cwpp.samples(m)
-    dnv = 1.0 / p.k + cwp_s
-    metric = wp_s**2 + dnv**2
-    low = float(np.min(metric))
-    if low < _METRIC_FLOOR:
-        j = int(np.argmin(metric))
+def _unknowns(state, n):
+    """theta = (speed_sq, bernoulli_shift, a_1..a_N) of a state, and its a_0.
+
+    The elevation is padded or truncated to N modes.
+    """
+    a = state.elevation.truncated(n).cos_coeffs
+    return np.concatenate(([state.speed_sq, state.bernoulli_shift], a[1:])), a[0]
+
+
+def _trial_state(theta, a0):
+    """The TrialState of unknowns theta and elevation mean a0."""
+    w = PeriodicFunction.from_cosines(np.concatenate(([a0], theta[2:])))
+    return TrialState(float(theta[0]), float(theta[1]), w)
+
+
+def _synthesize(coeffs, mat):
+    """Grid values of every row of coefficients against a (modes, m) table.
+
+    The stacked product makes one BLAS gemv per row, the call that
+    PeriodicFunction.samples makes, so each row matches it bit for bit;
+    a single (rows, modes) @ (modes, m) gemm would not.
+    """
+    return (coeffs[:, None, :] @ mat)[:, 0]
+
+
+def _spectrum(values):
+    """analyze() of every row: cosines a_0..a_K and sines b_1..b_K.
+
+    K = (m-1)//2.  A row's sines are zeroed where analyze would tag the
+    row even.
+    """
+    if not np.all(np.isfinite(values)):
+        raise InvalidSamples("non-finite sample values")
+    m = values.shape[1]
+    top = (m - 1) // 2
+    spec = np.fft.rfft(values, axis=-1)
+    a = np.empty((values.shape[0], top + 1))
+    a[:, 0] = spec[:, 0].real / m
+    a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
+    b = -2.0 * spec[:, 1 : top + 1].imag / m
+    b_max = np.max(np.abs(b), axis=1)
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), b_max))
+    b[b_max <= _PARITY_TOL * scale] = 0.0
+    return a, b
+
+
+def _guard(values, floor, describe):
+    """Raise SingularExpression for the first row whose minimum is below floor."""
+    low = np.min(values, axis=1)
+    bad = np.flatnonzero(low < floor)
+    if bad.size:
+        row = values[bad[0]]
+        j = int(np.argmin(row))
         raise SingularExpression(
-            f"metric factor {low:.3e} below floor {_METRIC_FLOOR:.0e}",
-            node_x=float(grid_nodes(m)[j]),
-            value=low,
+            describe(float(row[j])),
+            node_x=float(grid_nodes(row.size)[j]),
+            value=float(row[j]),
         )
-    return {
-        "n": n,
-        "m": m,
-        "d": d,
-        "w": w_s,
-        "wp": wp_s,
-        "wpp": wpp_s,
-        "cwp": cwp_s,
-        "cwpp": cwpp_s,
-        "dnv": dnv,
-        "metric": metric,
-        "sqrt_metric": np.sqrt(metric),
-        "metric32": metric**1.5,
-    }
+    return low
 
 
-def _strip_transform(values, dat, label, diag):
+def _strip_transform(values, n, coth, label, diag):
     """Apply the strip Hilbert transform to grid values, mean-corrected.
 
     The analytic arguments are exact x-derivatives (zero mean); the
     collocation mean picks up only aliasing dust.  It is subtracted,
     recorded, and trips MeanNotZero when it is genuinely large.
     """
-    f = analyze(values).truncated(dat["n"])
-    mean = f.mean()
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if abs(mean) > _MEAN_TOL * scale:
-        raise MeanNotZero(f"inner transform argument {label!r} has mean {mean:.3e}")
-    if diag is not None:
-        diag.setdefault("subtracted_means", {})[label] = mean
-    g = hilbert_strip(f - mean, dat["d"])
-    return g.samples(dat["m"])
-
-
-def _tangent_samples(dat, p):
-    tnum = dat["wpp"] / p.k + dat["wpp"] * dat["cwp"] - dat["wp"] * dat["cwpp"]
-    return p.p_atm * dat["wp"] - p.sigma * dat["wp"] * tnum / dat["metric32"]
-
-
-def _normal_samples(dat, p, speed_sq, diag):
-    wp, dnv = dat["wp"], dat["dnv"]
-    sq = dat["sqrt_metric"]
-    den = sq * (dnv + sq)
-    low = float(np.min(np.abs(den)))
-    if low < _METRIC_FLOOR:
-        j = int(np.argmin(np.abs(den)))
-        raise SingularExpression(
-            f"bracket denominator {low:.3e} below floor",
-            node_x=float(grid_nodes(dat["m"])[j]),
-            value=low,
+    a, b = _spectrum(values)
+    mean = a[:, 0]
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
+    bad = np.flatnonzero(np.abs(mean) > _MEAN_TOL * scale)
+    if bad.size:
+        raise MeanNotZero(
+            f"inner transform argument {label!r} has mean {float(mean[bad[0]]):.3e}"
         )
-    bracket = float(np.mean(wp**2 / den))
-    g_inner = _strip_transform(dat["w"] * wp, dat, "w*w'", diag)
-    flux = (dat["cwpp"] * wp**2 - dnv * dat["wpp"] * wp) / dat["metric32"]
-    flux_t = _strip_transform(flux, dat, "curvature flux", diag)
+    if diag is not None:
+        diag.setdefault("subtracted_means", {})[label] = float(mean[0])
+    cos_mat, sin_mat = _trig_matrices(values.shape[1], n)
+    return (
+        0.0
+        + _synthesize(-coth * b[:, :n], cos_mat)
+        + _synthesize(coth * a[:, 1 : n + 1], sin_mat)
+    )
+
+
+def _residual_rows(speed_sq, shift, cos_coeffs, p: PhysicalParams, n, diag=None):
+    """Galerkin residual modes r_0..r_n of a stack of B states.
+
+    speed_sq and shift have shape (B,), cos_coeffs (B, N_w + 1) holds
+    the elevation cosines a_0..a_{N_w}; the result has shape (B, n + 1).
+    Every operation is the one the single-state evaluation performs, in
+    the same order, so a row's result does not depend on the rows beside
+    it.  Each guard raises for the first offending row; diag, when
+    given, describes row 0.
+    """
+    m = max(8, 4 * max(1, n))
+    d = p.strip_depth
+    modes = np.arange(1, cos_coeffs.shape[1])
+    coth = scaled_coth(modes * d)
+    cos_mat, sin_mat = _trig_matrices(m, modes.size)
+    # w, w', w'', C(w'), C(w''): w' is a sine series, w'' a cosine series
+    a = cos_coeffs[:, 1:]
+    wp_sin = -modes * a
+    wpp_cos = modes * wp_sin
+    w = cos_coeffs[:, :1] + _synthesize(a, cos_mat)
+    wp = 0.0 + _synthesize(wp_sin, sin_mat)
+    wpp = 0.0 + _synthesize(wpp_cos, cos_mat)
+    cwp = 0.0 + _synthesize(-coth * wp_sin, cos_mat)
+    cwpp = 0.0 + _synthesize(coth * wpp_cos, sin_mat)
+    dnv = 1.0 / p.k + cwp
+    metric = wp**2 + dnv**2
+    low_metric = _guard(
+        metric, _METRIC_FLOOR,
+        lambda low: f"metric factor {low:.3e} below floor {_METRIC_FLOOR:.0e}",
+    )
+    metric32 = metric**1.5
+    tnum = wpp / p.k + wpp * cwp - wp * cwpp
+    t_s = tnum / metric32
+    # tangential coefficient A
+    a_s = p.p_atm * wp - p.sigma * wp * tnum / metric32
+    # normal coefficient B
+    sq = np.sqrt(metric)
+    den = sq * (dnv + sq)
+    _guard(
+        np.abs(den), _METRIC_FLOOR,
+        lambda low: f"bracket denominator {low:.3e} below floor",
+    )
+    wp2 = wp**2
+    bracket = np.mean(wp2 / den, axis=1)
+    n_coth = scaled_coth(np.arange(1, n + 1) * d)
+    g_inner = _strip_transform(w * wp, n, n_coth, "w*w'", diag)
+    flux = (cwpp * wp2 - dnv * wpp * wp) / metric32
+    flux_t = _strip_transform(flux, n, n_coth, "curvature flux", diag)
     kh = p.k * p.h
     g_part = (
-        float(np.mean(dat["w"] ** 2)) / (2.0 * kh)
-        - dat["w"] / p.k
+        (np.mean(w**2, axis=1) / (2.0 * kh))[:, None]
+        - w / p.k
         + g_inner
-        - dat["w"] * dat["cwp"]
+        - w * cwp
     )
     if diag is not None:
-        diag["bracket_average"] = bracket
-    return (
-        speed_sq / p.k
-        - (p.sigma / kh) * bracket
+        diag["bracket_average"] = float(bracket[0])
+    b_s = (
+        (speed_sq / p.k - (p.sigma / kh) * bracket)[:, None]
         + p.g * g_part
         + p.sigma * flux_t
         + p.p_atm * dnv
     )
-
-
-def tangent_coeff(w, p: PhysicalParams, n_modes=None):
-    """Tangential boundary-derivative coefficient (odd for even w)."""
-    dat = _grid_arrays(w, p, n_modes)
-    return analyze(_tangent_samples(dat, p)).truncated(dat["n"])
-
-
-def normal_coeff(w, speed_sq, p: PhysicalParams, n_modes=None, diag=None):
-    """Normal boundary-derivative coefficient (even for even w)."""
-    dat = _grid_arrays(w, p, n_modes)
-    return analyze(_normal_samples(dat, p, speed_sq, diag)).truncated(dat["n"])
+    aw = a_s * wp
+    bd = b_s * dnv
+    pm = (p.p_atm - p.sigma * t_s) * metric
+    d_s = aw + bd - pm
+    floor = 1e-8 * onset_speed_sq(1, p.k, p)
+    low_d = _guard(
+        np.abs(d_s), floor,
+        lambda low: f"quotient denominator {low:.3e} below floor {floor:.3e}",
+    )
+    res = (
+        (a_s * dnv - b_s * wp) ** 2 / d_s
+        + aw
+        + bd
+        - pm
+        - ((speed_sq + shift)[:, None] + 2.0 * p.sigma * t_s - 2.0 * p.g * w) * metric
+    )
+    full, sines = _spectrum(res)
+    if diag is not None:
+        osc = float(full[0, 1:] @ full[0, 1:])
+        sin = float(sines[0] @ sines[0])
+        total = osc + sin
+        diag["sine_energy_fraction"] = 0.0 if total == 0.0 else sin / total
+        diag["min_quotient_denominator"] = float(low_d[0])
+        diag["min_metric"] = float(low_metric[0])
+    return full[:, : n + 1]
 
 
 def residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
@@ -194,36 +263,16 @@ def residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
     Vanishes identically on the trivial branch with zero shift and
     equals -shift/k^2 for any constant shift.
     """
-    dat = _grid_arrays(state.elevation, p, n_modes)
-    a_s = _tangent_samples(dat, p)
-    b_s = _normal_samples(dat, p, state.speed_sq, diag)
-    wp, dnv, metric = dat["wp"], dat["dnv"], dat["metric"]
-    tnum = dat["wpp"] / p.k + dat["wpp"] * dat["cwp"] - dat["wp"] * dat["cwpp"]
-    t_s = tnum / dat["metric32"]
-    d_s = a_s * wp + b_s * dnv - (p.p_atm - p.sigma * t_s) * metric
-    floor = 1e-8 * onset_speed_sq(1, p.k, p)
-    low = float(np.min(np.abs(d_s)))
-    if low < floor:
-        j = int(np.argmin(np.abs(d_s)))
-        raise SingularExpression(
-            f"quotient denominator {low:.3e} below floor {floor:.3e}",
-            node_x=float(grid_nodes(dat["m"])[j]),
-            value=low,
-        )
-    res = (
-        (a_s * dnv - b_s * wp) ** 2 / d_s
-        + a_s * wp
-        + b_s * dnv
-        - (p.p_atm - p.sigma * t_s) * metric
-        - (state.speed_sq + state.bernoulli_shift + 2.0 * p.sigma * t_s - 2.0 * p.g * dat["w"])
-        * metric
+    n = state.elevation.n_modes if n_modes is None else int(n_modes)
+    r = _residual_rows(
+        np.array([state.speed_sq]),
+        np.array([state.bernoulli_shift]),
+        state.elevation.cos_coeffs[None, :],
+        p,
+        n,
+        diag,
     )
-    full = analyze(res)
-    if diag is not None:
-        diag["sine_energy_fraction"] = full.sine_energy_fraction()
-        diag["min_quotient_denominator"] = low
-        diag["min_metric"] = float(np.min(metric))
-    return full.truncated(dat["n"]).as_even()
+    return PeriodicFunction.from_cosines(r[0])
 
 
 def galerkin_residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
@@ -245,55 +294,45 @@ def linearization_symbol(speed_sq, mode, p: PhysicalParams):
     return -(speed_sq * k * mode * coth - p.sigma * k * k * mode * mode - p.g) / (k * k)
 
 
-def unknown_labels(n_modes):
-    """Canonical unknown ordering (speed_sq, shift, a1..aN)."""
-    return ("speed_sq", "bernoulli_shift") + tuple(
-        f"a{j}" for j in range(1, n_modes + 1)
-    )
-
-
-def _with_unknown(state, label, value, n_modes):
-    if label == "speed_sq":
-        return TrialState(value, state.bernoulli_shift, state.elevation)
-    if label == "bernoulli_shift":
-        return TrialState(state.speed_sq, value, state.elevation)
-    j = int(label[1:])
-    a = np.zeros(n_modes + 1)
-    keep = min(n_modes, state.elevation.n_modes)
-    a[: keep + 1] = state.elevation.cos_coeffs[: keep + 1]
-    a[j] = value
-    w = PeriodicFunction(a, np.zeros(n_modes), "even")
-    return TrialState(state.speed_sq, state.bernoulli_shift, w)
-
-
-def _unknown_value(state, label):
-    if label == "speed_sq":
-        return state.speed_sq
-    if label == "bernoulli_shift":
-        return state.bernoulli_shift
-    j = int(label[1:])
-    a = state.elevation.cos_coeffs
-    return float(a[j]) if j < a.size else 0.0
-
-
 def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None,
                 step_scale=1e-6):
     """Central-difference Jacobian of the Galerkin residual.
 
-    Rows are the projection modes n = 0..N; columns follow `active`,
-    a sequence of labels from unknown_labels(N) (default: all of them).
-    Step per unknown: step_scale * max(1, |value|).
+    The unknowns are theta = (speed_sq, bernoulli_shift, a_1..a_N), with
+    the elevation padded or truncated to N modes and its mean a_0 held
+    fixed.  Rows are the projection modes n = 0..N; columns follow
+    `active`, a sequence of indices into theta (default: all N + 2).
+    Step per unknown: step_scale * max(1, |value|).  The perturbed
+    states are evaluated together, in blocks of about _BLOCK_SAMPLES
+    grid values; a failing block is re-run state by state, so the error
+    raised is that of the first failing state in column order.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
-    labels = unknown_labels(n) if active is None else tuple(active)
-    cols = []
-    for label in labels:
-        theta = _unknown_value(state, label)
-        eps = step_scale * max(1.0, abs(theta))
-        hi = galerkin_residual(_with_unknown(state, label, theta + eps, n), p, n)
-        lo = galerkin_residual(_with_unknown(state, label, theta - eps, n), p, n)
-        cols.append((hi - lo) / (2.0 * eps))
-    return np.column_stack(cols)
+    theta, a0 = _unknowns(state, n)
+    cols = np.arange(n + 2) if active is None else np.asarray(active, dtype=np.intp)
+    eps = step_scale * np.maximum(1.0, np.abs(theta[cols]))
+    jac = np.empty((n + 1, cols.size))
+    per_block = max(1, _BLOCK_SAMPLES // (2 * max(8, 4 * n)))
+    for start in range(0, cols.size, per_block):
+        col, step = cols[start : start + per_block], eps[start : start + per_block]
+        # rows 2i and 2i+1 move unknown col[i] up and down
+        rows = np.tile(theta, (2 * col.size, 1))
+        rows[0::2][np.arange(col.size), col] = theta[col] + step
+        rows[1::2][np.arange(col.size), col] = theta[col] - step
+        stack = np.empty((rows.shape[0], n + 1))
+        stack[:, 0] = a0
+        stack[:, 1:] = rows[:, 2:]
+        try:
+            r = _residual_rows(rows[:, 0], rows[:, 1], stack, p, n)
+        except FlowForceError:
+            for i in range(rows.shape[0]):
+                one = slice(i, i + 1)
+                _residual_rows(rows[one, 0], rows[one, 1], stack[one], p, n)
+            raise
+        jac[:, start : start + col.size] = (
+            (r[0::2] - r[1::2]) / (2.0 * step[:, None])
+        ).T
+    return jac
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,63 @@ def test_validate_needs_eight_vertical_points(tmp_path, capsys):
     assert not (out / "validation.json").exists()
 
 
+def test_zero_modes_in_config_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.ini", "[discretization]\nmodes = 0\n")
+    assert main(["--config", cfg, "--out", str(tmp_path), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert "discretization.modes" in err
+    assert f"{cfg}:2" in err
+    assert "Traceback" not in err
+
+
+def test_reconstruct_needs_two_vertical_points(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    flat = _write(tmp_path / "flat.ini", "[discretization]\nvertical_points = 1\n")
+    code = main(
+        ["--config", flat, "--out", str(out), "reconstruct", str(out / "branch.json")]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "vertical_points" in err
+    assert f"{flat}:2" in err
+    assert "Traceback" not in err
+    assert not (out / "field.csv").exists()
+
+
+def test_nonpositive_k_min_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.ini", "[dispersion]\nk_min = 0.0\n")
+    assert main(["--config", cfg, "--out", str(tmp_path), "dispersion"]) == 4
+    err = capsys.readouterr().err
+    assert "dispersion.k_min" in err
+    assert f"{cfg}:2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "dispersion.csv").exists()
+
+
+def test_amplitude_beyond_small_range_rejected(tmp_path, capsys):
+    """amplitude_max / steps above a tenth of the depth (0.01 here), from
+    the config file and from the --s-max flag."""
+    cfg = _write(
+        tmp_path / "c.ini", "[continuation]\namplitude_max = 0.05\nsteps = 4\n"
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "a"), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert "amplitude_max" in err
+    assert f"{cfg}:2" in err
+    assert "Traceback" not in err
+    code = main(
+        ["--s-max", "0.05", "--steps", "1", "--out", str(tmp_path / "b"), "branch"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "--s-max" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "a" / "branch.json").exists()
+    assert not (tmp_path / "b" / "branch.json").exists()
+
+
 def test_missing_branch_file_rejected(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "validate", str(tmp_path / "nope.json")])
     assert code == 4

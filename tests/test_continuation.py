@@ -5,6 +5,9 @@ the even symmetry of traced profiles, and the sign pairing between the
 two half-branches.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,39 @@ def test_partial_branch_keeps_earlier_points(water):
     if not branch.completed:
         assert len(branch.points) < 12
         assert branch.failure is not None
+
+
+REFERENCE_BRANCH = (
+    Path(__file__).resolve().parents[1]
+    / "perfbench" / "reference" / "desk-water-seed0-branch.json"
+)
+
+
+def test_desk_water_reference_branch():
+    """Re-trace the benchmark's stored desk-water branch (read, never
+    written) and compare with its rule: 1e-12 relative for s, lambda and
+    mu, 1e-12 of the largest coefficient for cos_coeffs.  Its points
+    converge in one or two Newton iterations, so each carries the
+    finite-difference Jacobian's rounding in mu (about 4e-6)."""
+    ref = json.loads(REFERENCE_BRANCH.read_text(encoding="utf-8"))
+    stored = ref["points"]
+    branch = trace_branch(
+        stored[-1]["s"], len(stored), PhysicalParams(**ref["params"]),
+        n_modes=ref["n_modes"], tol=1e-11, max_iter=25,
+    )
+
+    def close(got, want, scale=0.0):
+        return abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+    assert branch.failure is None
+    assert len(branch.points) == len(stored)
+    assert close(branch.onset_speed_sq, ref["onset_speed_sq"])
+    assert close(branch.transversality, ref["transversality"])
+    for got, want in zip(branch.points, stored):
+        assert close(got.amplitude, want["s"])
+        assert close(got.speed_sq, want["lambda"])
+        assert close(got.bernoulli_shift, want["mu"])
+        coeffs = got.elevation.cos_coeffs
+        scale = max(abs(c) for c in want["cos_coeffs"])
+        assert len(coeffs) == len(want["cos_coeffs"])
+        assert all(close(a, b, scale) for a, b in zip(coeffs, want["cos_coeffs"]))

@@ -20,12 +20,10 @@ from flowforce import (
     galerkin_residual,
     jacobian_fd,
     linearization_symbol,
-    normal_coeff,
     onset_speed_sq,
     residual,
-    tangent_coeff,
 )
-from flowforce.surface_equation import unknown_labels
+from flowforce.surface_equation import _BLOCK_SAMPLES
 
 
 def _random_params(rng):
@@ -89,14 +87,11 @@ def test_jacobian_matches_diagonal_symbol(water):
     lam = 1.5
     state = TrialState(lam, 0.0, PeriodicFunction.zero(n))
     jac = jacobian_fd(state, water, n_modes=n)
-    labels = unknown_labels(n)
+    # columns: speed_sq, bernoulli_shift, a_1..a_N
     expect = np.zeros_like(jac)
-    for col, label in enumerate(labels):
-        if label == "bernoulli_shift":
-            expect[0, col] = -1.0 / water.k**2
-        elif label != "speed_sq":
-            mode = int(label[1:])
-            expect[mode, col] = linearization_symbol(lam, mode, water)
+    expect[0, 1] = -1.0 / water.k**2
+    for mode in range(1, n + 1):
+        expect[mode, mode + 1] = linearization_symbol(lam, mode, water)
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(jac - expect)) / scale < 1e-5
 
@@ -109,36 +104,10 @@ def test_jacobian_speed_column_at_onset(water):
     s = 1e-4
     w = PeriodicFunction.harmonic(1, s, n_modes=n, kind="cos")
     state = TrialState(onset_speed_sq(1, water.k, water), 0.0, w)
-    jac = jacobian_fd(state, water, active=("speed_sq",), n_modes=n)
+    jac = jacobian_fd(state, water, active=(0,), n_modes=n)
     kh = water.k * water.h
     expect = -s / math.tanh(kh) / water.k
     assert jac[1, 0] == pytest.approx(expect, rel=1e-3)
-
-
-def test_normal_coeff_linear_part_is_gravity_slope(water):
-    """FD oracle: at amplitude s the normal coefficient is
-    speed_sq/k - (g/k) s cos x + O(s^2) when p_atm = 0."""
-    s = 1e-6
-    lam = 1.2
-    w = PeriodicFunction.harmonic(1, s, n_modes=8, kind="cos")
-    b = normal_coeff(w, lam, water)
-    slope = (b - PeriodicFunction.constant(lam / water.k, 8)) * (1.0 / s)
-    expect = -water.g / water.k
-    assert slope.cos_coeffs[1] == pytest.approx(expect, rel=1e-4)
-    assert abs(slope.cos_coeffs[0]) < 1e-3 * abs(expect)
-
-
-def test_tangent_coeff_parity(water):
-    w = PeriodicFunction.harmonic(1, 1e-3, n_modes=8, kind="cos")
-    a = tangent_coeff(w, water)
-    assert np.max(np.abs(a.cos_coeffs)) < 1e-14
-    assert np.max(np.abs(a.sin_coeffs)) > 0.0
-
-
-def test_normal_coeff_parity(water):
-    w = PeriodicFunction.harmonic(1, 1e-3, n_modes=8, kind="cos")
-    b = normal_coeff(w, 1.3, water)
-    assert b.parity == "even" or np.max(np.abs(b.sin_coeffs)) < 1e-13
 
 
 def test_residual_is_even_and_records_diagnostics(water):
@@ -217,7 +186,81 @@ def test_admissibility_flags_non_graph(water):
 def test_jacobian_active_subset(water):
     n = 6
     state = TrialState(1.3, 0.0, PeriodicFunction.zero(n))
-    jac = jacobian_fd(state, water, active=("bernoulli_shift", "a3"), n_modes=n)
+    jac = jacobian_fd(state, water, active=(1, 4), n_modes=n)
     assert jac.shape == (n + 1, 2)
     assert jac[0, 0] == pytest.approx(-1.0 / water.k**2, rel=1e-8)
     assert jac[3, 1] == pytest.approx(linearization_symbol(1.3, 3, water), rel=1e-5)
+
+
+# -- batched finite-difference Jacobian ----------------------------------
+
+JACOBIAN_REGIMES = {
+    "water": PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0),
+    "p_atm": PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0),
+    "capillary": PhysicalParams(g=0.0, sigma=0.073, h=0.1, k=10.0),
+    "ocean": PhysicalParams(g=9.81, sigma=0.073, h=100.0, k=0.01),
+}
+
+
+def _wave_state(p, n, seed):
+    """An even wave of steepness 0.01 near onset, modes decaying tenfold."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(n + 1)
+    a[1] = 0.01 / p.k
+    a[2:] = a[1] * rng.uniform(-1.0, 1.0, n - 1) * 0.1 ** np.arange(1, n)
+    lam = onset_speed_sq(1, p.k, p)
+    return TrialState(lam * (1.0 + 1e-4), 1e-3 * lam, PeriodicFunction.from_cosines(a))
+
+
+def _column_loop(state, p, cols, n):
+    """Central differences one unknown at a time through galerkin_residual."""
+    a0 = state.elevation.cos_coeffs[0]
+    theta = [state.speed_sq, state.bernoulli_shift, *state.elevation.cos_coeffs[1:]]
+    out = []
+    for col in cols:
+        eps = 1e-6 * max(1.0, abs(theta[col]))
+        pair = []
+        for value in (theta[col] + eps, theta[col] - eps):
+            t = list(theta)
+            t[col] = value
+            w = PeriodicFunction.from_cosines([a0, *t[2:]])
+            pair.append(galerkin_residual(TrialState(t[0], t[1], w), p, n_modes=n))
+        out.append((pair[0] - pair[1]) / (2.0 * eps))
+    return np.column_stack(out)
+
+
+@pytest.mark.parametrize("active", ["all", "newton"])
+@pytest.mark.parametrize("n", [1, 8, 32, 128])
+@pytest.mark.parametrize("regime", sorted(JACOBIAN_REGIMES))
+def test_jacobian_fd_is_bitwise_column_loop(regime, n, active):
+    """The batched Jacobian equals the column-by-column central difference
+    exactly, not just closely: a converged Newton point carries the
+    Jacobian's rounding.  At N = 128 the columns fill several blocks and
+    the last block is partial."""
+    p = JACOBIAN_REGIMES[regime]
+    state = _wave_state(p, n, seed=n)
+    cols = list(range(n + 2)) if active == "all" else [0, 1, *range(3, n + 2)]
+    if n == 128:
+        assert len(cols) % (_BLOCK_SAMPLES // (2 * 4 * n)) != 0
+    jac = jacobian_fd(state, p, active=None if active == "all" else cols, n_modes=n)
+    assert np.array_equal(jac, _column_loop(state, p, cols, n))
+
+
+def test_jacobian_quotient_floor_crossing_raises(water):
+    """Near the trivial state the quotient denominator is about
+    speed_sq/k^2 - g s cos(x)/k^2, so a speed just above the floor
+    1e-8 lambda* k^2 drops below it in the minus step of the speed column,
+    first at x = pi for s < 0.  The error is that of the single-state
+    evaluation of the perturbed state."""
+    n = 8
+    w = PeriodicFunction.harmonic(1, -1e-12, n_modes=n, kind="cos")
+    lam = 1e-8 * onset_speed_sq(1, water.k, water) * water.k**2 + 0.5e-6
+    galerkin_residual(TrialState(lam, 0.0, w), water, n_modes=n)
+    with pytest.raises(SingularExpression) as batched:
+        jacobian_fd(TrialState(lam, 0.0, w), water, active=(2, 3, 0), n_modes=n)
+    with pytest.raises(SingularExpression) as single:
+        galerkin_residual(TrialState(lam - 1e-6, 0.0, w), water, n_modes=n)
+    assert "quotient denominator" in str(batched.value)
+    assert str(batched.value) == str(single.value)
+    assert batched.value.node_x == pytest.approx(math.pi)
+    assert batched.value.node_x == single.value.node_x

@@ -16,8 +16,6 @@ from flowforce import (
     InvalidSamples,
     MeanNotZero,
     PeriodicFunction,
-    SingularExpression,
-    StripParams,
     analyze,
     conjugate_extension,
     derivative,
@@ -25,7 +23,6 @@ from flowforce import (
     grid_nodes,
     harmonic_extension,
     hilbert_strip,
-    pointwise_compose,
 )
 from flowforce.spectral import cosh_ratio, scaled_coth, sinh_ratio
 
@@ -232,11 +229,14 @@ def test_hilbert_requires_zero_mean():
         hilbert_strip(PeriodicFunction.constant(1.0, 4), 1.0)
 
 
-def test_hilbert_accepts_strip_params():
+def test_hilbert_strip_depth_validation():
     f = PeriodicFunction.harmonic(1, 1.0, kind="cos")
-    a = hilbert_strip(f, StripParams(2.0))
-    b = hilbert_strip(f, 2.0)
+    a = hilbert_strip(f, np.float32(2.0))
+    b = hilbert_strip(f, 2)
     np.testing.assert_array_equal(a.sin_coeffs, b.sin_coeffs)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            hilbert_strip(f, bad)
 
 
 def test_double_hilbert_is_minus_coth_squared():
@@ -408,32 +408,3 @@ def test_harmonic_extension_mean_is_linear_in_y():
     frac = np.arange(11) / 10
     np.testing.assert_allclose(field.values, np.outer(frac, np.full(8, 2.0)),
                                atol=1e-15)
-
-
-# -- collocation composition ---------------------------------------------
-
-
-def test_pointwise_compose_product():
-    f = PeriodicFunction.harmonic(1, 1.0, kind="cos")
-    g = pointwise_compose(lambda u: u * u, f, n_modes=2)
-    assert g.cos_coeffs[0] == pytest.approx(0.5, abs=1e-14)
-    assert g.cos_coeffs[2] == pytest.approx(0.5, abs=1e-14)
-    assert abs(g.cos_coeffs[1]) < 1e-14
-
-
-def test_pointwise_compose_denominator_floor():
-    f = PeriodicFunction.harmonic(1, 1.0, kind="cos")
-    with pytest.raises(SingularExpression) as err:
-        pointwise_compose(
-            lambda u: 1.0 / (1.0 + u),
-            f,
-            denominator=lambda u: 1.0 + u,
-            floor=1e-6,
-        )
-    assert err.value.node_x is not None
-
-
-def test_pointwise_compose_truncates_to_target():
-    f = PeriodicFunction.harmonic(2, 1.0, kind="cos")
-    g = pointwise_compose(lambda u: u * u * u, f, n_modes=2)
-    assert g.n_modes == 2
