@@ -77,22 +77,25 @@ class RunConfig:
 _DEFAULT_PHYSICAL = PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=0.0)
 
 
-def _locate(path, *tokens):
-    """Best-effort line number of the first config line naming a token."""
+def _locate(path, *tokens, section=None):
+    """Best-effort line number of the first config line naming a token
+    (only lines under the [section] header count when section is given)."""
     try:
         with open(path, encoding="utf-8") as fh:
+            inside = section is None
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
-                for token in tokens:
-                    if stripped.startswith(token):
-                        return lineno
+                if section is not None and stripped.startswith("["):
+                    inside = stripped == f"[{section}]"
+                if inside and any(stripped.startswith(token) for token in tokens):
+                    return lineno
     except OSError:
         pass
     return None
 
 
-def _reject(path, message, *tokens):
-    lineno = _locate(path, *tokens)
+def _reject(path, message, *tokens, section=None):
+    lineno = _locate(path, *tokens, section=section)
     where = f"{path}:{lineno}" if lineno else str(path)
     raise ConfigError(f"{where}: {message}")
 
@@ -182,6 +185,30 @@ def load_config(path=None):
             _reject(
                 path, f"dispersion.{key} = {getattr(config, key)} must be positive", key
             )
+    if config.k_count < 1:
+        _reject(path, f"dispersion.k_count = {config.k_count} must be at least 1", "k_count")
+    if config.scan_limit < 2:
+        _reject(
+            path, f"kernel.scan_limit = {config.scan_limit} must be at least 2", "scan_limit"
+        )
+    if config.max_iterations < 0:
+        _reject(
+            path,
+            f"continuation.max_iterations = {config.max_iterations} must not be negative",
+            "max_iterations",
+        )
+    if not (math.isfinite(config.tolerance) and config.tolerance > 0.0):
+        _reject(
+            path,
+            f"continuation.tolerance = {config.tolerance} must be positive and finite",
+            "tolerance",
+            section="continuation",  # [kernel] has a tolerance key too
+        )
+    if not math.isfinite(config.amplitude_max):
+        _reject(
+            path, f"continuation.amplitude_max = {config.amplitude_max} must be finite",
+            "amplitude_max",
+        )
     return config
 
 
@@ -194,6 +221,8 @@ def _apply_flags(config, args):
             raise ConfigError(f"invalid --k: {exc}") from exc
         config = replace(config, physical=physical)
     if args.s_max is not None:
+        if not math.isfinite(args.s_max):
+            raise ConfigError(f"--s-max {args.s_max} must be finite")
         config = replace(config, amplitude_max=args.s_max)
     if args.steps is not None:
         if args.steps < 1:

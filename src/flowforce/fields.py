@@ -32,6 +32,7 @@ from .spectral import (
     sinh_ratio,
 )
 from .surface_equation import AdmissibilityReport, TrialState, check_admissibility, residual
+from .surface_equation import _spectrum, _surface_rows
 
 __all__ = [
     "SurfaceCurve",
@@ -86,7 +87,6 @@ class SurfaceCurve:
         t = np.asarray(targets, dtype=float)
         k = self.params.k
         x = (k * (t - self.shift)) if x0 is None else np.array(x0, dtype=float)
-        x = x.astype(float, copy=True)
         scale = max(1.0, float(np.max(np.abs(t))))
         for _ in range(max_iter):
             f = self.abscissa(x) - t
@@ -95,11 +95,10 @@ class SurfaceCurve:
             step = f / self.abscissa_slope(x)
             np.clip(step, -np.pi, np.pi, out=step)
             x = x - step
-        bad = np.abs(self.abscissa(x) - t) > tol * scale
+        bad = (np.abs(self.abscissa(x) - t) > tol * scale).reshape(-1)
         if np.any(bad):
             x = x.reshape(-1)
-            flat_bad = np.abs(self.abscissa(x) - t.reshape(-1)) > tol * scale
-            tb = t.reshape(-1)[flat_bad]
+            tb = t.reshape(-1)[bad]
             base = k * (tb - self.shift)
             lo, hi = base - 2.0 * np.pi, base + 2.0 * np.pi
             for _ in range(8):
@@ -114,7 +113,7 @@ class SurfaceCurve:
                 below = self.abscissa(mid) < tb
                 lo = np.where(below, mid, lo)
                 hi = np.where(below, hi, mid)
-            x[flat_bad] = 0.5 * (lo + hi)
+            x[bad] = 0.5 * (lo + hi)
             x = x.reshape(t.shape)
             err = float(np.max(np.abs(self.abscissa(x) - t)))
             if err > 10.0 * tol * scale:
@@ -167,18 +166,14 @@ class SurfaceCorrection:
         return self.surface_values.eval_at(x)
 
 
-def _correction_strength(elevation, p: PhysicalParams):
-    """Surface values of the correction strength as a cosine polynomial."""
-    n = max(1, elevation.n_modes)
-    m = max(8, 4 * n)
-    d = p.strip_depth
-    wp = derivative(elevation)
-    dnv = 1.0 / p.k + hilbert_strip(wp, d).samples(m)
-    wp_s = wp.samples(m)
-    v_s = p.h + elevation.samples(m)
-    metric = wp_s**2 + dnv**2
-    e0 = -p.p_atm * v_s + p.sigma * (1.0 - dnv / np.sqrt(metric))
-    return analyze(e0).truncated(elevation.n_modes)
+def _correction_strength(w, p: PhysicalParams):
+    """Surface values of the correction strength as a cosine polynomial, with
+    the grid size m and the samples of depth + w and 1/k + C(w') they use."""
+    m = max(8, 4 * max(1, w.n_modes))
+    w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
+    v_s, dnv = p.h + w_s[0], dnv[0]
+    e0 = -p.p_atm * v_s + p.sigma * (1.0 - dnv / np.sqrt(metric[0]))
+    return analyze(e0).truncated(w.n_modes), m, v_s, dnv
 
 
 @dataclass(frozen=True)
@@ -202,39 +197,50 @@ class FlowForceField:
     surface_abscissa: np.ndarray
 
 
+def _geometry(w, p: PhysicalParams, n_y, n_x, shift):
+    """Conformal map (u, v) and inverted surface abscissa x_s of the elevation
+    w, all free of p_atm and of the speed: every field on the grid shares them."""
+    curve = surface_curve(w, p, shift)
+    u, v = conformal_map(w, p, n_y, n_x, shift)
+    x_s = curve.invert(u.values, x0=np.broadcast_to(u.x_nodes, u.values.shape))
+    x_s.flags.writeable = False
+    return u, v, x_s
+
+
+def _potential(state, p: PhysicalParams, n_y, n_x):
+    """Surface flow force s0, correction strength e0 and harmonic layer zeta,
+    the extension of s0 - e0 + (g/2) (depth + w)^2; it needs no geometry."""
+    e0, m, v_s, _ = _correction_strength(state.elevation, p)
+    s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
+    boundary = analyze(s0 - e0.samples(m) + 0.5 * p.g * v_s**2).truncated(e0.n_modes)
+    return s0, e0, harmonic_extension(boundary, p.strip_depth, n_y, n_x)
+
+
+def _assemble(state, p: PhysicalParams, u, v, x_s):
+    """The FlowForceField of state under p on the geometry (u, v, x_s)."""
+    s0, e0, zeta = _potential(state, p, u.n_y, u.n_x)
+    xi_vals = zeta.values - 0.5 * p.g * v.values**2
+    heights = p.h + state.elevation.eval_at(x_s)
+    pullback = e0.eval_at(x_s) * v.values / heights
+    return FlowForceField(
+        u=u,
+        v=v,
+        harmonic_potential=zeta,
+        raw_force=StripGridField(xi_vals, p.strip_depth),
+        flow_force=StripGridField(xi_vals + pullback, p.strip_depth),
+        surface_value=s0,
+        correction=SurfaceCorrection(e0, p.p_atm, p.sigma),
+        surface_abscissa=x_s,
+    )
+
+
 def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None, shift=0.0):
     """Rebuild the flow-force field of a corrected wave on the strip grid.
 
     state needs speed_sq, bernoulli_shift and elevation attributes
     (trial states and branch points both qualify).
     """
-    w = state.elevation
-    curve = surface_curve(w, p, shift)
-    u, v = conformal_map(w, p, n_y, n_x, shift)
-    d = p.strip_depth
-    n = w.n_modes
-    m = max(8, 4 * max(1, n))
-    s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
-    e0 = _correction_strength(w, p)
-    v_s = p.h + w.samples(m)
-    boundary = analyze(s0 - e0.samples(m) + 0.5 * p.g * v_s**2).truncated(n)
-    zeta = harmonic_extension(boundary, d, n_y, u.n_x)
-    xi_vals = zeta.values - 0.5 * p.g * v.values**2
-    x_s = curve.invert(u.values, x0=np.broadcast_to(u.x_nodes, u.values.shape))
-    x_s.flags.writeable = False
-    heights = curve.height(x_s)
-    pullback = e0.eval_at(x_s) * v.values / heights
-    flow = xi_vals + pullback
-    return FlowForceField(
-        u=u,
-        v=v,
-        harmonic_potential=zeta,
-        raw_force=StripGridField(xi_vals, d),
-        flow_force=StripGridField(flow, d),
-        surface_value=s0,
-        correction=SurfaceCorrection(e0, p.p_atm, p.sigma),
-        surface_abscissa=x_s,
-    )
+    return _assemble(state, p, *_geometry(state.elevation, p, n_y, n_x, shift))
 
 
 def laminar_flow_force(height, speed_sq, p: PhysicalParams):
@@ -280,14 +286,12 @@ def _hi_order_laplacian(values, depth):
     return lap_x + lap_y
 
 
-def _map_gradient_sq(elevation, p: PhysicalParams, n_y, n_x):
-    """|gradient of the height field|^2 on the strip grid, spectrally."""
+def _map_gradient_sq(elevation, p: PhysicalParams, y, n_x):
+    """|gradient of the height field|^2 at strip heights y, spectrally."""
     d = p.strip_depth
     n = elevation.n_modes
-    frac = np.arange(n_y + 1) / n_y
-    y = d * (frac - 1.0)
-    vx = np.zeros((n_y + 1, n_x))
-    vy = np.full((n_y + 1, n_x), 1.0 / p.k)
+    vx = np.zeros((y.size, n_x))
+    vy = np.full((y.size, n_x), 1.0 / p.k)
     if n:
         modes = np.arange(1, n + 1)
         na = modes * elevation.cos_coeffs[1:]
@@ -297,29 +301,35 @@ def _map_gradient_sq(elevation, p: PhysicalParams, n_y, n_x):
     return vx**2 + vy**2
 
 
-def _force_balance_defect(field, state, p):
+def _correction_curvature(w, p: PhysicalParams):
+    """d^2/dX^2 of strength/height along the surface (X the physical abscissa).
+
+    The atmospheric part of the strength divided by the height is an exact
+    constant, so it drops out; building the quotient from the tension part
+    alone keeps the curvature free of p_atm-scale cancellation noise.
+    """
+    n = w.n_modes
+    tension, m, v_s, dnv = _correction_strength(w, p.replace(p_atm=0.0))
+    modes = np.arange(1, n + 1)
+    cos_mat, sin_mat = _trig_matrices(m, n)
+    quotient = tension.samples(m) / v_s
+    for _ in range(2):
+        # d/dX = d/dx / (1/k + C(w')) of the n-mode interpolant (a_n, b_n)
+        a, b = _spectrum(quotient[None, :])
+        slope = 0.0 + (modes * b[0, :n]) @ cos_mat + (-modes * a[0, 1 : n + 1]) @ sin_mat
+        quotient = slope / dnv
+    return analyze(quotient).truncated(n)
+
+
+def _force_balance_defect(field, curvature, w, p):
     """Sup defect of lap(S) = -g + correction curvature, FD against spectral.
 
-    field is the reconstruction of state under p.  The Laplacian is
-    taken in physical variables: five-point stencil on the strip divided
-    by the conformal factor.  The correction curvature is assembled from
-    spectral derivatives along the surface and evaluated at the field's
-    inverted surface abscissa.
+    field is a reconstruction of w under p.  The Laplacian is taken in
+    physical variables (five-point stencil on the strip divided by the
+    conformal factor); the curvature is evaluated at the field's inverted
+    surface abscissa.
     """
-    w = state.elevation
-    n = max(1, w.n_modes)
-    m = max(8, 4 * n)
-    # the atmospheric part of the strength divided by the height is an
-    # exact constant, so it drops out of the derivative chain; building
-    # the quotient from the tension part alone keeps the curvature free
-    # of p_atm-scale cancellation noise
-    tension = _correction_strength(w, p.replace(p_atm=0.0))
-    v_s = p.h + w.samples(m)
-    dnv_s = 1.0 / p.k + hilbert_strip(derivative(w), p.strip_depth).samples(m)
-    q = analyze(tension.samples(m) / v_s).truncated(w.n_modes)
-    r1 = analyze(derivative(q).samples(m) / dnv_s).truncated(w.n_modes)
-    curvature = analyze(derivative(r1).samples(m) / dnv_s).truncated(w.n_modes)
-    grad_sq = _map_gradient_sq(w, p, field.u.n_y, field.u.n_x)
+    grad_sq = _map_gradient_sq(w, p, field.u.y_nodes, field.u.n_x)
     lap = _five_point_laplacian(field.flow_force.values, p.strip_depth)
     physical = lap / grad_sq[1:-1]
     bend = curvature.eval_at(field.surface_abscissa[1:-1])
@@ -370,14 +380,12 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     atmospheric pressure, the physical force balance with the
     correction curvature, and admissibility of the surface.
 
-    Work per call: three reconstructions when p_atm = 0 (the doubled
-    grid for the harmonic refinement, the gauge-shifted field, and the
-    gauge-free field on the base grid for the coarse force balance),
-    four otherwise (the doubled grid is rebuilt gauge-free for the fine
-    force balance).  Each reconstruction inverts the surface abscissa
-    once, and the force-balance checks reuse that inversion
-    (FlowForceField.surface_abscissa) instead of inverting again; the
-    input field is read, never rebuilt.
+    Work per call: one surface inversion, for the doubled-grid geometry of
+    the fine force balance.  The other fields are assembled on the input
+    field's geometry (the map and the inverted abscissa are free of p_atm
+    and of the speed); the refined harmonicity check takes the doubled-grid
+    potential layer alone, and both force balances share one correction
+    curvature.
     """
     zeta = field.harmonic_potential
     n_y, n_x = zeta.n_y, zeta.n_x
@@ -387,8 +395,9 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         )
     w = state.elevation
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
-    curve0 = surface_curve(w, p, 0.0)
-    shift = float(field.u.top_row[0] - curve0.abscissa(0.0))
+    # exact: the conjugate of an even elevation vanishes at x = 0
+    shift = float(field.u.top_row[0])
+    fine_geometry = _geometry(w, p, 2 * n_y, 2 * n_x, shift)  # gates admissibility
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so
@@ -396,11 +405,9 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     layer_scale = max(scale, float(np.max(np.abs(zeta.values))))
     harmonic_hi = float(np.max(np.abs(_hi_order_laplacian(zeta.values, zeta.depth))))
     coarse = float(np.max(np.abs(_five_point_laplacian(zeta.values, zeta.depth))))
-    fine_field = reconstruct(state, p, n_y=2 * n_y, n_x=2 * n_x, shift=shift)
-    fine = float(
-        np.max(np.abs(_five_point_laplacian(fine_field.harmonic_potential.values,
-                                            zeta.depth)))
-    )
+    fine_zeta = _potential(trial, p, 2 * n_y, 2 * n_x)[2].values
+    fine = float(np.max(np.abs(_five_point_laplacian(fine_zeta, zeta.depth))))
+    del fine_zeta  # a doubled-grid array; not needed during the fine assembly below
     floor = 1e-10 * layer_scale
     ratio, order = _refinement_order(coarse, fine, floor)
 
@@ -409,13 +416,11 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
 
     residual_sup = residual(trial, p).sup_norm()
 
-    gauged = reconstruct(
-        trial, p.replace(p_atm=p.p_atm + 101325.0), n_y=n_y, n_x=n_x, shift=shift
-    )
-    gauge_scale = max(1.0, float(np.max(np.abs(field.flow_force.values))))
-    gauge = float(
-        np.max(np.abs(gauged.flow_force.values - field.flow_force.values))
-    ) / gauge_scale
+    geometry = (field.u, field.v, field.surface_abscissa)
+    gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), *geometry)
+    flow = field.flow_force.values
+    gauge = float(np.max(np.abs(gauged.flow_force.values - flow)))
+    gauge /= max(1.0, float(np.max(np.abs(flow))))
 
     # the flow force is invariant under the atmospheric gauge (checked
     # right above), so the balance identity is audited on the gauge-fixed
@@ -423,16 +428,11 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     # sit on an eps*p_atm/h^2 noise floor that grows under refinement
     balance_floor = 1e-10 * max(1.0, p.g)
     gauge_free = p.replace(p_atm=0.0)
-    balance_coarse = _force_balance_defect(
-        reconstruct(trial, gauge_free, n_y=n_y, n_x=n_x, shift=shift),
-        trial, gauge_free,
+    curvature = _correction_curvature(w, gauge_free)
+    balance_coarse, balance_fine = (
+        _force_balance_defect(_assemble(trial, gauge_free, *grid), curvature, w, gauge_free)
+        for grid in (geometry, fine_geometry)
     )
-    # without atmospheric pressure the refined harmonicity field above
-    # already is the gauge-free reconstruction on the doubled grid
-    fine_free = fine_field if p.p_atm == 0.0 else reconstruct(
-        trial, gauge_free, n_y=2 * n_y, n_x=2 * n_x, shift=shift
-    )
-    balance_fine = _force_balance_defect(fine_free, trial, gauge_free)
     _, balance_order = _refinement_order(balance_coarse, balance_fine, balance_floor)
 
     admissibility = check_admissibility(w, p)
@@ -440,7 +440,7 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     failures = []
     if harmonic_hi > 1e-8 * layer_scale:
         failures.append("potential layer fails the high-order harmonicity audit")
-    if not (order >= 1.0 or (coarse <= floor and fine <= floor)):
+    if not order >= 1.0:
         failures.append("harmonic defect does not shrink at first order")
     if surface_trace > 1e-10 * scale:
         failures.append("surface trace deviates from the surface flow force")
@@ -450,8 +450,7 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         failures.append("surface equation residual above tolerance")
     if gauge > 1e-9:
         failures.append("field is not gauge invariant")
-    if not (balance_order >= 1.0 or (balance_coarse <= balance_floor
-                                     and balance_fine <= balance_floor)):
+    if not balance_order >= 1.0:
         failures.append("force balance defect does not shrink at first order")
     if not admissibility.passed:
         failures.append("surface violates admissibility")

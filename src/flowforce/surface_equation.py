@@ -36,9 +36,7 @@ from .spectral import (
     _PARITY_TOL,
     PeriodicFunction,
     _trig_matrices,
-    derivative,
     grid_nodes,
-    hilbert_strip,
     scaled_coth,
 )
 
@@ -167,6 +165,27 @@ def _strip_transform(values, n, coth, label, diag):
     )
 
 
+def _surface_rows(cos_coeffs, p: PhysicalParams, m):
+    """Samples of B even elevations, cos_coeffs of shape (B, N + 1), on m nodes.
+
+    Returns the (B, m) arrays w, w', w'', C(w'), C(w''), 1/k + C(w') and the
+    metric w'^2 + (1/k + C(w'))^2, with C the strip Hilbert transform.
+    """
+    modes = np.arange(1, cos_coeffs.shape[1])
+    coth = scaled_coth(modes * p.strip_depth)
+    cos_mat, sin_mat = _trig_matrices(m, modes.size)
+    a = cos_coeffs[:, 1:]
+    wp_sin = -modes * a
+    wpp_cos = modes * wp_sin
+    w = cos_coeffs[:, :1] + _synthesize(a, cos_mat)
+    wp = 0.0 + _synthesize(wp_sin, sin_mat)
+    wpp = 0.0 + _synthesize(wpp_cos, cos_mat)
+    cwp = 0.0 + _synthesize(-coth * wp_sin, cos_mat)
+    cwpp = 0.0 + _synthesize(coth * wpp_cos, sin_mat)
+    dnv = 1.0 / p.k + cwp
+    return w, wp, wpp, cwp, cwpp, dnv, wp**2 + dnv**2
+
+
 def _residual_rows(speed_sq, shift, cos_coeffs, p: PhysicalParams, n, diag=None):
     """Galerkin residual modes r_0..r_n of a stack of B states.
 
@@ -178,21 +197,7 @@ def _residual_rows(speed_sq, shift, cos_coeffs, p: PhysicalParams, n, diag=None)
     given, describes row 0.
     """
     m = max(8, 4 * max(1, n))
-    d = p.strip_depth
-    modes = np.arange(1, cos_coeffs.shape[1])
-    coth = scaled_coth(modes * d)
-    cos_mat, sin_mat = _trig_matrices(m, modes.size)
-    # w, w', w'', C(w'), C(w''): w' is a sine series, w'' a cosine series
-    a = cos_coeffs[:, 1:]
-    wp_sin = -modes * a
-    wpp_cos = modes * wp_sin
-    w = cos_coeffs[:, :1] + _synthesize(a, cos_mat)
-    wp = 0.0 + _synthesize(wp_sin, sin_mat)
-    wpp = 0.0 + _synthesize(wpp_cos, cos_mat)
-    cwp = 0.0 + _synthesize(-coth * wp_sin, cos_mat)
-    cwpp = 0.0 + _synthesize(coth * wpp_cos, sin_mat)
-    dnv = 1.0 / p.k + cwp
-    metric = wp**2 + dnv**2
+    w, wp, wpp, cwp, cwpp, dnv, metric = _surface_rows(cos_coeffs, p, m)
     low_metric = _guard(
         metric, _METRIC_FLOOR,
         lambda low: f"metric factor {low:.3e} below floor {_METRIC_FLOOR:.0e}",
@@ -211,7 +216,7 @@ def _residual_rows(speed_sq, shift, cos_coeffs, p: PhysicalParams, n, diag=None)
     )
     wp2 = wp**2
     bracket = np.mean(wp2 / den, axis=1)
-    n_coth = scaled_coth(np.arange(1, n + 1) * d)
+    n_coth = scaled_coth(np.arange(1, n + 1) * p.strip_depth)
     g_inner = _strip_transform(w * wp, n, n_coth, "w*w'", diag)
     flux = (cwpp * wp2 - dnv * wpp * wp) / metric32
     flux_t = _strip_transform(flux, n, n_coth, "curvature flux", diag)
@@ -350,22 +355,19 @@ class AdmissibilityReport:
 def check_admissibility(w, p: PhysicalParams, n_modes=None):
     """Evaluate the admissibility guards on the collocation grid.
 
-    Never raises; violations are reported in `failures`.
+    Violations are reported in `failures`; only a non-even w raises.
     """
+    if w.parity != "even":
+        raise ValueError("elevation must live in the even (cosine) space")
     n = w.n_modes if n_modes is None else int(n_modes)
     m = max(8, 4 * max(1, n))
-    d = p.strip_depth
-    w0 = w - w.mean()
-    wp = derivative(w0)
-    cwp_s = hilbert_strip(wp, d).samples(m)
-    wp_s = wp.samples(m)
-    w_s = w.samples(m)
-    dnv = 1.0 / p.k + cwp_s
-    metric = wp_s**2 + dnv**2
-    surface_x = grid_nodes(m) / p.k + hilbert_strip(w0, d).samples(m)
-    steps = np.diff(surface_x)
-    wrap = surface_x[0] + 2.0 * np.pi / p.k - surface_x[-1]
-    monotone = bool(np.all(steps > 0.0) and wrap > 0.0)
+    w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
+    # abscissa x/k + C(w), with C(w) the sine series coth(n d) a_n sin(nx)
+    coth = scaled_coth(np.arange(1, w.n_modes + 1) * p.strip_depth)
+    conj = (coth * w.cos_coeffs[1:]) @ _trig_matrices(m, w.n_modes)[1]
+    surface_x = grid_nodes(m) / p.k + conj
+    period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
+    monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
     min_height = float(np.min(w_s) + p.h)
     min_slope = float(np.min(dnv))
     min_metric = float(np.min(metric))

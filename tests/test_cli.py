@@ -390,6 +390,40 @@ def test_amplitude_beyond_small_range_rejected(tmp_path, capsys):
     assert not (tmp_path / "b" / "branch.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, command, key, line",
+    [
+        ("[kernel]\nscan_limit = 1\n", "kernel-check", "kernel.scan_limit", 2),
+        ("[dispersion]\nk_count = -3\n", "dispersion", "dispersion.k_count", 2),
+        ("[continuation]\nmax_iterations = -1\n", "branch",
+         "continuation.max_iterations", 2),
+        # the [kernel] tolerance line comes first and must not be the one named
+        ("[kernel]\ntolerance = 1e-10\n\n[continuation]\ntolerance = nan\n", "branch",
+         "continuation.tolerance", 5),
+        ("[continuation]\namplitude_max = nan\n", "branch",
+         "continuation.amplitude_max", 2),
+    ],
+    ids=["scan_limit", "k_count", "max_iterations", "tolerance", "amplitude_max"],
+)
+def test_out_of_range_config_value_rejected(tmp_path, capsys, text, command, key, line):
+    cfg = _write(tmp_path / "c.ini", text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), command]) == 4
+    err = capsys.readouterr().err
+    assert key in err
+    assert f"{cfg}:{line}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_finite_s_max_rejected(tmp_path, capsys):
+    assert main(["--s-max", "nan", "--out", str(tmp_path / "out"), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert "--s-max" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_branch_file_rejected(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "validate", str(tmp_path / "nope.json")])
     assert code == 4

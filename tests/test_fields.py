@@ -216,21 +216,22 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
-    # reconstruction for the caller, then the doubled grid, the gauge
-    # shift and the gauge-free base grid; the fine force balance reuses
-    # the doubled grid and no check inverts a field a second time
+    # the caller's reconstruction inverts the base grid; validation inverts
+    # only the doubled grid and assembles every other field on a geometry
+    # it already has, without calling reconstruct
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
     field = fields.reconstruct(wave_point, water, n_y=16)
     report = validate_solution(field, wave_point, water)
     assert report.passed, report.failures
-    assert len(inverts) <= 4
-    assert len(rebuilds) <= 4
+    assert len(inverts) == 2
+    assert len(rebuilds) == 1
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
-    # p_atm != 0 rebuilds the gauge-free doubled grid instead of reusing
-    # the harmonicity field; the audit sees the same gauge-free balance
+    # p_atm != 0 costs no extra inversion: the gauge-free fields reuse the
+    # input and doubled-grid geometries, and the audit sees the same
+    # gauge-free balance as without pressure
     pressured = water.replace(p_atm=101325.0)
     plain = validate_solution(
         reconstruct(wave_point, water, n_y=16), wave_point, water
@@ -240,6 +241,36 @@ def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
         reconstruct(wave_point, pressured, n_y=16), wave_point, pressured
     )
     assert report.passed, report.failures
-    assert len(inverts) <= 5
+    assert len(inverts) == 2
     assert report.force_balance_coarse == plain.force_balance_coarse
     assert report.force_balance_fine == plain.force_balance_fine
+
+
+@pytest.mark.parametrize("p_atm", [0.0, 101325.0])
+def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
+    # the conformal map and the inverted surface abscissa are free of
+    # p_atm, so assembling on the input geometry is a full reconstruction
+    p = water.replace(p_atm=p_atm)
+    field = reconstruct(wave_point, p, n_y=16)
+    gauge = p.replace(p_atm=p.p_atm + 101325.0)
+    assembled = fields._assemble(
+        wave_point, gauge, field.u, field.v, field.surface_abscissa
+    )
+    rebuilt = reconstruct(wave_point, gauge, n_y=16)
+    for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
+        assert np.array_equal(
+            getattr(assembled, name).values, getattr(rebuilt, name).values
+        ), name
+    assert np.array_equal(assembled.surface_abscissa, rebuilt.surface_abscissa)
+    assert assembled.surface_value == rebuilt.surface_value
+
+
+def test_validate_shifted_field(water, wave_point):
+    # validation reads the shift off the field's abscissa at x = 0
+    plain = validate_solution(
+        reconstruct(wave_point, water, n_y=16), wave_point, water
+    )
+    shifted = validate_solution(
+        reconstruct(wave_point, water, n_y=16, shift=0.3), wave_point, water
+    )
+    assert shifted == plain

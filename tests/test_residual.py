@@ -17,7 +17,9 @@ from flowforce import (
     SingularExpression,
     TrialState,
     check_admissibility,
+    derivative,
     galerkin_residual,
+    hilbert_strip,
     jacobian_fd,
     linearization_symbol,
     onset_speed_sq,
@@ -181,6 +183,29 @@ def test_admissibility_flags_non_graph(water):
     report = check_admissibility(w, water)
     assert not report.passed
     assert report.min_abscissa_slope < 0.0
+
+
+def test_admissibility_rejects_sine_content(water):
+    w = PeriodicFunction.harmonic(1, 1e-3, n_modes=4, kind="sin")
+    with pytest.raises(ValueError):
+        check_admissibility(w, water)
+
+
+def test_admissibility_matches_spectral_operators(water):
+    """Margins from the shared surface sampler equal the ones built from
+    PeriodicFunction derivatives and strip Hilbert transforms, bit for bit."""
+    a = np.array([0.0, 3e-3, -8e-4, 2e-4, 5e-5, -1e-5])
+    w = PeriodicFunction.from_cosines(a)
+    m = 4 * w.n_modes
+    d = water.strip_depth
+    dnv = 1.0 / water.k + hilbert_strip(derivative(w), d).samples(m)
+    metric = derivative(w).samples(m) ** 2 + dnv**2
+    report = check_admissibility(w, water)
+    assert report.min_surface_height == float(np.min(w.samples(m)) + water.h)
+    assert report.min_abscissa_slope == float(np.min(dnv))
+    assert report.min_metric == float(np.min(metric))
+    assert report.monotone_graph
+    assert report.passed
 
 
 def test_jacobian_active_subset(water):
