@@ -2,7 +2,7 @@
 
 Subcommands: dispersion | kernel-check | branch | validate | reconstruct.
 The config file is a sectioned key-value (INI) file; every section and
-key is validated against the schema below and unknown entries are
+key is validated against the key table below and unknown entries are
 rejected with their line number.  All numeric output is serialized with
 full round-trip precision and no timestamps, so identical configs give
 byte-identical artifacts.
@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -36,21 +36,6 @@ from .spectral import PeriodicFunction, grid_nodes
 from .surface_equation import TrialState
 
 __all__ = ["RunConfig", "load_config", "main"]
-
-_SCHEMA = {
-    "physical": (
-        "gravity",
-        "surface_tension",
-        "depth",
-        "wavenumber",
-        "atmospheric_pressure",
-    ),
-    "discretization": ("modes", "vertical_points"),
-    "continuation": ("amplitude_max", "steps", "tolerance", "max_iterations"),
-    "dispersion": ("k_min", "k_max", "k_count"),
-    "kernel": ("scan_limit", "tolerance"),
-    "output": ("directory",),
-}
 
 _ENV_OUT = "FLOWFORCE_OUT"
 
@@ -77,45 +62,68 @@ class RunConfig:
 _DEFAULT_PHYSICAL = PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=0.0)
 
 
-def _locate(path, *tokens, section=None):
-    """Best-effort line number of the first config line naming a token
-    (only lines under the [section] header count when section is given)."""
+def _at_least(low):
+    return (lambda value: value >= low), f"must be at least {low}"
+
+
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (
+    lambda value: math.isfinite(value) and value > 0.0,
+    "must be positive and finite",
+)
+
+# (section, key) -> (field, type, bound); [physical] keys name PhysicalParams
+# fields, which PhysicalParams bounds itself, and the rest RunConfig fields
+_KEYS = {
+    ("physical", "gravity"): ("g", float, None),
+    ("physical", "surface_tension"): ("sigma", float, None),
+    ("physical", "depth"): ("h", float, None),
+    ("physical", "wavenumber"): ("k", float, None),
+    ("physical", "atmospheric_pressure"): ("p_atm", float, None),
+    ("discretization", "modes"): ("n_modes", int, _at_least(1)),
+    ("discretization", "vertical_points"): ("vertical_points", int, None),
+    ("continuation", "amplitude_max"): ("amplitude_max", float, _FINITE),
+    ("continuation", "steps"): ("steps", int, _at_least(1)),
+    ("continuation", "tolerance"): ("tolerance", float, _POSITIVE),
+    ("continuation", "max_iterations"): ("max_iterations", int, _at_least(0)),
+    ("dispersion", "k_min"): ("k_min", float, _POSITIVE),
+    ("dispersion", "k_max"): ("k_max", float, _POSITIVE),
+    ("dispersion", "k_count"): ("k_count", int, _at_least(1)),
+    ("kernel", "scan_limit"): ("scan_limit", int, _at_least(2)),
+    ("kernel", "tolerance"): ("scan_tol", float, _POSITIVE),
+    ("output", "directory"): ("out_dir", str, None),
+}
+
+
+def _reject(path, message, section, token):
+    """Raise a ConfigError naming the first line under [section] that starts
+    with token (the header itself when token is "[section]"), if any."""
+    where = str(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            inside = section is None
+            inside = False
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
-                if section is not None and stripped.startswith("["):
+                if stripped.startswith("["):
                     inside = stripped == f"[{section}]"
-                if inside and any(stripped.startswith(token) for token in tokens):
-                    return lineno
+                if inside and stripped.startswith(token):
+                    where = f"{path}:{lineno}"
+                    break
     except OSError:
         pass
-    return None
-
-
-def _reject(path, message, *tokens, section=None):
-    lineno = _locate(path, *tokens, section=section)
-    where = f"{path}:{lineno}" if lineno else str(path)
     raise ConfigError(f"{where}: {message}")
 
 
-def _converted(path, section, key, raw, kind):
-    try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        _reject(
-            path,
-            f"value {raw!r} for {section}.{key} is not a valid {kind.__name__}",
-            key,
-        )
+def _bound_error(value, bound, name):
+    """The message for a value that breaks its key's bound, else None."""
+    if bound is not None and not bound[0](value):
+        return f"{name} = {value} {bound[1]}"
+    return None
 
 
 def load_config(path=None):
     """Parse and validate a config file; defaults when path is None."""
-    values = {}
+    physical, run = {}, {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -125,113 +133,53 @@ def load_config(path=None):
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
+        sections = {section for section, _ in _KEYS}
         for section in parser.sections():
-            if section not in _SCHEMA:
-                _reject(path, f"unknown section [{section}]", f"[{section}]")
-            for key in parser[section]:
-                if key not in _SCHEMA[section]:
-                    _reject(
-                        path,
-                        f"unknown key {key!r} in section [{section}]",
-                        key,
-                    )
-                values[(section, key)] = parser[section][key]
-
-    def get(section, key, default, kind=float):
-        raw = values.get((section, key))
-        if raw is None:
-            return default
-        if kind is str:
-            return raw
-        return _converted(path, section, key, raw, kind)
-
+            if section not in sections:
+                _reject(path, f"unknown section [{section}]", section, f"[{section}]")
+            for key, raw in parser[section].items():
+                name = f"{section}.{key}"
+                if (section, key) not in _KEYS:
+                    _reject(path, f"unknown key {key!r} in section [{section}]", section, key)
+                field, kind, bound = _KEYS[section, key]
+                try:
+                    value = kind(raw)
+                except ValueError:
+                    error = f"value {raw!r} for {name} is not a valid {kind.__name__}"
+                else:
+                    error = _bound_error(value, bound, name)
+                if error:
+                    _reject(path, error, section, key)
+                (physical if section == "physical" else run)[field] = value
     try:
-        physical = PhysicalParams(
-            g=get("physical", "gravity", _DEFAULT_PHYSICAL.g),
-            sigma=get("physical", "surface_tension", _DEFAULT_PHYSICAL.sigma),
-            h=get("physical", "depth", _DEFAULT_PHYSICAL.h),
-            k=get("physical", "wavenumber", _DEFAULT_PHYSICAL.k),
-            p_atm=get(
-                "physical", "atmospheric_pressure", _DEFAULT_PHYSICAL.p_atm
-            ),
-        )
-        config = RunConfig(
-            physical=physical,
-            n_modes=get("discretization", "modes", 32, int),
-            vertical_points=get("discretization", "vertical_points", 64, int),
-            amplitude_max=get("continuation", "amplitude_max", 1e-3),
-            steps=get("continuation", "steps", 4, int),
-            tolerance=get("continuation", "tolerance", 1e-11),
-            max_iterations=get("continuation", "max_iterations", 25, int),
-            k_min=get("dispersion", "k_min", 1.0),
-            k_max=get("dispersion", "k_max", 100.0),
-            k_count=get("dispersion", "k_count", 100, int),
-            scan_limit=get("kernel", "scan_limit", 1000, int),
-            scan_tol=get("kernel", "tolerance", 1e-10),
-            out_dir=get("output", "directory", ".", str),
-        )
+        return RunConfig(_DEFAULT_PHYSICAL.replace(**physical), **run)
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    if config.steps < 1:
-        _reject(
-            path, f"continuation.steps = {config.steps} must be at least 1", "steps"
-        )
-    if config.n_modes < 1:
-        _reject(
-            path, f"discretization.modes = {config.n_modes} must be at least 1", "modes"
-        )
-    for key in ("k_min", "k_max"):
-        if not getattr(config, key) > 0.0:
-            _reject(
-                path, f"dispersion.{key} = {getattr(config, key)} must be positive", key
-            )
-    if config.k_count < 1:
-        _reject(path, f"dispersion.k_count = {config.k_count} must be at least 1", "k_count")
-    if config.scan_limit < 2:
-        _reject(
-            path, f"kernel.scan_limit = {config.scan_limit} must be at least 2", "scan_limit"
-        )
-    if config.max_iterations < 0:
-        _reject(
-            path,
-            f"continuation.max_iterations = {config.max_iterations} must not be negative",
-            "max_iterations",
-        )
-    if not (math.isfinite(config.tolerance) and config.tolerance > 0.0):
-        _reject(
-            path,
-            f"continuation.tolerance = {config.tolerance} must be positive and finite",
-            "tolerance",
-            section="continuation",  # [kernel] has a tolerance key too
-        )
-    if not math.isfinite(config.amplitude_max):
-        _reject(
-            path, f"continuation.amplitude_max = {config.amplitude_max} must be finite",
-            "amplitude_max",
-        )
-    return config
+
+
+# flag destination -> the config key whose field and bound it overrides
+_FLAG_KEYS = {
+    "s_max": ("continuation", "amplitude_max"),
+    "steps": ("continuation", "steps"),
+    "n_modes": ("discretization", "modes"),
+}
 
 
 def _apply_flags(config, args):
-    physical = config.physical
     if args.k is not None:
         try:
-            physical = physical.replace(k=args.k)
+            physical = config.physical.replace(k=args.k)
         except ValueError as exc:
             raise ConfigError(f"invalid --k: {exc}") from exc
         config = replace(config, physical=physical)
-    if args.s_max is not None:
-        if not math.isfinite(args.s_max):
-            raise ConfigError(f"--s-max {args.s_max} must be finite")
-        config = replace(config, amplitude_max=args.s_max)
-    if args.steps is not None:
-        if args.steps < 1:
-            raise ConfigError("--steps must be at least 1")
-        config = replace(config, steps=args.steps)
-    if args.n_modes is not None:
-        if args.n_modes < 1:
-            raise ConfigError("--n-modes must be at least 1")
-        config = replace(config, n_modes=args.n_modes)
+    for dest, entry in _FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            field, _, bound = _KEYS[entry]
+            error = _bound_error(value, bound, "--" + dest.replace("_", "-"))
+            if error:
+                raise ConfigError(error)
+            config = replace(config, **{field: value})
     out = args.out or os.environ.get(_ENV_OUT) or config.out_dir
     return replace(config, out_dir=out)
 
@@ -244,6 +192,7 @@ def _check_command(config, args):
             args.config,
             f"{args.command} needs discretization.vertical_points >= {rows}, "
             f"got {config.vertical_points}",
+            "discretization",
             "vertical_points",
         )
     if args.command == "branch":
@@ -257,15 +206,15 @@ def _check_command(config, args):
             )
             if args.s_max is not None:
                 raise ConfigError(f"--s-max: {message}")
-            _reject(args.config, message, "amplitude_max")
+            _reject(args.config, message, "continuation", "amplitude_max")
 
 
 def _jsonable(value):
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, np.floating):
         return _jsonable(float(value))
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
@@ -315,18 +264,7 @@ def cmd_dispersion(config):
     rows = dispersion_table(
         k_grid, config.physical, n_max=config.scan_limit, tol=config.scan_tol
     )
-    table = [
-        (
-            r.k,
-            r.onset_speed_sq,
-            r.surface_flow_force,
-            r.surface_speed,
-            r.monotone_ratio,
-            r.capillary_constant,
-            r.kernel_simple,
-        )
-        for r in rows
-    ]
+    table = [astuple(r) for r in rows]
     _write_text(
         _out_path(config, "dispersion.csv"), _csv_lines(_DISPERSION_HEADER, table)
     )
@@ -340,33 +278,15 @@ def cmd_kernel_check(config):
         n_max=config.scan_limit,
         tol=config.scan_tol,
     )
-    payload = {
-        "schema": "flowforce/kernel-v1",
-        "k": config.physical.k,
-        "simple": report.simple,
-        "colliding_mode": report.colliding_mode,
-        "min_relative_gap": report.min_relative_gap,
-        "monotone_criterion": report.monotone_criterion,
-        "monotone_ratio": report.monotone_ratio,
-        "capillary_constant": report.capillary_constant,
-        "scan_limit": report.scan_limit,
-        "tol": report.tol,
-    }
+    payload = {"schema": "flowforce/kernel-v1", "k": config.physical.k, **asdict(report)}
     _write_json(_out_path(config, "kernel_check.json"), payload)
     return 0 if report.simple else 2
 
 
 def _branch_payload(branch):
-    p = branch.params
     return {
         "schema": "flowforce/branch-v1",
-        "params": {
-            "g": p.g,
-            "sigma": p.sigma,
-            "h": p.h,
-            "k": p.k,
-            "p_atm": p.p_atm,
-        },
+        "params": asdict(branch.params),
         "n_modes": branch.n_modes,
         "onset_speed_sq": branch.onset_speed_sq,
         "transversality": branch.transversality,
@@ -458,26 +378,9 @@ def cmd_validate(config, branch_path):
         field = reconstruct(state, params, n_y=config.vertical_points)
         rep = validate_solution(field, state, params)
         all_passed = all_passed and rep.passed
-        reports.append(
-            {
-                "s": s,
-                "passed": rep.passed,
-                "failures": list(rep.failures),
-                "harmonic_defect": rep.harmonic_defect,
-                "harmonic_defect_coarse": rep.harmonic_defect_coarse,
-                "harmonic_defect_fine": rep.harmonic_defect_fine,
-                "harmonic_ratio": rep.harmonic_ratio,
-                "harmonic_order": rep.harmonic_order,
-                "surface_trace_defect": rep.surface_trace_defect,
-                "bottom_trace_defect": rep.bottom_trace_defect,
-                "residual_sup": rep.residual_sup,
-                "gauge_defect": rep.gauge_defect,
-                "force_balance_coarse": rep.force_balance_coarse,
-                "force_balance_fine": rep.force_balance_fine,
-                "force_balance_order": rep.force_balance_order,
-                "admissible": rep.admissibility.passed,
-            }
-        )
+        record = {"s": s, **asdict(rep)}
+        record["admissible"] = record.pop("admissibility")["passed"]
+        reports.append(record)
     payload = {
         "schema": "flowforce/validation-v1",
         "passed": all_passed,

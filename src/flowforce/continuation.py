@@ -132,7 +132,7 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
             )
         theta[active] -= np.linalg.solve(jac, r)
         current = _trial_state(theta, a0)
-        report = check_admissibility(current.elevation, p, n_modes=n)
+        report = check_admissibility(current.elevation, p)
         if not report.passed:
             raise InadmissibleIterate(
                 "Newton iterate left the admissible set: "
@@ -230,7 +230,7 @@ def branch_diagnostics(branch: Branch):
         crests, troughs = _crest_trough_counts(vals)
         slope = derivative(w).eval_at(x[(x > 1e-9) & (x < np.pi - 1e-9)])
         monotone = bool(np.all(np.sign(pt.amplitude) * slope < 0.0))
-        admiss = check_admissibility(w, p, n_modes=branch.n_modes)
+        admiss = check_admissibility(w, p)
         secant = w - PeriodicFunction.harmonic(
             1, pt.amplitude, n_modes=w.n_modes, kind="cos"
         )

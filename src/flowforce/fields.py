@@ -123,13 +123,20 @@ class SurfaceCurve:
         return x
 
 
-def surface_curve(elevation, p: PhysicalParams, shift=0.0):
-    """Admissibility-gated construction of the physical surface curve."""
+def _admissible(elevation, p: PhysicalParams):
+    """The elevation's admissibility report; raises InadmissibleIterate when
+    the surface is not an admissible graph."""
     report = check_admissibility(elevation, p)
     if not report.passed:
         raise InadmissibleIterate(
             "surface is not an admissible graph: " + "; ".join(report.failures)
         )
+    return report
+
+
+def surface_curve(elevation, p: PhysicalParams, shift=0.0):
+    """Admissibility-gated construction of the physical surface curve."""
+    _admissible(elevation, p)
     return SurfaceCurve(elevation, p, float(shift))
 
 
@@ -161,9 +168,6 @@ class SurfaceCorrection:
     surface_values: PeriodicFunction
     p_atm: float
     sigma: float
-
-    def strength(self, x):
-        return self.surface_values.eval_at(x)
 
 
 def _correction_strength(w, p: PhysicalParams):
@@ -197,11 +201,10 @@ class FlowForceField:
     surface_abscissa: np.ndarray
 
 
-def _geometry(w, p: PhysicalParams, n_y, n_x, shift):
-    """Conformal map (u, v) and inverted surface abscissa x_s of the elevation
-    w, all free of p_atm and of the speed: every field on the grid shares them."""
-    curve = surface_curve(w, p, shift)
-    u, v = conformal_map(w, p, n_y, n_x, shift)
+def _geometry(curve, n_y, n_x):
+    """Conformal map (u, v) and inverted surface abscissa x_s of the curve,
+    all free of p_atm and of the speed: every field on the grid shares them."""
+    u, v = conformal_map(curve.elevation, curve.params, n_y, n_x, curve.shift)
     x_s = curve.invert(u.values, x0=np.broadcast_to(u.x_nodes, u.values.shape))
     x_s.flags.writeable = False
     return u, v, x_s
@@ -240,7 +243,8 @@ def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None, shift=0.0):
     state needs speed_sq, bernoulli_shift and elevation attributes
     (trial states and branch points both qualify).
     """
-    return _assemble(state, p, *_geometry(state.elevation, p, n_y, n_x, shift))
+    curve = surface_curve(state.elevation, p, shift)
+    return _assemble(state, p, *_geometry(curve, n_y, n_x))
 
 
 def laminar_flow_force(height, speed_sq, p: PhysicalParams):
@@ -377,8 +381,9 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     high-order defect plus five-point refinement order), the constant
     surface trace and zero bottom trace, the surface-equation residual
     of the generating wave, gauge invariance under a shift of the
-    atmospheric pressure, the physical force balance with the
-    correction curvature, and admissibility of the surface.
+    atmospheric pressure, and the physical force balance with the
+    correction curvature.  An inadmissible surface raises
+    InadmissibleIterate; the report keeps the admissibility margins.
 
     Work per call: one surface inversion, for the doubled-grid geometry of
     the fine force balance.  The other fields are assembled on the input
@@ -397,7 +402,8 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     # exact: the conjugate of an even elevation vanishes at x = 0
     shift = float(field.u.top_row[0])
-    fine_geometry = _geometry(w, p, 2 * n_y, 2 * n_x, shift)  # gates admissibility
+    admissibility = _admissible(w, p)  # gates the doubled-grid geometry
+    fine_geometry = _geometry(SurfaceCurve(w, p, shift), 2 * n_y, 2 * n_x)
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so
@@ -435,8 +441,6 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     )
     _, balance_order = _refinement_order(balance_coarse, balance_fine, balance_floor)
 
-    admissibility = check_admissibility(w, p)
-
     failures = []
     if harmonic_hi > 1e-8 * layer_scale:
         failures.append("potential layer fails the high-order harmonicity audit")
@@ -452,8 +456,6 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         failures.append("field is not gauge invariant")
     if not balance_order >= 1.0:
         failures.append("force balance defect does not shrink at first order")
-    if not admissibility.passed:
-        failures.append("surface violates admissibility")
 
     return ValidationReport(
         harmonic_defect=harmonic_hi,

@@ -254,19 +254,6 @@ class PeriodicFunction:
         b[:keep] = self.sin_coeffs[:keep]
         return PeriodicFunction(a, b, self.parity)
 
-    def as_even(self):
-        """Project onto the even (cosine) space."""
-        return PeriodicFunction(
-            self.cos_coeffs, np.zeros(self.n_modes), "even"
-        )
-
-    def sine_energy_fraction(self):
-        """Energy of the sine part relative to total oscillatory energy."""
-        osc = float(self.cos_coeffs[1:] @ self.cos_coeffs[1:])
-        sin = float(self.sin_coeffs @ self.sin_coeffs)
-        total = osc + sin
-        return 0.0 if total == 0.0 else sin / total
-
     def tail_energy_fraction(self, fraction=0.25):
         """Energy fraction carried by the top `fraction` of mode numbers."""
         n = self.n_modes

@@ -352,15 +352,14 @@ class AdmissibilityReport:
     passed: bool
 
 
-def check_admissibility(w, p: PhysicalParams, n_modes=None):
+def check_admissibility(w, p: PhysicalParams):
     """Evaluate the admissibility guards on the collocation grid.
 
     Violations are reported in `failures`; only a non-even w raises.
     """
     if w.parity != "even":
         raise ValueError("elevation must live in the even (cosine) space")
-    n = w.n_modes if n_modes is None else int(n_modes)
-    m = max(8, 4 * max(1, n))
+    m = max(8, 4 * max(1, w.n_modes))
     w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
     # abscissa x/k + C(w), with C(w) the sine series coth(n d) a_n sin(nx)
     coth = scaled_coth(np.arange(1, w.n_modes + 1) * p.strip_depth)

@@ -8,12 +8,13 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from flowforce import PhysicalParams, dispersion_table, onset_speed_sq
-from flowforce.cli import load_config, main
+from flowforce.cli import _KEYS, RunConfig, load_config, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,6 +53,29 @@ vertical_points = 16
 def test_example_config_matches_defaults():
     example = os.path.join(ROOT, "example_config.ini")
     assert load_config(example) == load_config(None)
+
+
+def test_config_keys_cover_every_field_once():
+    """example_config.ini names each key of the table once, and each key
+    reaches one field of the annotated type."""
+    listed, section = [], None
+    with open(os.path.join(ROOT, "example_config.ini"), encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line and not line.startswith("#"):
+                listed.append((section, line.split("=")[0].strip()))
+    assert sorted(listed) == sorted(_KEYS)
+    owners = {"physical": PhysicalParams}
+    reached = []
+    for (section, _), (field, kind, _) in _KEYS.items():
+        types = {f.name: f.type for f in fields(owners.get(section, RunConfig))}
+        assert types[field] is kind
+        reached.append((section == "physical", field))
+    expected = [(True, f.name) for f in fields(PhysicalParams)]
+    expected += [(False, f.name) for f in fields(RunConfig) if f.name != "physical"]
+    assert sorted(reached) == sorted(expected)
 
 
 def test_dispersion_csv_round_trip(tmp_path, water):
@@ -258,6 +282,15 @@ def test_bad_config_value_rejected(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path), "dispersion"]) == 4
     err = capsys.readouterr().err
     assert "not a valid float" in err
+    # the [kernel] tolerance line comes first and must not be the one named
+    cfg = _write(
+        tmp_path / "c.ini",
+        "[kernel]\ntolerance = 1e-10\n\n[continuation]\ntolerance = fast\n",
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert "continuation.tolerance" in err
+    assert f"{cfg}:5:" in err
 
 
 def test_malformed_config_rejected(tmp_path, capsys):
@@ -402,8 +435,16 @@ def test_amplitude_beyond_small_range_rejected(tmp_path, capsys):
          "continuation.tolerance", 5),
         ("[continuation]\namplitude_max = nan\n", "branch",
          "continuation.amplitude_max", 2),
+        ("[kernel]\ntolerance = nan\n", "kernel-check", "kernel.tolerance", 2),
+        ("[kernel]\ntolerance = -1\n", "dispersion", "kernel.tolerance", 2),
+        ("[dispersion]\nk_min = inf\n", "dispersion", "dispersion.k_min", 2),
+        ("[dispersion]\nk_count = 5\nk_max = inf\n", "dispersion",
+         "dispersion.k_max", 3),
     ],
-    ids=["scan_limit", "k_count", "max_iterations", "tolerance", "amplitude_max"],
+    ids=[
+        "scan_limit", "k_count", "max_iterations", "tolerance", "amplitude_max",
+        "kernel_tolerance_nan", "kernel_tolerance_negative", "k_min_inf", "k_max_inf",
+    ],
 )
 def test_out_of_range_config_value_rejected(tmp_path, capsys, text, command, key, line):
     cfg = _write(tmp_path / "c.ini", text)
@@ -414,6 +455,16 @@ def test_out_of_range_config_value_rejected(tmp_path, capsys, text, command, key
     assert f"{cfg}:{line}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--n-modes"])
+def test_zero_count_flag_rejected(tmp_path, capsys, flag):
+    assert main([flag, "0", "--out", str(tmp_path / "out"), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "must be at least 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_s_max_rejected(tmp_path, capsys):

@@ -119,9 +119,8 @@ def test_correction_strength_laminar_under_pressure():
     field = reconstruct(state, p, n_y=8)
     x = grid_nodes(32)
     expect = -p.p_atm * p.h
-    assert np.max(np.abs(field.correction.strength(x) - expect)) < 1e-9 * abs(
-        expect
-    )
+    got = field.correction.surface_values.eval_at(x)
+    assert np.max(np.abs(got - expect)) < 1e-9 * abs(expect)
 
 
 def test_correction_strength_matches_surface_geometry(water, wave_point):
@@ -136,7 +135,7 @@ def test_correction_strength_matches_surface_geometry(water, wave_point):
         - p.sigma / np.sqrt(1.0 + eta_slope**2)
         + p.sigma
     )
-    got = field.correction.strength(x)
+    got = field.correction.surface_values.eval_at(x)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(got - direct)) < 1e-10 * scale
 
@@ -218,14 +217,18 @@ def _count_calls(monkeypatch, owner, name):
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     # the caller's reconstruction inverts the base grid; validation inverts
     # only the doubled grid and assembles every other field on a geometry
-    # it already has, without calling reconstruct
+    # it already has, without calling reconstruct; the admissibility check
+    # that gates the doubled-grid geometry also gives the report's verdict
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
+    checks = _count_calls(monkeypatch, fields, "check_admissibility")
     field = fields.reconstruct(wave_point, water, n_y=16)
     report = validate_solution(field, wave_point, water)
     assert report.passed, report.failures
+    assert report.admissibility.passed
     assert len(inverts) == 2
     assert len(rebuilds) == 1
+    assert len(checks) == 2
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):

@@ -143,14 +143,11 @@ def test_derivative_action():
     assert derivative(PeriodicFunction.constant(4.0)).sup_norm() == 0.0
 
 
-def test_truncated_and_even_projection():
+def test_truncated_keeps_and_pads_modes():
     f = PeriodicFunction(np.arange(5.0), np.ones(4))
     g = f.truncated(2)
     assert g.n_modes == 2
     assert g.cos_coeffs[2] == 2.0
-    h = f.as_even()
-    assert h.parity == "even"
-    assert np.all(h.sin_coeffs == 0.0)
     assert f.truncated(8).cos_coeffs[8] == 0.0
 
 
