@@ -24,7 +24,7 @@ import numpy as np
 
 from .continuation import trace_branch
 from .dispersion import dispersion_table, kernel_is_simple
-from .errors import ConfigError, KernelNotSimple
+from .errors import ConfigError, FlowForceError, KernelNotSimple
 from .fields import (
     MIN_VALIDATION_ROWS,
     reconstruct,
@@ -370,13 +370,21 @@ def _load_branch(path):
     return params, points
 
 
+def _point_error(branch_path, index, s, exc):
+    """An input-file error for a stored point the toolkit cannot audit."""
+    return ConfigError(f"{branch_path}: point {index} at s = {s!r}: {exc}")
+
+
 def cmd_validate(config, branch_path):
     params, points = _load_branch(branch_path)
     reports = []
     all_passed = True
-    for s, state in points:
-        field = reconstruct(state, params, n_y=config.vertical_points)
-        rep = validate_solution(field, state, params)
+    for index, (s, state) in enumerate(points):
+        try:
+            field = reconstruct(state, params, n_y=config.vertical_points)
+            rep = validate_solution(field, state, params)
+        except FlowForceError as exc:
+            raise _point_error(branch_path, index, s, exc) from exc
         all_passed = all_passed and rep.passed
         record = {"s": s, **asdict(rep)}
         record["admissible"] = record.pop("admissibility")["passed"]
@@ -395,12 +403,16 @@ def cmd_reconstruct(config, branch_path, index):
     if not points:
         raise ConfigError(f"{branch_path}: branch file holds no points")
     try:
-        s, state = points[index]
+        index = range(len(points))[index]
     except IndexError:
         raise ConfigError(
             f"point index {index} out of range for {len(points)} points"
         ) from None
-    field = reconstruct(state, params, n_y=config.vertical_points)
+    s, state = points[index]
+    try:
+        field = reconstruct(state, params, n_y=config.vertical_points)
+    except FlowForceError as exc:
+        raise _point_error(branch_path, index, s, exc) from exc
     n_x, n_rows = field.u.n_x, field.u.n_y + 1
     # one row per grid node, x fastest; tolist() hands _csv_lines Python
     # floats, whose repr is the same as that of the numpy scalars

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14
+_STALL_STEP = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,15 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     """Correct a predictor at frozen amplitude s = first cosine coefficient.
 
     Returns (corrected TrialState, iterations, residual norm).  The
-    convergence test runs before each Jacobian assembly, so a state that
-    already satisfies the system costs no linear solves.  Raises
+    convergence test (max-norm of the residual <= tol) runs before each
+    Jacobian assembly, so a state that already satisfies the system costs
+    no linear solves.  Newton stops early on the residual's rounding
+    floor: once an update moves theta by at most sqrt(eps) * max|theta|,
+    quadratic contraction predicts a next step below rounding, so a
+    residual that then fails to fall can never reach tol.  Raises
     SingularJacobian past condition 1e14, InadmissibleIterate when an
-    iterate leaves the physical regime, NoConvergence after max_iter.
+    iterate leaves the physical regime, NoConvergence on such a stall or
+    after max_iter updates.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     theta, a0 = _unknowns(state, n)
@@ -117,11 +123,19 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     active = np.r_[0, 1, 3 : n + 2]
     current = _trial_state(theta, a0)
     norm = float("inf")
+    small_step = False
     for it in range(max_iter + 1):
         r = galerkin_residual(current, p, n_modes=n)
-        norm = float(np.max(np.abs(r)))
+        previous, norm = norm, float(np.max(np.abs(r)))
         if norm <= tol:
             return current, it, norm
+        if small_step and norm >= previous:
+            raise NoConvergence(
+                f"Newton stalled at amplitude {s:.6e} after {it} iterations: "
+                f"residual {norm:.3e} stopped falling above tolerance {tol:.3e}",
+                iterations=it,
+                last_residual=norm,
+            )
         if it == max_iter:
             break
         jac = jacobian_fd(current, p, active=active, n_modes=n)
@@ -130,7 +144,9 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
             raise SingularJacobian(
                 f"Galerkin Jacobian condition {cond:.3e} exceeds {_COND_LIMIT:.0e}"
             )
-        theta[active] -= np.linalg.solve(jac, r)
+        step = np.linalg.solve(jac, r)
+        theta[active] -= step
+        small_step = np.max(np.abs(step)) <= _STALL_STEP * np.max(np.abs(theta))
         current = _trial_state(theta, a0)
         report = check_admissibility(current.elevation, p)
         if not report.passed:

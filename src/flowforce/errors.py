@@ -30,7 +30,12 @@ class DegenerateParameters(FlowForceError):
 
 
 class NoConvergence(FlowForceError):
-    """Newton iteration exhausted max_iter without meeting the tolerance."""
+    """Newton iteration stopped without meeting the tolerance.
+
+    Either it stalled on the residual's rounding floor or it used up
+    max_iter updates; iterations counts the updates done and
+    last_residual is the residual max-norm where it stopped.
+    """
 
     def __init__(self, message, iterations=None, last_residual=None):
         super().__init__(message)

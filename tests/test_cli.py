@@ -246,6 +246,28 @@ def test_reconstruct_outputs(tmp_path):
     assert len(rows) == (summary["n_y"] + 1) * summary["n_x"]
 
 
+@pytest.mark.parametrize(
+    "command, flags", [("validate", []), ("reconstruct", ["--index", "0"])]
+)
+def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
+    # a first coefficient of 0.15 over depth 0.1 pushes the trough through
+    # the bed, so the stored point is no admissible surface
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    branch_file = out / "branch.json"
+    payload = json.loads(branch_file.read_text())
+    payload["points"][0]["cos_coeffs"][1] = 0.15
+    branch_file.write_text(json.dumps(payload))
+    code = main(
+        ["--config", cfg, "--out", str(out), command, str(branch_file), *flags]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"{branch_file}: point 0 at s = 0.001:" in err
+    assert "admissible" in err
+
+
 def test_reconstruct_index_out_of_range(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)

@@ -14,6 +14,7 @@ import pytest
 from flowforce import (
     Branch,
     KernelNotSimple,
+    NoConvergence,
     PhysicalParams,
     branch_diagnostics,
     initial_guess,
@@ -21,6 +22,7 @@ from flowforce import (
     onset_speed_sq,
     trace_branch,
 )
+from flowforce import continuation
 
 
 @pytest.fixture(scope="module")
@@ -160,13 +162,58 @@ def test_singular_expression_yields_partial_branch():
 
 
 def test_partial_branch_keeps_earlier_points(water):
-    # a tolerance no corrector step can reach forces failure after the
-    # first point only if the predictor is already that accurate, so
-    # instead push the amplitude beyond the admissible range
-    branch = trace_branch(0.009, 12, water, n_modes=16, tol=1e-11)
-    if not branch.completed:
-        assert len(branch.points) < 12
-        assert branch.failure is not None
+    # at N = 16 the step to s = 0.07 leaves the admissible set, after six
+    # corrected points
+    steps = 10
+    branch = trace_branch(0.1, steps, water, n_modes=16)
+    assert 1 <= len(branch.points) < steps
+    assert branch.failure.startswith(f"step {len(branch.points) + 1} ")
+    assert all(pt.residual_norm <= 1e-11 for pt in branch.points)
+
+
+def test_newton_stops_on_rounding_floor(water):
+    # tol = 1e-30 is below the residual's rounding floor, so every update
+    # after the solution is found only reshuffles rounding
+    state = initial_guess(1e-3, water, n_modes=32)
+    with pytest.raises(NoConvergence, match="stalled") as info:
+        newton_correct(state, 1e-3, water, tol=1e-30)
+    assert info.value.iterations <= 5
+    assert info.value.last_residual <= 1e-16
+
+
+def _count_jacobians(monkeypatch):
+    calls = []
+    original = continuation.jacobian_fd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "jacobian_fd", counting)
+    return calls
+
+
+def test_ocean_stall_stops_early(monkeypatch):
+    # ocean scale: the residual floor (about 1e-9) lies above tol = 1e-11
+    calls = _count_jacobians(monkeypatch)
+    p = PhysicalParams(g=9.81, sigma=0.073, h=100.0, k=0.01)
+    branch = trace_branch(0.25, 4, p, n_modes=32)
+    assert branch.failure.startswith("step 1 ")
+    assert "stalled" in branch.failure
+    assert len(calls) <= 8
+
+
+def test_large_steps_run_out_max_iter(monkeypatch):
+    # kh = 0.1 without surface tension: the predictor lies outside
+    # Newton's basin and the updates stay large, so the stall rule never
+    # fires and max_iter is the cap
+    calls = _count_jacobians(monkeypatch)
+    p = PhysicalParams(g=9.81, sigma=0.0, h=0.01, k=10.0)
+    branch = trace_branch(1e-3, 8, p, n_modes=32, max_iter=25)
+    assert branch.failure.startswith("step 1 ")
+    assert "after 25 iterations" in branch.failure
+    assert "stalled" not in branch.failure
+    assert len(calls) == 25
 
 
 REFERENCE_BRANCH = (
