@@ -44,7 +44,6 @@ from .errors import (
 )
 from .fields import (
     FlowForceField,
-    SurfaceCorrection,
     SurfaceCurve,
     ValidationReport,
     conformal_map,
@@ -97,7 +96,6 @@ __all__ = [
     "SingularExpression",
     "SingularJacobian",
     "StripGridField",
-    "SurfaceCorrection",
     "SurfaceCurve",
     "SurfaceInversionFailed",
     "TrialState",

@@ -24,7 +24,9 @@ import numpy as np
 
 from .continuation import trace_branch
 from .dispersion import dispersion_table, kernel_is_simple
-from .errors import ConfigError, FlowForceError, KernelNotSimple
+from .errors import (
+    ConfigError, FlowForceError, InputFileError, InvalidSamples, KernelNotSimple,
+)
 from .fields import (
     MIN_VALIDATION_ROWS,
     reconstruct,
@@ -32,7 +34,7 @@ from .fields import (
     validate_solution,
 )
 from .params import PhysicalParams
-from .spectral import PeriodicFunction, grid_nodes
+from .spectral import PeriodicFunction, collocation_size, grid_nodes
 from .surface_equation import TrialState
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -309,7 +311,7 @@ def _profiles_lines(branch):
     rows = []
     for pt in branch.points:
         curve = surface_curve(pt.elevation, branch.params)
-        x = grid_nodes(max(8, 4 * branch.n_modes))
+        x = grid_nodes(collocation_size(branch.n_modes))
         abscissa = curve.abscissa(x)
         height = curve.height(x)
         rows.extend(
@@ -344,14 +346,16 @@ def _load_branch(path):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read branch file {path}: {exc}") from exc
+        raise InputFileError(f"cannot read branch file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise InputFileError(
             f"{path}:{exc.lineno}:{exc.colno}: branch file is not valid JSON "
             f"({exc.msg})"
         ) from exc
+    if not isinstance(payload, dict):
+        raise InputFileError(f"{path}: branch file does not hold a JSON object")
     if payload.get("schema") != "flowforce/branch-v1":
-        raise ConfigError(f"{path}: unrecognized branch schema {payload.get('schema')!r}")
+        raise InputFileError(f"{path}: unrecognized branch schema {payload.get('schema')!r}")
     try:
         params = PhysicalParams(**payload["params"])
         points = [
@@ -365,14 +369,14 @@ def _load_branch(path):
             )
             for rec in payload["points"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed branch record ({exc})") from exc
+    except (KeyError, TypeError, ValueError, InvalidSamples) as exc:
+        raise InputFileError(f"{path}: malformed branch record ({exc})") from exc
     return params, points
 
 
 def _point_error(branch_path, index, s, exc):
     """An input-file error for a stored point the toolkit cannot audit."""
-    return ConfigError(f"{branch_path}: point {index} at s = {s!r}: {exc}")
+    return InputFileError(f"{branch_path}: point {index} at s = {s!r}: {exc}")
 
 
 def cmd_validate(config, branch_path):
@@ -401,7 +405,7 @@ def cmd_validate(config, branch_path):
 def cmd_reconstruct(config, branch_path, index):
     params, points = _load_branch(branch_path)
     if not points:
-        raise ConfigError(f"{branch_path}: branch file holds no points")
+        raise InputFileError(f"{branch_path}: branch file holds no points")
     try:
         index = range(len(points))[index]
     except IndexError:
@@ -483,6 +487,9 @@ def main(argv=None):
         if args.command == "validate":
             return cmd_validate(config, args.branch_file)
         return cmd_reconstruct(config, args.branch_file, args.index)
+    except InputFileError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

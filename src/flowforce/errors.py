@@ -61,3 +61,7 @@ class SurfaceInversionFailed(FlowForceError):
 
 class ConfigError(FlowForceError):
     """Run configuration is malformed or contains unknown keys."""
+
+
+class InputFileError(ConfigError):
+    """A branch file given to the command line cannot be read or rebuilt."""

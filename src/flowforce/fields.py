@@ -21,8 +21,10 @@ from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
     StripGridField,
+    _spectrum,
     _trig_matrices,
     analyze,
+    collocation_size,
     cosh_ratio,
     derivative,
     grid_nodes,
@@ -32,11 +34,10 @@ from .spectral import (
     sinh_ratio,
 )
 from .surface_equation import AdmissibilityReport, TrialState, check_admissibility, residual
-from .surface_equation import _spectrum, _surface_rows
+from .surface_equation import _surface_rows
 
 __all__ = [
     "SurfaceCurve",
-    "SurfaceCorrection",
     "FlowForceField",
     "ValidationReport",
     "surface_curve",
@@ -53,13 +54,12 @@ MIN_VALIDATION_ROWS = 8  # vertical intervals validate_solution needs
 class SurfaceCurve:
     """Physical free surface parametrized by the conformal abscissa.
 
-    abscissa(x) = x/k + shift + (conjugate of the elevation), strictly
+    abscissa(x) = x/k + (conjugate of the elevation), strictly
     increasing for admissible waves; height(x) = depth + elevation.
     """
 
     elevation: PeriodicFunction
     params: PhysicalParams
-    shift: float = 0.0
 
     def __post_init__(self):
         d = self.params.strip_depth
@@ -73,22 +73,24 @@ class SurfaceCurve:
 
     def abscissa(self, x):
         x = np.asarray(x, dtype=float)
-        return x / self.params.k + self.shift + self._conjugate.eval_at(x)
+        return x / self.params.k + self._conjugate.eval_at(x)
 
     def abscissa_slope(self, x):
         return 1.0 / self.params.k + self._slope_conjugate.eval_at(x)
 
-    def invert(self, targets, x0=None, tol=1e-13, max_iter=60):
+    def invert(self, targets, x0=None):
         """Solve abscissa(x) = target elementwise (monotone Newton).
 
-        Falls back to bisection on entries Newton leaves unconverged;
-        raises SurfaceInversionFailed if both passes miss the tolerance.
+        At most 60 Newton steps, then bisection on the entries left above
+        1e-13 * max(1, |targets|); raises SurfaceInversionFailed if both
+        passes miss that tolerance.
         """
         t = np.asarray(targets, dtype=float)
         k = self.params.k
-        x = (k * (t - self.shift)) if x0 is None else np.array(x0, dtype=float)
+        x = k * t if x0 is None else np.array(x0, dtype=float)
+        tol = 1e-13
         scale = max(1.0, float(np.max(np.abs(t))))
-        for _ in range(max_iter):
+        for _ in range(60):
             f = self.abscissa(x) - t
             if float(np.max(np.abs(f))) <= tol * scale:
                 return x
@@ -99,7 +101,7 @@ class SurfaceCurve:
         if np.any(bad):
             x = x.reshape(-1)
             tb = t.reshape(-1)[bad]
-            base = k * (tb - self.shift)
+            base = k * tb
             lo, hi = base - 2.0 * np.pi, base + 2.0 * np.pi
             for _ in range(8):
                 grow = self.abscissa(lo) > tb
@@ -134,46 +136,32 @@ def _admissible(elevation, p: PhysicalParams):
     return report
 
 
-def surface_curve(elevation, p: PhysicalParams, shift=0.0):
+def surface_curve(elevation, p: PhysicalParams):
     """Admissibility-gated construction of the physical surface curve."""
     _admissible(elevation, p)
-    return SurfaceCurve(elevation, p, float(shift))
+    return SurfaceCurve(elevation, p)
 
 
-def conformal_map(elevation, p: PhysicalParams, n_y, n_x=None, shift=0.0):
+def conformal_map(elevation, p: PhysicalParams, n_y, n_x=None):
     """Strip-to-domain map as a pair of grid fields (abscissa, height).
 
     The height field is the harmonic extension of depth + elevation
     with zero bottom values; the abscissa field is its harmonic
-    conjugate plus the linear part x/k and the constant shift.
+    conjugate plus the linear part x/k.
     """
     d = p.strip_depth
     v_top = elevation + p.h
     v = harmonic_extension(v_top, d, n_y, n_x)
     conj = conjugate_extension(v_top, d, n_y, n_x)
-    x_row = grid_nodes(conj.n_x) / p.k + float(shift)
+    x_row = grid_nodes(conj.n_x) / p.k
     u = StripGridField(conj.values + x_row, d)
     return u, v
-
-
-@dataclass(frozen=True)
-class SurfaceCorrection:
-    """Boundary strength of the flow-force correction layer.
-
-    surface_values holds -p_atm*(depth + elevation) + sigma*(1 -
-    abscissa_slope/metric^(1/2)) sampled as a trigonometric polynomial;
-    the bulk correction is this strength times height/surface height.
-    """
-
-    surface_values: PeriodicFunction
-    p_atm: float
-    sigma: float
 
 
 def _correction_strength(w, p: PhysicalParams):
     """Surface values of the correction strength as a cosine polynomial, with
     the grid size m and the samples of depth + w and 1/k + C(w') they use."""
-    m = max(8, 4 * max(1, w.n_modes))
+    m = collocation_size(w.n_modes)
     w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
     v_s, dnv = p.h + w_s[0], dnv[0]
     e0 = -p.p_atm * v_s + p.sigma * (1.0 - dnv / np.sqrt(metric[0]))
@@ -189,6 +177,10 @@ class FlowForceField:
     zero.  u and v are the conformal map components; surface_abscissa
     holds, per grid node, the surface parameter whose physical abscissa
     equals u there (the inversion the correction pullback is built on).
+    correction is the boundary strength of the correction layer,
+    -p_atm*(depth + elevation) + sigma*(1 - abscissa_slope/metric^(1/2))
+    as a trigonometric polynomial; the bulk correction is this strength
+    times height/surface height.
     """
 
     u: StripGridField
@@ -197,14 +189,14 @@ class FlowForceField:
     raw_force: StripGridField
     flow_force: StripGridField
     surface_value: float
-    correction: SurfaceCorrection
+    correction: PeriodicFunction
     surface_abscissa: np.ndarray
 
 
 def _geometry(curve, n_y, n_x):
     """Conformal map (u, v) and inverted surface abscissa x_s of the curve,
     all free of p_atm and of the speed: every field on the grid shares them."""
-    u, v = conformal_map(curve.elevation, curve.params, n_y, n_x, curve.shift)
+    u, v = conformal_map(curve.elevation, curve.params, n_y, n_x)
     x_s = curve.invert(u.values, x0=np.broadcast_to(u.x_nodes, u.values.shape))
     x_s.flags.writeable = False
     return u, v, x_s
@@ -232,18 +224,18 @@ def _assemble(state, p: PhysicalParams, u, v, x_s):
         raw_force=StripGridField(xi_vals, p.strip_depth),
         flow_force=StripGridField(xi_vals + pullback, p.strip_depth),
         surface_value=s0,
-        correction=SurfaceCorrection(e0, p.p_atm, p.sigma),
+        correction=e0,
         surface_abscissa=x_s,
     )
 
 
-def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None, shift=0.0):
+def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None):
     """Rebuild the flow-force field of a corrected wave on the strip grid.
 
     state needs speed_sq, bernoulli_shift and elevation attributes
     (trial states and branch points both qualify).
     """
-    curve = surface_curve(state.elevation, p, shift)
+    curve = surface_curve(state.elevation, p)
     return _assemble(state, p, *_geometry(curve, n_y, n_x))
 
 
@@ -400,10 +392,8 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         )
     w = state.elevation
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
-    # exact: the conjugate of an even elevation vanishes at x = 0
-    shift = float(field.u.top_row[0])
     admissibility = _admissible(w, p)  # gates the doubled-grid geometry
-    fine_geometry = _geometry(SurfaceCurve(w, p, shift), 2 * n_y, 2 * n_x)
+    fine_geometry = _geometry(SurfaceCurve(w, p), 2 * n_y, 2 * n_x)
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so

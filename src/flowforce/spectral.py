@@ -23,6 +23,7 @@ __all__ = [
     "PeriodicFunction",
     "StripGridField",
     "analyze",
+    "collocation_size",
     "derivative",
     "hilbert_strip",
     "dirichlet_neumann",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 _PARITY_TOL = 1e-12
+
+
+def collocation_size(n_modes):
+    """Nodes of the collocation grid for n_modes modes: four per mode, at least 8."""
+    return max(4 * n_modes, 8)
 
 
 def grid_nodes(m):
@@ -53,6 +59,38 @@ def _trig_matrices(m, n_modes):
     cos_mat.flags.writeable = False
     sin_mat.flags.writeable = False
     return cos_mat, sin_mat
+
+
+def _synthesize(coeffs, mat):
+    """Grid values of every row of coefficients against a (modes, m) table.
+
+    The stacked product makes one BLAS gemv per row, so a row's values do
+    not depend on the rows beside it; a single (rows, modes) @ (modes, m)
+    gemm would not give that.
+    """
+    return (coeffs[:, None, :] @ mat)[:, 0]
+
+
+def _spectrum(values):
+    """Interpolation coefficients of every row of uniform grid samples.
+
+    Returns cosines a_0..a_K and sines b_1..b_K, K = (m-1)//2 (the
+    Nyquist mode of an even-length grid is dropped).  A row's sines are
+    zeroed when none exceeds _PARITY_TOL * max(1, largest coefficient).
+    """
+    if not np.all(np.isfinite(values)):
+        raise InvalidSamples("non-finite sample values")
+    m = values.shape[1]
+    top = (m - 1) // 2
+    spec = np.fft.rfft(values, axis=-1)
+    a = np.empty((values.shape[0], top + 1))
+    a[:, 0] = spec[:, 0].real / m
+    a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
+    b = -2.0 * spec[:, 1 : top + 1].imag / m
+    b_max = np.max(np.abs(b), axis=1, initial=0.0)
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), b_max))
+    b[b_max <= _PARITY_TOL * scale] = 0.0
+    return a, b
 
 
 def _reinsch_recurrence(lam, coeffs):
@@ -182,21 +220,18 @@ class PeriodicFunction:
     def mean(self):
         return float(self.cos_coeffs[0])
 
-    def default_grid(self):
-        return max(8, 4 * self.n_modes)
-
     def samples(self, m=None):
         """Values on the uniform m-point grid (exact trig evaluation)."""
-        m = self.default_grid() if m is None else int(m)
+        m = collocation_size(self.n_modes) if m is None else int(m)
         if m < 1:
             raise InvalidSamples("grid size must be positive")
         n = self.n_modes
         out = np.full(m, self.cos_coeffs[0])
         if n:
             cos_mat, sin_mat = _trig_matrices(m, n)
-            out = out + self.cos_coeffs[1:] @ cos_mat
+            out = out + _synthesize(self.cos_coeffs[None, 1:], cos_mat)[0]
             if self.parity != "even":
-                out = out + self.sin_coeffs @ sin_mat
+                out = out + _synthesize(self.sin_coeffs[None, :], sin_mat)[0]
         return out
 
     def eval_at(self, x):
@@ -239,8 +274,8 @@ class PeriodicFunction:
             flat[sel] = acc
         return out[()]
 
-    def sup_norm(self, m=None):
-        return float(np.max(np.abs(self.samples(m))))
+    def sup_norm(self):
+        return float(np.max(np.abs(self.samples())))
 
     # -- structure ----------------------------------------------------
 
@@ -254,12 +289,12 @@ class PeriodicFunction:
         b[:keep] = self.sin_coeffs[:keep]
         return PeriodicFunction(a, b, self.parity)
 
-    def tail_energy_fraction(self, fraction=0.25):
-        """Energy fraction carried by the top `fraction` of mode numbers."""
+    def tail_energy_fraction(self):
+        """Energy fraction carried by the top quarter of mode numbers."""
         n = self.n_modes
         if n == 0:
             return 0.0
-        cut = n - max(1, int(np.ceil(fraction * n)))
+        cut = n - max(1, int(np.ceil(0.25 * n)))
         en = self.cos_coeffs[1:] ** 2 + self.sin_coeffs**2
         total = float(np.sum(en))
         return 0.0 if total == 0.0 else float(np.sum(en[cut:])) / total
@@ -286,15 +321,6 @@ class PeriodicFunction:
     def __sub__(self, other):
         return self + (-other if isinstance(other, PeriodicFunction) else -float(other))
 
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
-    def __mul__(self, scalar):
-        c = float(scalar)
-        return PeriodicFunction(c * self.cos_coeffs, c * self.sin_coeffs, self.parity)
-
-    __rmul__ = __mul__
-
 
 def analyze(samples):
     """Trigonometric interpolation coefficients of uniform grid samples.
@@ -305,19 +331,8 @@ def analyze(samples):
     vals = np.asarray(samples, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise InvalidSamples("need a 1-D sample array of length >= 2")
-    if not np.all(np.isfinite(vals)):
-        raise InvalidSamples("non-finite sample values")
-    m = vals.size
-    spec = np.fft.rfft(vals)
-    n_max = (m - 1) // 2
-    a = np.empty(n_max + 1)
-    a[0] = spec[0].real / m
-    a[1:] = 2.0 * spec[1 : n_max + 1].real / m
-    b = -2.0 * spec[1 : n_max + 1].imag / m
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))) if b.size else 0.0)
-    if b.size == 0 or float(np.max(np.abs(b))) <= _PARITY_TOL * scale:
-        return PeriodicFunction(a, np.zeros_like(b), "even")
-    return PeriodicFunction(a, b, "general")
+    a, b = _spectrum(vals[None, :])
+    return PeriodicFunction(a[0], b[0], "general" if np.any(b) else "even")
 
 
 def derivative(f):
@@ -415,7 +430,7 @@ def dirichlet_neumann(f, d):
 def _extension_grids(f, d, n_y, n_x):
     if n_y < 2:
         raise ValueError("need at least two vertical intervals")
-    n_x = f.default_grid() if n_x is None else int(n_x)
+    n_x = collocation_size(f.n_modes) if n_x is None else int(n_x)
     frac = np.arange(n_y + 1) / n_y
     y = d * (frac - 1.0)
     return n_x, frac, y

@@ -21,8 +21,9 @@ of the conjugated flow-force potential.  One array function,
 _residual_rows, evaluates the whole residual for a stack of states (a
 leading batch axis): residual and galerkin_residual pass one state,
 jacobian_fd passes the perturbed states of its central differences in
-blocks.  Nonlinear algebra happens on an oversampled collocation grid;
-every transform step truncates back to the working mode count.
+blocks.  Nonlinear algebra happens on the collocation grid of the
+spectral module, whose row-wise synthesis and analysis this module
+calls; every transform step truncates back to the working mode count.
 """
 
 from dataclasses import dataclass
@@ -30,12 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import onset_speed_sq
-from .errors import FlowForceError, InvalidSamples, MeanNotZero, SingularExpression
+from .errors import FlowForceError, MeanNotZero, SingularExpression
 from .params import PhysicalParams
 from .spectral import (
-    _PARITY_TOL,
     PeriodicFunction,
+    _spectrum,
+    _synthesize,
     _trig_matrices,
+    collocation_size,
     grid_nodes,
     scaled_coth,
 )
@@ -92,37 +95,6 @@ def _trial_state(theta, a0):
     """The TrialState of unknowns theta and elevation mean a0."""
     w = PeriodicFunction.from_cosines(np.concatenate(([a0], theta[2:])))
     return TrialState(float(theta[0]), float(theta[1]), w)
-
-
-def _synthesize(coeffs, mat):
-    """Grid values of every row of coefficients against a (modes, m) table.
-
-    The stacked product makes one BLAS gemv per row, the call that
-    PeriodicFunction.samples makes, so each row matches it bit for bit;
-    a single (rows, modes) @ (modes, m) gemm would not.
-    """
-    return (coeffs[:, None, :] @ mat)[:, 0]
-
-
-def _spectrum(values):
-    """analyze() of every row: cosines a_0..a_K and sines b_1..b_K.
-
-    K = (m-1)//2.  A row's sines are zeroed where analyze would tag the
-    row even.
-    """
-    if not np.all(np.isfinite(values)):
-        raise InvalidSamples("non-finite sample values")
-    m = values.shape[1]
-    top = (m - 1) // 2
-    spec = np.fft.rfft(values, axis=-1)
-    a = np.empty((values.shape[0], top + 1))
-    a[:, 0] = spec[:, 0].real / m
-    a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
-    b = -2.0 * spec[:, 1 : top + 1].imag / m
-    b_max = np.max(np.abs(b), axis=1)
-    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), b_max))
-    b[b_max <= _PARITY_TOL * scale] = 0.0
-    return a, b
 
 
 def _guard(values, floor, describe):
@@ -196,7 +168,7 @@ def _residual_rows(speed_sq, shift, cos_coeffs, p: PhysicalParams, n, diag=None)
     it.  Each guard raises for the first offending row; diag, when
     given, describes row 0.
     """
-    m = max(8, 4 * max(1, n))
+    m = collocation_size(n)
     w, wp, wpp, cwp, cwpp, dnv, metric = _surface_rows(cos_coeffs, p, m)
     low_metric = _guard(
         metric, _METRIC_FLOOR,
@@ -299,15 +271,14 @@ def linearization_symbol(speed_sq, mode, p: PhysicalParams):
     return -(speed_sq * k * mode * coth - p.sigma * k * k * mode * mode - p.g) / (k * k)
 
 
-def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None,
-                step_scale=1e-6):
+def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None):
     """Central-difference Jacobian of the Galerkin residual.
 
     The unknowns are theta = (speed_sq, bernoulli_shift, a_1..a_N), with
     the elevation padded or truncated to N modes and its mean a_0 held
     fixed.  Rows are the projection modes n = 0..N; columns follow
     `active`, a sequence of indices into theta (default: all N + 2).
-    Step per unknown: step_scale * max(1, |value|).  The perturbed
+    Step per unknown: 1e-6 * max(1, |value|).  The perturbed
     states are evaluated together, in blocks of about _BLOCK_SAMPLES
     grid values; a failing block is re-run state by state, so the error
     raised is that of the first failing state in column order.
@@ -315,9 +286,9 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None,
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     theta, a0 = _unknowns(state, n)
     cols = np.arange(n + 2) if active is None else np.asarray(active, dtype=np.intp)
-    eps = step_scale * np.maximum(1.0, np.abs(theta[cols]))
+    eps = 1e-6 * np.maximum(1.0, np.abs(theta[cols]))
     jac = np.empty((n + 1, cols.size))
-    per_block = max(1, _BLOCK_SAMPLES // (2 * max(8, 4 * n)))
+    per_block = max(1, _BLOCK_SAMPLES // (2 * collocation_size(n)))
     for start in range(0, cols.size, per_block):
         col, step = cols[start : start + per_block], eps[start : start + per_block]
         # rows 2i and 2i+1 move unknown col[i] up and down
@@ -359,7 +330,7 @@ def check_admissibility(w, p: PhysicalParams):
     """
     if w.parity != "even":
         raise ValueError("elevation must live in the even (cosine) space")
-    m = max(8, 4 * max(1, w.n_modes))
+    m = collocation_size(w.n_modes)
     w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
     # abscissa x/k + C(w), with C(w) the sine series coth(n d) a_n sin(nx)
     coth = scaled_coth(np.arange(1, w.n_modes + 1) * p.strip_depth)

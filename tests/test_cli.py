@@ -264,8 +264,31 @@ def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
     )
     assert code == 4
     err = capsys.readouterr().err
-    assert f"{branch_file}: point 0 at s = 0.001:" in err
+    assert err.startswith(f"input error: {branch_file}: point 0 at s = 0.001:")
     assert "admissible" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "reconstruct"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {
+            "schema": "flowforce/branch-v1",
+            "params": {"g": 9.81, "sigma": 0.073, "h": 0.1, "k": 10.0, "p_atm": 0.0},
+            "points": [
+                {"s": 1e-3, "lambda": 1.3, "mu": 0.0, "cos_coeffs": [0.0, math.nan]}
+            ],
+        },
+    ],
+    ids=["not_an_object", "nan_coefficient"],
+)
+def test_malformed_branch_file_rejected(tmp_path, capsys, payload, command):
+    branch_file = tmp_path / "branch.json"
+    branch_file.write_text(json.dumps(payload))  # NaN is written, and parsed back
+    # main returns rather than raises: no traceback reaches the terminal
+    assert main(["--out", str(tmp_path), command, str(branch_file)]) == 4
+    assert capsys.readouterr().err.startswith(f"input error: {branch_file}: ")
 
 
 def test_reconstruct_index_out_of_range(tmp_path, capsys):

@@ -84,20 +84,20 @@ def test_wave_traces(water, wave_point, wave_field):
 
 def test_conformal_map_boundary_rows(water, wave_point):
     w = wave_point.elevation
-    u, v = conformal_map(w, water, n_y=16, shift=0.3)
+    u, v = conformal_map(w, water, n_y=16)
     x = grid_nodes(u.n_x)
     surface = water.h + w.eval_at(x)
     assert np.max(np.abs(v.top_row - surface)) < 1e-12
     assert np.all(v.bottom_row == 0.0)
     conj = hilbert_strip(w, water.strip_depth).eval_at(x)
-    expect_u = x / water.k + 0.3 + conj
+    expect_u = x / water.k + conj
     assert np.max(np.abs(u.top_row - expect_u)) < 1e-12
     assert u.depth == water.strip_depth
     assert v.n_y == 16
 
 
 def test_surface_curve_inversion_round_trip(water, wave_point):
-    curve = surface_curve(wave_point.elevation, water, shift=0.1)
+    curve = surface_curve(wave_point.elevation, water)
     x = grid_nodes(96)
     targets = curve.abscissa(x)
     back = curve.invert(targets)
@@ -119,7 +119,7 @@ def test_correction_strength_laminar_under_pressure():
     field = reconstruct(state, p, n_y=8)
     x = grid_nodes(32)
     expect = -p.p_atm * p.h
-    got = field.correction.surface_values.eval_at(x)
+    got = field.correction.eval_at(x)
     assert np.max(np.abs(got - expect)) < 1e-9 * abs(expect)
 
 
@@ -135,7 +135,7 @@ def test_correction_strength_matches_surface_geometry(water, wave_point):
         - p.sigma / np.sqrt(1.0 + eta_slope**2)
         + p.sigma
     )
-    got = field.correction.surface_values.eval_at(x)
+    got = field.correction.eval_at(x)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(got - direct)) < 1e-10 * scale
 
@@ -169,17 +169,6 @@ def test_field_gauge_invariance(water, wave_point, wave_field):
         np.abs(gauged.flow_force.values - wave_field.flow_force.values)
     )
     assert diff / scale < 1e-9
-
-
-def test_shift_equivariance(water, wave_point, wave_field):
-    shifted = reconstruct(wave_point, water, shift=0.3)
-    assert np.max(
-        np.abs(shifted.u.values - (wave_field.u.values + 0.3))
-    ) < 1e-13
-    assert np.array_equal(shifted.v.values, wave_field.v.values)
-    assert np.max(
-        np.abs(shifted.flow_force.values - wave_field.flow_force.values)
-    ) < 1e-12
 
 
 def test_tampered_profile_fails_validation(water, wave_point):
@@ -267,13 +256,3 @@ def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     assert np.array_equal(assembled.surface_abscissa, rebuilt.surface_abscissa)
     assert assembled.surface_value == rebuilt.surface_value
 
-
-def test_validate_shifted_field(water, wave_point):
-    # validation reads the shift off the field's abscissa at x = 0
-    plain = validate_solution(
-        reconstruct(wave_point, water, n_y=16), wave_point, water
-    )
-    shifted = validate_solution(
-        reconstruct(wave_point, water, n_y=16, shift=0.3), wave_point, water
-    )
-    assert shifted == plain

@@ -24,7 +24,7 @@ from flowforce import (
     harmonic_extension,
     hilbert_strip,
 )
-from flowforce.spectral import cosh_ratio, scaled_coth, sinh_ratio
+from flowforce.spectral import collocation_size, cosh_ratio, scaled_coth, sinh_ratio
 
 DEPTHS = (0.1, 1.0, 10.0)
 
@@ -46,7 +46,7 @@ def test_samples_on_default_grid_round_trip():
     a = rng.standard_normal(9)
     b = rng.standard_normal(8)
     f = PeriodicFunction(a, b)
-    g = analyze(f.samples(f.default_grid())).truncated(f.n_modes)
+    g = analyze(f.samples(collocation_size(f.n_modes))).truncated(f.n_modes)
     np.testing.assert_allclose(g.cos_coeffs, a, atol=1e-13)
     np.testing.assert_allclose(g.sin_coeffs, b, atol=1e-13)
 
@@ -59,7 +59,7 @@ def test_samples_on_default_grid_round_trip():
 def test_value_level_round_trip(coeffs, extra):
     a = np.asarray(coeffs)
     f = PeriodicFunction(a, np.zeros(a.size - 1), "even")
-    m = max(8, 4 * f.n_modes) + 2 * extra
+    m = collocation_size(f.n_modes) + 2 * extra
     vals = f.samples(m)
     back = analyze(vals).samples(m)
     np.testing.assert_allclose(back, vals, atol=1e-12)
@@ -205,7 +205,7 @@ def test_hilbert_action_on_cosines():
         for n in range(1, 33):
             f = PeriodicFunction.harmonic(n, 1.0, n_modes=n, kind="cos")
             g = hilbert_strip(f, d)
-            x = grid_nodes(max(8, 4 * n))
+            x = grid_nodes(collocation_size(n))
             expect = 1.0 / math.tanh(n * d) * np.sin(n * x)
             worst = max(worst, float(np.max(np.abs(g.eval_at(x) - expect))))
     assert worst < 1e-10
