@@ -309,11 +309,9 @@ def _branch_payload(branch):
 
 def _profiles_lines(branch):
     rows = []
+    x = grid_nodes(collocation_size(branch.n_modes))
     for pt in branch.points:
-        curve = surface_curve(pt.elevation, branch.params)
-        x = grid_nodes(collocation_size(branch.n_modes))
-        abscissa = curve.abscissa(x)
-        height = curve.height(x)
+        abscissa, height = surface_curve(pt.elevation, branch.params).profile(x)
         rows.extend(
             (pt.amplitude, xi, ai, hi)
             for xi, ai, hi in zip(x, abscissa, height)
@@ -371,6 +369,9 @@ def _load_branch(path):
         ]
     except (KeyError, TypeError, ValueError, InvalidSamples) as exc:
         raise InputFileError(f"{path}: malformed branch record ({exc})") from exc
+    for index, (s, _) in enumerate(points):
+        if not math.isfinite(s):
+            raise InputFileError(f"{path}: point {index}: non-finite amplitude s = {s!r}")
     return params, points
 
 

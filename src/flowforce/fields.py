@@ -27,6 +27,7 @@ from .spectral import (
     collocation_size,
     cosh_ratio,
     derivative,
+    eval_many,
     grid_nodes,
     harmonic_extension,
     conjugate_extension,
@@ -55,7 +56,8 @@ class SurfaceCurve:
     """Physical free surface parametrized by the conformal abscissa.
 
     abscissa(x) = x/k + (conjugate of the elevation), strictly
-    increasing for admissible waves; height(x) = depth + elevation.
+    increasing for admissible waves; profile(x) gives it with the height
+    depth + elevation.
     """
 
     elevation: PeriodicFunction
@@ -68,22 +70,23 @@ class SurfaceCurve:
         object.__setattr__(self, "_conjugate", conj)
         object.__setattr__(self, "_slope_conjugate", slope_conj)
 
-    def height(self, x):
-        return self.params.h + self.elevation.eval_at(x)
-
     def abscissa(self, x):
         x = np.asarray(x, dtype=float)
         return x / self.params.k + self._conjugate.eval_at(x)
 
-    def abscissa_slope(self, x):
-        return 1.0 / self.params.k + self._slope_conjugate.eval_at(x)
+    def profile(self, x):
+        """(abscissa(x), depth + elevation(x)) from one shared evaluation pass."""
+        x = np.asarray(x, dtype=float)
+        conj, w = eval_many((self._conjugate, self.elevation), x)
+        return x / self.params.k + conj, self.params.h + w
 
     def invert(self, targets, x0=None):
         """Solve abscissa(x) = target elementwise (monotone Newton).
 
-        At most 60 Newton steps, then bisection on the entries left above
-        1e-13 * max(1, |targets|); raises SurfaceInversionFailed if both
-        passes miss that tolerance.
+        Each Newton step evaluates the conjugate and the slope conjugate
+        C(w') in one shared pass (eval_many).  At most 60 Newton steps,
+        then bisection on the entries left above 1e-13 * max(1, |targets|);
+        raises SurfaceInversionFailed if both passes miss that tolerance.
         """
         t = np.asarray(targets, dtype=float)
         k = self.params.k
@@ -91,10 +94,11 @@ class SurfaceCurve:
         tol = 1e-13
         scale = max(1.0, float(np.max(np.abs(t))))
         for _ in range(60):
-            f = self.abscissa(x) - t
+            conj, slope_conj = eval_many((self._conjugate, self._slope_conjugate), x)
+            f = x / k + conj - t
             if float(np.max(np.abs(f))) <= tol * scale:
                 return x
-            step = f / self.abscissa_slope(x)
+            step = f / (1.0 / k + slope_conj)
             np.clip(step, -np.pi, np.pi, out=step)
             x = x - step
         bad = (np.abs(self.abscissa(x) - t) > tol * scale).reshape(-1)
@@ -175,10 +179,12 @@ class FlowForceField:
     flow_force = harmonic_potential - (g/2) v^2 + correction pullback;
     its top trace is the constant surface_value and its bottom trace is
     zero.  u and v are the conformal map components; surface_abscissa
-    holds, per grid node, the surface parameter whose physical abscissa
-    equals u there (the inversion the correction pullback is built on).
-    correction is the boundary strength of the correction layer,
-    -p_atm*(depth + elevation) + sigma*(1 - abscissa_slope/metric^(1/2))
+    holds, per grid node, the surface parameter x_s whose physical
+    abscissa equals u there (the inversion the correction pullback is
+    built on), and surface_height the height depth + w(x_s) there.  Both
+    are computed on columns 0..n_x//2 and mirrored across x = pi (see
+    _geometry).  correction is the boundary strength of the correction
+    layer, -p_atm*(depth + elevation) + sigma*(1 - (1/k + C(w'))/metric^(1/2))
     as a trigonometric polynomial; the bulk correction is this strength
     times height/surface height.
     """
@@ -191,15 +197,35 @@ class FlowForceField:
     surface_value: float
     correction: PeriodicFunction
     surface_abscissa: np.ndarray
+    surface_height: np.ndarray
+
+
+def _unfold(half, n_x, odd=False):
+    """The n_x columns of a grid field from its columns 0..n_x//2: column
+    n_x - j is column j (even about x = pi) or, if odd, 2 pi minus it."""
+    tail = half[:, n_x - half.shape[1] : 0 : -1]
+    return np.concatenate((half, 2.0 * np.pi - tail if odd else tail), axis=1)
+
+
+def _even_at(f, x_s):
+    """An even polynomial at x_s, evaluated on columns 0..n_x//2 and unfolded."""
+    return _unfold(f.eval_at(x_s[:, : x_s.shape[1] // 2 + 1]), x_s.shape[1])
 
 
 def _geometry(curve, n_y, n_x):
-    """Conformal map (u, v) and inverted surface abscissa x_s of the curve,
-    all free of p_atm and of the speed: every field on the grid shares them."""
+    """Conformal map (u, v), inverted surface abscissa x_s and heights
+    depth + w(x_s) of the curve, all free of p_atm and of the speed.
+
+    The elevation is even, so X(x) = x/k + C(w)(x) is odd about x = pi, as
+    is u: columns 0..n_x//2 are inverted, x_s[:, n_x - j] = 2 pi - x_s[:, j].
+    """
     u, v = conformal_map(curve.elevation, curve.params, n_y, n_x)
-    x_s = curve.invert(u.values, x0=np.broadcast_to(u.x_nodes, u.values.shape))
-    x_s.flags.writeable = False
-    return u, v, x_s
+    half = u.n_x // 2 + 1
+    x0 = np.broadcast_to(u.x_nodes[:half], (u.n_y + 1, half))
+    x_s = _unfold(curve.invert(u.values[:, :half], x0=x0), u.n_x, odd=True)
+    heights = curve.params.h + _even_at(curve.elevation, x_s)
+    x_s.flags.writeable = heights.flags.writeable = False
+    return u, v, x_s, heights
 
 
 def _potential(state, p: PhysicalParams, n_y, n_x):
@@ -211,12 +237,11 @@ def _potential(state, p: PhysicalParams, n_y, n_x):
     return s0, e0, harmonic_extension(boundary, p.strip_depth, n_y, n_x)
 
 
-def _assemble(state, p: PhysicalParams, u, v, x_s):
-    """The FlowForceField of state under p on the geometry (u, v, x_s)."""
+def _assemble(state, p: PhysicalParams, u, v, x_s, heights):
+    """The FlowForceField of state under p on the geometry of _geometry."""
     s0, e0, zeta = _potential(state, p, u.n_y, u.n_x)
     xi_vals = zeta.values - 0.5 * p.g * v.values**2
-    heights = p.h + state.elevation.eval_at(x_s)
-    pullback = e0.eval_at(x_s) * v.values / heights
+    pullback = _even_at(e0, x_s) * v.values / heights
     return FlowForceField(
         u=u,
         v=v,
@@ -226,6 +251,7 @@ def _assemble(state, p: PhysicalParams, u, v, x_s):
         surface_value=s0,
         correction=e0,
         surface_abscissa=x_s,
+        surface_height=heights,
     )
 
 
@@ -328,7 +354,7 @@ def _force_balance_defect(field, curvature, w, p):
     grad_sq = _map_gradient_sq(w, p, field.u.y_nodes, field.u.n_x)
     lap = _five_point_laplacian(field.flow_force.values, p.strip_depth)
     physical = lap / grad_sq[1:-1]
-    bend = curvature.eval_at(field.surface_abscissa[1:-1])
+    bend = _even_at(curvature, field.surface_abscissa[1:-1])
     target = -p.g + bend * field.v.values[1:-1]
     return float(np.max(np.abs(physical - target)))
 
@@ -377,12 +403,13 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     correction curvature.  An inadmissible surface raises
     InadmissibleIterate; the report keeps the admissibility margins.
 
-    Work per call: one surface inversion, for the doubled-grid geometry of
-    the fine force balance.  The other fields are assembled on the input
-    field's geometry (the map and the inverted abscissa are free of p_atm
-    and of the speed); the refined harmonicity check takes the doubled-grid
-    potential layer alone, and both force balances share one correction
-    curvature.
+    Work per call: one surface inversion, on half the columns of the
+    doubled grid of the fine force balance (_geometry).  The other fields
+    are assembled on the input field's geometry (the map, the inverted
+    abscissa and the heights are free of p_atm and of the speed); the
+    refined harmonicity check takes the doubled-grid potential layer
+    alone, and both force balances share one correction curvature.  Even
+    polynomials at x_s are evaluated on the inverted columns and mirrored.
     """
     zeta = field.harmonic_potential
     n_y, n_x = zeta.n_y, zeta.n_x
@@ -412,7 +439,7 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
 
     residual_sup = residual(trial, p).sup_norm()
 
-    geometry = (field.u, field.v, field.surface_abscissa)
+    geometry = (field.u, field.v, field.surface_abscissa, field.surface_height)
     gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), *geometry)
     flow = field.flow_force.values
     gauge = float(np.max(np.abs(gauged.flow_force.values - flow)))

@@ -23,6 +23,7 @@ __all__ = [
     "PeriodicFunction",
     "StripGridField",
     "analyze",
+    "eval_many",
     "collocation_size",
     "derivative",
     "hilbert_strip",
@@ -235,44 +236,8 @@ class PeriodicFunction:
         return out
 
     def eval_at(self, x):
-        """Evaluate at arbitrary points of any shape (a scalar gives a scalar).
-
-        Clenshaw's recurrence in Reinsch's stable form (_reinsch_recurrence),
-        cost O(points * N) with a few point-sized work arrays and no
-        (points x N) temporary.  A series whose coefficients are all zero
-        is skipped, so even parity never runs the sine series.  Points
-        with cos(x) < 0 are summed as x = y + pi, which flips the sign of
-        the odd modes: lam = -4 cos^2(x/2) and sin(y) = -sin(x).
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.cos_coeffs[0])
-        a, b = self.cos_coeffs[1:], self.sin_coeffs
-        has_cos = bool(np.any(a))
-        has_sin = bool(np.any(b))
-        if not (has_cos or has_sin):
-            return out[()]
-        half = 0.5 * x.reshape(-1)
-        s, c = np.sin(half), np.cos(half)
-        near_pi = np.abs(s) > np.abs(c)
-        lam = -4.0 * np.where(near_pi, c, s) ** 2
-        if has_sin:
-            sin_y = 2.0 * np.where(near_pi, -s, s) * c
-        flip = np.ones(self.n_modes)
-        flip[::2] = -1.0
-        flat = out.reshape(-1)
-        for sel, sign in ((~near_pi, 1.0), (near_pi, flip)):
-            if not np.any(sel):
-                continue
-            lam_sel = lam[sel]
-            acc = flat[sel]
-            if has_cos:
-                c_1, d_1 = _reinsch_recurrence(lam_sel, sign * a)
-                acc += 0.5 * lam_sel * c_1 + d_1
-            if has_sin:
-                c_1, _ = _reinsch_recurrence(lam_sel, sign * b)
-                acc += c_1 * sin_y[sel]
-            flat[sel] = acc
-        return out[()]
+        """Values at points of any shape (a scalar gives a scalar); see eval_many."""
+        return eval_many((self,), x)[0]
 
     def sup_norm(self):
         return float(np.max(np.abs(self.samples())))
@@ -320,6 +285,48 @@ class PeriodicFunction:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, PeriodicFunction) else -float(other))
+
+
+def eval_many(functions, x):
+    """Values of several series at the same points (a scalar x gives scalars).
+
+    Clenshaw's recurrence in Reinsch's stable form (_reinsch_recurrence),
+    cost O(points * N) per series with a few point-sized work arrays and
+    no (points x N) temporary.  The point setup (the half angle, the
+    near-pi split, lam, sin(y) and their gathers) is shared; each series
+    runs its own sums, so its values are those of its own eval_at bit for
+    bit.  An all-zero cosine or sine block is skipped, so even parity never
+    runs the sine series.  Points with cos(x) < 0 are summed as x = y + pi,
+    which flips the sign of the odd modes: lam = -4 cos^2(x/2) and
+    sin(y) = -sin(x).
+    """
+    x = np.asarray(x, dtype=float)
+    outs = [np.full(x.shape, f.cos_coeffs[0]) for f in functions]
+    sums = [  # (flat output, coefficients, sine sum?) of each nonzero block
+        (out.reshape(-1), coeffs, is_sin)
+        for f, out in zip(functions, outs)
+        for coeffs, is_sin in ((f.cos_coeffs[1:], False), (f.sin_coeffs, True))
+        if np.any(coeffs)
+    ]
+    if sums:
+        half = 0.5 * x.reshape(-1)
+        s, c = np.sin(half), np.cos(half)
+        near_pi = np.abs(s) > np.abs(c)
+        lam = -4.0 * np.where(near_pi, c, s) ** 2
+        has_sin = any(is_sin for _, _, is_sin in sums)
+        sin_y = 2.0 * np.where(near_pi, -s, s) * c if has_sin else None
+        flip = np.ones(max(coeffs.size for _, coeffs, _ in sums))
+        flip[::2] = -1.0
+        for sel, flipped in ((~near_pi, False), (near_pi, True)):
+            if not np.any(sel):
+                continue
+            lam_sel = lam[sel]
+            sin_sel = sin_y[sel] if has_sin else None
+            for flat, coeffs, is_sin in sums:
+                signed = flip[: coeffs.size] * coeffs if flipped else coeffs
+                c_1, d_1 = _reinsch_recurrence(lam_sel, signed)
+                flat[sel] += c_1 * sin_sel if is_sin else 0.5 * lam_sel * c_1 + d_1
+    return [out[()] for out in outs]
 
 
 def analyze(samples):

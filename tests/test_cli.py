@@ -268,27 +268,36 @@ def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
     assert "admissible" in err
 
 
+def _one_point_branch(**record):
+    point = {"s": 1e-3, "lambda": 1.3, "mu": 0.0, "cos_coeffs": [0.0, 1e-4]}
+    return {
+        "schema": "flowforce/branch-v1",
+        "params": {"g": 9.81, "sigma": 0.073, "h": 0.1, "k": 10.0, "p_atm": 0.0},
+        "points": [{**point, **record}],
+    }
+
+
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 @pytest.mark.parametrize(
-    "payload",
+    "payload, detail",
     [
-        [],
-        {
-            "schema": "flowforce/branch-v1",
-            "params": {"g": 9.81, "sigma": 0.073, "h": 0.1, "k": 10.0, "p_atm": 0.0},
-            "points": [
-                {"s": 1e-3, "lambda": 1.3, "mu": 0.0, "cos_coeffs": [0.0, math.nan]}
-            ],
-        },
+        ([], "JSON object"),
+        (_one_point_branch(cos_coeffs=[0.0, math.nan]), "malformed branch record"),
+        (_one_point_branch(s=math.inf), "point 0: non-finite amplitude s = inf"),
+        (_one_point_branch(s=math.nan), "point 0: non-finite amplitude s = nan"),
     ],
-    ids=["not_an_object", "nan_coefficient"],
+    ids=["not_an_object", "nan_coefficient", "infinite_s", "nan_s"],
 )
-def test_malformed_branch_file_rejected(tmp_path, capsys, payload, command):
+def test_malformed_branch_file_rejected(tmp_path, capsys, payload, detail, command):
     branch_file = tmp_path / "branch.json"
-    branch_file.write_text(json.dumps(payload))  # NaN is written, and parsed back
+    # Infinity and NaN are written, and parsed back
+    branch_file.write_text(json.dumps(payload))
     # main returns rather than raises: no traceback reaches the terminal
     assert main(["--out", str(tmp_path), command, str(branch_file)]) == 4
-    assert capsys.readouterr().err.startswith(f"input error: {branch_file}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {branch_file}: ")
+    assert detail in err
+    assert [p.name for p in tmp_path.iterdir()] == ["branch.json"]  # no artifact
 
 
 def test_reconstruct_index_out_of_range(tmp_path, capsys):

@@ -107,6 +107,22 @@ def test_surface_curve_inversion_round_trip(water, wave_point):
     assert np.all(np.diff(targets) > 0.0)
 
 
+@pytest.mark.parametrize("n_x", [None, 33])
+def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
+    # the abscissa of an even elevation is odd about x = pi, so the inverted
+    # half of the grid gives the other half; the mirror must still invert u
+    field = reconstruct(wave_point, water, n_y=16, n_x=n_x)
+    x_s, u = field.surface_abscissa, field.u.values
+    n_x = field.u.n_x
+    j = np.arange(1, n_x - n_x // 2)
+    assert np.array_equal(x_s[:, n_x - j], 2.0 * np.pi - x_s[:, j])
+    curve = surface_curve(wave_point.elevation, water)
+    defect = np.abs(curve.abscissa(x_s) - u)
+    assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
+    heights = field.surface_height
+    assert np.array_equal(heights[:, n_x - j], heights[:, j])
+
+
 def test_surface_curve_rejects_bed_contact(water):
     w = PeriodicFunction.harmonic(1, 0.15, n_modes=8, kind="cos")
     with pytest.raises(InadmissibleIterate):
@@ -127,11 +143,12 @@ def test_correction_strength_matches_surface_geometry(water, wave_point):
     p = water.replace(p_atm=101325.0)
     field = reconstruct(wave_point, p)
     w = wave_point.elevation
-    curve = surface_curve(w, p)
     x = grid_nodes(128)
-    eta_slope = derivative(w).eval_at(x) / curve.abscissa_slope(x)
+    _, height = surface_curve(w, p).profile(x)
+    abscissa_slope = 1.0 / p.k + hilbert_strip(derivative(w), p.strip_depth).eval_at(x)
+    eta_slope = derivative(w).eval_at(x) / abscissa_slope
     direct = (
-        -p.p_atm * curve.height(x)
+        -p.p_atm * height
         - p.sigma / np.sqrt(1.0 + eta_slope**2)
         + p.sigma
     )
@@ -220,6 +237,28 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     assert len(checks) == 2
 
 
+def test_validated_point_evaluates_elevation_once_per_grid(
+    water, wave_point, monkeypatch
+):
+    # depth + w(x_s) is free of p_atm and of the speed: each grid's geometry
+    # evaluates it once, on the inverted half of its columns, and every
+    # field assembled on that geometry reads it
+    w = wave_point.elevation
+    shapes = []
+    original = PeriodicFunction.eval_at
+
+    def counted(f, x):
+        if np.array_equal(f.cos_coeffs, w.cos_coeffs):
+            shapes.append(np.shape(x))
+        return original(f, x)
+
+    monkeypatch.setattr(PeriodicFunction, "eval_at", counted)
+    field = reconstruct(wave_point, water, n_y=16)
+    validate_solution(field, wave_point, water)
+    n_x = field.u.n_x
+    assert shapes == [(17, n_x // 2 + 1), (33, n_x + 1)]
+
+
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
     # p_atm != 0 costs no extra inversion: the gauge-free fields reuse the
     # input and doubled-grid geometries, and the audit sees the same
@@ -246,7 +285,7 @@ def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     field = reconstruct(wave_point, p, n_y=16)
     gauge = p.replace(p_atm=p.p_atm + 101325.0)
     assembled = fields._assemble(
-        wave_point, gauge, field.u, field.v, field.surface_abscissa
+        wave_point, gauge, field.u, field.v, field.surface_abscissa, field.surface_height
     )
     rebuilt = reconstruct(wave_point, gauge, n_y=16)
     for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):

@@ -24,7 +24,13 @@ from flowforce import (
     harmonic_extension,
     hilbert_strip,
 )
-from flowforce.spectral import collocation_size, cosh_ratio, scaled_coth, sinh_ratio
+from flowforce.spectral import (
+    collocation_size,
+    cosh_ratio,
+    eval_many,
+    scaled_coth,
+    sinh_ratio,
+)
 
 DEPTHS = (0.1, 1.0, 10.0)
 
@@ -119,6 +125,35 @@ def test_eval_at_constant_returns_exact_mean():
     f = PeriodicFunction.constant(2.5)
     assert f.eval_at(1.0) == 2.5
     assert np.array_equal(f.eval_at(np.zeros((2, 3))), np.full((2, 3), 2.5))
+
+
+def _series_kinds(n_modes, rng):
+    """Cosine-only, sine-only, general and all-zero series of n_modes modes."""
+    a = rng.standard_normal(n_modes + 1)
+    b = rng.standard_normal(n_modes)
+    zeros = np.zeros(n_modes)
+    return [
+        PeriodicFunction(a, zeros, "even"),
+        PeriodicFunction(np.r_[a[0], zeros], b),
+        PeriodicFunction(a, b),
+        PeriodicFunction.zero(n_modes),
+    ]
+
+
+def test_eval_many_equals_separate_eval_at():
+    # the shared point setup must not change any series' bits, whatever
+    # sits beside it in the call; points within 1e-9 of 0 and +-pi
+    rng = np.random.default_rng(11)
+    near = np.linspace(-1e-9, 1e-9, 21)
+    x = np.concatenate([near, np.pi + near, -np.pi + near, np.linspace(-30.0, 30.0, 601)])
+    groups = [_series_kinds(n, rng) for n in (0, 1, 8, 64)]
+    for series in groups + [[f for group in groups for f in group]]:
+        for points in (x, x[:660].reshape(33, 20), 1e-10):
+            shared = eval_many(series, points)
+            assert len(shared) == len(series)
+            for f, got in zip(series, shared):
+                assert np.array_equal(got, f.eval_at(points))
+                assert np.shape(got) == np.shape(points)
 
 
 def test_analyze_rejects_bad_input():
