@@ -27,12 +27,7 @@ from .dispersion import dispersion_table, kernel_is_simple
 from .errors import (
     ConfigError, FlowForceError, InputFileError, InvalidSamples, KernelNotSimple,
 )
-from .fields import (
-    MIN_VALIDATION_ROWS,
-    reconstruct,
-    surface_curve,
-    validate_solution,
-)
+from .fields import MIN_VALIDATION_ROWS, SurfaceCurve, reconstruct, validate_solution
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, collocation_size, grid_nodes
 from .surface_equation import TrialState
@@ -308,10 +303,11 @@ def _branch_payload(branch):
 
 
 def _profiles_lines(branch):
+    # unchecked: each point passed the residual's admissibility gate when it converged
     rows = []
     x = grid_nodes(collocation_size(branch.n_modes))
     for pt in branch.points:
-        abscissa, height = surface_curve(pt.elevation, branch.params).profile(x)
+        abscissa, height = SurfaceCurve(pt.elevation, branch.params).profile(x)
         rows.extend(
             (pt.amplitude, xi, ai, hi)
             for xi, ai, hi in zip(x, abscissa, height)
@@ -369,9 +365,13 @@ def _load_branch(path):
         ]
     except (KeyError, TypeError, ValueError, InvalidSamples) as exc:
         raise InputFileError(f"{path}: malformed branch record ({exc})") from exc
-    for index, (s, _) in enumerate(points):
-        if not math.isfinite(s):
-            raise InputFileError(f"{path}: point {index}: non-finite amplitude s = {s!r}")
+    if not points:
+        raise InputFileError(f"{path}: branch file holds no points")
+    for index, (s, state) in enumerate(points):
+        named = {"amplitude s": s, "lambda": state.speed_sq, "mu": state.bernoulli_shift}
+        for name, value in named.items():
+            if not math.isfinite(value):
+                raise InputFileError(f"{path}: point {index}: non-finite {name} = {value!r}")
     return params, points
 
 
@@ -405,8 +405,6 @@ def cmd_validate(config, branch_path):
 
 def cmd_reconstruct(config, branch_path, index):
     params, points = _load_branch(branch_path)
-    if not points:
-        raise InputFileError(f"{branch_path}: branch file holds no points")
     try:
         index = range(len(points))[index]
     except IndexError:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import kernel_is_simple, onset_speed_sq, transversality_value
-from .errors import (
-    FlowForceError,
-    InadmissibleIterate,
-    KernelNotSimple,
-    NoConvergence,
-    SingularJacobian,
-)
+from .errors import FlowForceError, KernelNotSimple, NoConvergence, SingularJacobian
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, derivative, grid_nodes
 from .surface_equation import (
@@ -112,9 +106,11 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     floor: once an update moves theta by at most sqrt(eps) * max|theta|,
     quadratic contraction predicts a next step below rounding, so a
     residual that then fails to fall can never reach tol.  Raises
-    SingularJacobian past condition 1e14, InadmissibleIterate when an
-    iterate leaves the physical regime, NoConvergence on such a stall or
-    after max_iter updates.
+    SingularJacobian past condition 1e14, NoConvergence on such a stall
+    or after max_iter updates, and InadmissibleIterate when an iterate
+    leaves the physical regime: the gate sits in the residual, which
+    samples each iterate (the predictor, then each update) once and
+    checks it before anything else is evaluated on it.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     theta, a0 = _unknowns(state, n)
@@ -148,12 +144,6 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
         theta[active] -= step
         small_step = np.max(np.abs(step)) <= _STALL_STEP * np.max(np.abs(theta))
         current = _trial_state(theta, a0)
-        report = check_admissibility(current.elevation, p)
-        if not report.passed:
-            raise InadmissibleIterate(
-                "Newton iterate left the admissible set: "
-                + "; ".join(report.failures)
-            )
     raise NoConvergence(
         f"no convergence at amplitude {s:.6e} after {max_iter} iterations "
         f"(residual {norm:.3e})",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import physical_constants
-from .errors import InadmissibleIterate, SurfaceInversionFailed
+from .errors import SurfaceInversionFailed
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
@@ -35,7 +35,7 @@ from .spectral import (
     sinh_ratio,
 )
 from .surface_equation import AdmissibilityReport, TrialState, check_admissibility, residual
-from .surface_equation import _surface_rows
+from .surface_equation import _admitted, _surface_rows
 
 __all__ = [
     "SurfaceCurve",
@@ -129,20 +129,9 @@ class SurfaceCurve:
         return x
 
 
-def _admissible(elevation, p: PhysicalParams):
-    """The elevation's admissibility report; raises InadmissibleIterate when
-    the surface is not an admissible graph."""
-    report = check_admissibility(elevation, p)
-    if not report.passed:
-        raise InadmissibleIterate(
-            "surface is not an admissible graph: " + "; ".join(report.failures)
-        )
-    return report
-
-
 def surface_curve(elevation, p: PhysicalParams):
     """Admissibility-gated construction of the physical surface curve."""
-    _admissible(elevation, p)
+    _admitted(check_admissibility(elevation, p))
     return SurfaceCurve(elevation, p)
 
 
@@ -403,13 +392,16 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     correction curvature.  An inadmissible surface raises
     InadmissibleIterate; the report keeps the admissibility margins.
 
-    Work per call: one surface inversion, on half the columns of the
-    doubled grid of the fine force balance (_geometry).  The other fields
-    are assembled on the input field's geometry (the map, the inverted
-    abscissa and the heights are free of p_atm and of the speed); the
-    refined harmonicity check takes the doubled-grid potential layer
-    alone, and both force balances share one correction curvature.  Even
-    polynomials at x_s are evaluated on the inverted columns and mirrored.
+    Work per call: one surface-equation residual, evaluated first; its
+    samples of the elevation also decide admissibility, so its gate
+    precedes everything else and its report is the one kept.  Then one
+    surface inversion, on half the columns of the doubled grid of the
+    fine force balance (_geometry).  The other fields are assembled on
+    the input field's geometry (the map, the inverted abscissa and the
+    heights are free of p_atm and of the speed); the refined harmonicity
+    check takes the doubled-grid potential layer alone, and both force
+    balances share one correction curvature.  Even polynomials at x_s
+    are evaluated on the inverted columns and mirrored.
     """
     zeta = field.harmonic_potential
     n_y, n_x = zeta.n_y, zeta.n_x
@@ -419,7 +411,8 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         )
     w = state.elevation
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
-    admissibility = _admissible(w, p)  # gates the doubled-grid geometry
+    diag = {}  # receives the admissibility report of the residual's gate
+    residual_sup = residual(trial, p, diag=diag).sup_norm()
     fine_geometry = _geometry(SurfaceCurve(w, p), 2 * n_y, 2 * n_x)
     scale = max(1.0, abs(field.surface_value))
 
@@ -436,8 +429,6 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
 
     surface_trace = float(np.max(np.abs(field.flow_force.top_row - field.surface_value)))
     bottom_trace = float(np.max(np.abs(field.flow_force.bottom_row)))
-
-    residual_sup = residual(trial, p).sup_norm()
 
     geometry = (field.u, field.v, field.surface_abscissa, field.surface_height)
     gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), *geometry)
@@ -487,7 +478,7 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         force_balance_coarse=balance_coarse,
         force_balance_fine=balance_fine,
         force_balance_order=balance_order,
-        admissibility=admissibility,
+        admissibility=diag["admissibility"],
         failures=tuple(failures),
         passed=not failures,
     )

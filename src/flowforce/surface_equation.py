@@ -19,9 +19,10 @@ D = A*w' + B*(1/k + C(w')) - (p_atm - sigma*T)*metric.
 A and B are the tangential and normal boundary derivative coefficients
 of the conjugated flow-force potential.  One array function,
 _residual_rows, evaluates the whole residual for a stack of states (a
-leading batch axis): residual and galerkin_residual pass one state,
-jacobian_fd passes the perturbed states of its central differences in
-blocks.  Nonlinear algebra happens on the collocation grid of the
+leading batch axis) from their _surface_rows samples: residual passes
+one state, whose samples first decide admissibility (a graph above the
+bed), and jacobian_fd the perturbed states of its central differences
+in blocks.  Nonlinear algebra happens on the collocation grid of the
 spectral module, whose row-wise synthesis and analysis this module
 calls; every transform step truncates back to the working mode count.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import onset_speed_sq
-from .errors import FlowForceError, MeanNotZero, SingularExpression
+from .errors import FlowForceError, InadmissibleIterate, MeanNotZero, SingularExpression
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
@@ -158,18 +159,16 @@ def _surface_rows(cos_coeffs, p: PhysicalParams, m):
     return w, wp, wpp, cwp, cwpp, dnv, wp**2 + dnv**2
 
 
-def _residual_rows(speed_sq, shift, cos_coeffs, p: PhysicalParams, n, diag=None):
+def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
     """Galerkin residual modes r_0..r_n of a stack of B states.
 
-    speed_sq and shift have shape (B,), cos_coeffs (B, N_w + 1) holds
-    the elevation cosines a_0..a_{N_w}; the result has shape (B, n + 1).
-    Every operation is the one the single-state evaluation performs, in
-    the same order, so a row's result does not depend on the rows beside
-    it.  Each guard raises for the first offending row; diag, when
-    given, describes row 0.
+    speed_sq and shift have shape (B,), samples are the _surface_rows
+    arrays of the elevations on collocation_size(n) nodes; the result has
+    shape (B, n + 1).  A row's result does not depend on the rows beside
+    it.  Admissibility is not checked here (residual gates it); each
+    guard raises for the first offending row; diag describes row 0.
     """
-    m = collocation_size(n)
-    w, wp, wpp, cwp, cwpp, dnv, metric = _surface_rows(cos_coeffs, p, m)
+    w, wp, wpp, cwp, cwpp, dnv, metric = samples
     low_metric = _guard(
         metric, _METRIC_FLOOR,
         lambda low: f"metric factor {low:.3e} below floor {_METRIC_FLOOR:.0e}",
@@ -238,17 +237,19 @@ def residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
     """Pointwise residual of the rewritten surface equation (even space).
 
     Vanishes identically on the trivial branch with zero shift and
-    equals -shift/k^2 for any constant shift.
+    equals -shift/k^2 for any constant shift.  The elevation is sampled
+    once; those samples decide admissibility first, so an inadmissible
+    surface raises InadmissibleIterate before any residual guard, and
+    diag, when given, records the report as diag["admissibility"].
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
-    r = _residual_rows(
-        np.array([state.speed_sq]),
-        np.array([state.bernoulli_shift]),
-        state.elevation.cos_coeffs[None, :],
-        p,
-        n,
-        diag,
-    )
+    coeffs = state.elevation.cos_coeffs
+    samples = _surface_rows(coeffs[None, :], p, collocation_size(n))
+    report = _admitted(_admissibility(coeffs, samples, p))
+    if diag is not None:
+        diag["admissibility"] = report
+    speed_sq, shift = np.array([state.speed_sq]), np.array([state.bernoulli_shift])
+    r = _residual_rows(speed_sq, shift, samples, p, n, diag)
     return PeriodicFunction.from_cosines(r[0])
 
 
@@ -298,12 +299,13 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None)
         stack = np.empty((rows.shape[0], n + 1))
         stack[:, 0] = a0
         stack[:, 1:] = rows[:, 2:]
+        samples = _surface_rows(stack, p, collocation_size(n))
         try:
-            r = _residual_rows(rows[:, 0], rows[:, 1], stack, p, n)
+            r = _residual_rows(rows[:, 0], rows[:, 1], samples, p, n)
         except FlowForceError:
             for i in range(rows.shape[0]):
                 one = slice(i, i + 1)
-                _residual_rows(rows[one, 0], rows[one, 1], stack[one], p, n)
+                _residual_rows(rows[one, 0], rows[one, 1], [a[one] for a in samples], p, n)
             raise
         jac[:, start : start + col.size] = (
             (r[0::2] - r[1::2]) / (2.0 * step[:, None])
@@ -323,6 +325,45 @@ class AdmissibilityReport:
     passed: bool
 
 
+def _admissibility(cos_coeffs, samples, p: PhysicalParams):
+    """The AdmissibilityReport of one elevation, cosines a_0..a_N, from its
+    single-row _surface_rows samples; only the abscissa x/k + C(w) of the
+    monotone-graph test is synthesized here."""
+    w_s, _, _, _, _, dnv, metric = samples
+    m = w_s.shape[1]
+    # C(w) is the sine series coth(n d) a_n sin(nx)
+    coth = scaled_coth(np.arange(1, cos_coeffs.size) * p.strip_depth)
+    conj = (coth * cos_coeffs[1:]) @ _trig_matrices(m, cos_coeffs.size - 1)[1]
+    surface_x = grid_nodes(m) / p.k + conj
+    period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
+    monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
+    min_height = float(np.min(w_s) + p.h)
+    min_slope = float(np.min(dnv))
+    min_metric = float(np.min(metric))
+    failures = tuple(
+        failure
+        for ok, failure in (
+            (min_height > 0.0, "surface touches bed"),
+            (min_slope > 0.0, "abscissa slope not positive"),
+            (min_metric > 0.0, "degenerate surface metric"),
+            (monotone, "graph map not monotone"),
+        )
+        if not ok
+    )
+    return AdmissibilityReport(
+        min_height, min_slope, min_metric, monotone, failures, not failures
+    )
+
+
+def _admitted(report):
+    """The toolkit's one admissibility gate: report, or InadmissibleIterate."""
+    if not report.passed:
+        raise InadmissibleIterate(
+            "surface is not an admissible graph: " + "; ".join(report.failures)
+        )
+    return report
+
+
 def check_admissibility(w, p: PhysicalParams):
     """Evaluate the admissibility guards on the collocation grid.
 
@@ -330,31 +371,5 @@ def check_admissibility(w, p: PhysicalParams):
     """
     if w.parity != "even":
         raise ValueError("elevation must live in the even (cosine) space")
-    m = collocation_size(w.n_modes)
-    w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
-    # abscissa x/k + C(w), with C(w) the sine series coth(n d) a_n sin(nx)
-    coth = scaled_coth(np.arange(1, w.n_modes + 1) * p.strip_depth)
-    conj = (coth * w.cos_coeffs[1:]) @ _trig_matrices(m, w.n_modes)[1]
-    surface_x = grid_nodes(m) / p.k + conj
-    period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
-    monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
-    min_height = float(np.min(w_s) + p.h)
-    min_slope = float(np.min(dnv))
-    min_metric = float(np.min(metric))
-    failures = []
-    if not min_height > 0.0:
-        failures.append("surface touches bed")
-    if not min_slope > 0.0:
-        failures.append("abscissa slope not positive")
-    if not min_metric > 0.0:
-        failures.append("degenerate surface metric")
-    if not monotone:
-        failures.append("graph map not monotone")
-    return AdmissibilityReport(
-        min_surface_height=min_height,
-        min_abscissa_slope=min_slope,
-        min_metric=min_metric,
-        monotone_graph=monotone,
-        failures=tuple(failures),
-        passed=not failures,
-    )
+    samples = _surface_rows(w.cos_coeffs[None, :], p, collocation_size(w.n_modes))
+    return _admissibility(w.cos_coeffs, samples, p)

@@ -285,8 +285,15 @@ def _one_point_branch(**record):
         (_one_point_branch(cos_coeffs=[0.0, math.nan]), "malformed branch record"),
         (_one_point_branch(s=math.inf), "point 0: non-finite amplitude s = inf"),
         (_one_point_branch(s=math.nan), "point 0: non-finite amplitude s = nan"),
+        (_one_point_branch(mu=math.inf), "point 0: non-finite mu = inf"),
+        (_one_point_branch(mu=math.nan), "point 0: non-finite mu = nan"),
+        (_one_point_branch(**{"lambda": math.inf}), "point 0: non-finite lambda = inf"),
+        ({**_one_point_branch(), "points": []}, "branch file holds no points"),
     ],
-    ids=["not_an_object", "nan_coefficient", "infinite_s", "nan_s"],
+    ids=[
+        "not_an_object", "nan_coefficient", "infinite_s", "nan_s",
+        "infinite_mu", "nan_mu", "infinite_lambda", "no_points",
+    ],
 )
 def test_malformed_branch_file_rejected(tmp_path, capsys, payload, detail, command):
     branch_file = tmp_path / "branch.json"

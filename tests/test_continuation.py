@@ -163,12 +163,16 @@ def test_singular_expression_yields_partial_branch():
 
 def test_partial_branch_keeps_earlier_points(water):
     # at N = 16 the step to s = 0.07 leaves the admissible set, after six
-    # corrected points
+    # corrected points; the residual's admissibility gate names the guard
     steps = 10
     branch = trace_branch(0.1, steps, water, n_modes=16)
     assert 1 <= len(branch.points) < steps
     assert branch.failure.startswith(f"step {len(branch.points) + 1} ")
     assert all(pt.residual_norm <= 1e-11 for pt in branch.points)
+    assert branch.failure.startswith(
+        "step 7 at amplitude 7.000000e-02: surface is not an admissible graph: "
+    )
+    assert "abscissa slope not positive" in branch.failure
 
 
 def test_newton_stops_on_rounding_floor(water):

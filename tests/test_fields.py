@@ -223,8 +223,9 @@ def _count_calls(monkeypatch, owner, name):
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     # the caller's reconstruction inverts the base grid; validation inverts
     # only the doubled grid and assembles every other field on a geometry
-    # it already has, without calling reconstruct; the admissibility check
-    # that gates the doubled-grid geometry also gives the report's verdict
+    # it already has, without calling reconstruct; its verdict on
+    # admissibility comes from the residual it evaluates, so the only
+    # check_admissibility call is the reconstruction's surface_curve
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
     checks = _count_calls(monkeypatch, fields, "check_admissibility")
@@ -234,7 +235,7 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     assert report.admissibility.passed
     assert len(inverts) == 2
     assert len(rebuilds) == 1
-    assert len(checks) == 2
+    assert len(checks) == 1
 
 
 def test_validated_point_evaluates_elevation_once_per_grid(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from flowforce import (
+    InadmissibleIterate,
     PeriodicFunction,
     PhysicalParams,
     SingularExpression,
@@ -25,6 +26,8 @@ from flowforce import (
     onset_speed_sq,
     residual,
 )
+from flowforce import continuation, fields, surface_equation
+from flowforce.continuation import trace_branch
 from flowforce.surface_equation import _BLOCK_SAMPLES
 
 
@@ -206,6 +209,55 @@ def test_admissibility_matches_spectral_operators(water):
     assert report.min_metric == float(np.min(metric))
     assert report.monotone_graph
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "amplitude, failure",
+    [(0.15, "surface touches bed"), (0.09, "abscissa slope not positive")],
+    ids=["bed_contact", "non_graph"],
+)
+def test_residual_gates_admissibility(water, amplitude, failure):
+    # the surface equation is posed for graphs above the bed: the residual
+    # refuses any other surface before its own guards run
+    w = PeriodicFunction.harmonic(1, amplitude, n_modes=4, kind="cos")
+    state = TrialState(onset_speed_sq(1, water.k, water), 0.0, w)
+    with pytest.raises(InadmissibleIterate, match="not an admissible graph: ") as info:
+        residual(state, water)
+    assert failure in str(info.value)
+
+
+def test_residual_records_admissibility_report(water):
+    a = np.array([0.0, 3e-3, -8e-4, 2e-4, 5e-5, -1e-5])
+    w = PeriodicFunction.from_cosines(a)
+    diag = {}
+    residual(TrialState(onset_speed_sq(1, water.k, water), 0.0, w), water, diag=diag)
+    assert diag["admissibility"] == check_admissibility(w, water)
+
+
+def test_traced_branch_samples_each_residual_state_once(water, monkeypatch):
+    # Newton's iterates are gated by the residual that samples them anyway:
+    # no separate admissibility check, and one single-state sampling per
+    # residual evaluation (the Jacobian samples stacks of perturbed states)
+    calls = []
+
+    def count(module, name, label):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(f"rows{len(args[0])}" if label == "rows" else label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(surface_equation, "_surface_rows", "rows")
+    count(surface_equation, "residual", "residual")
+    for module in (surface_equation, continuation, fields):
+        count(module, "check_admissibility", "check")
+    branch = trace_branch(4e-3, 4, water, n_modes=16)
+    assert branch.failure is None
+    assert calls.count("residual") > len(branch.points)
+    assert calls.count("check") == 0
+    assert calls.count("rows1") == calls.count("residual")
 
 
 def test_jacobian_active_subset(water):
