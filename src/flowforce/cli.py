@@ -5,7 +5,8 @@ The config file is a sectioned key-value (INI) file; every section and
 key is validated against the key table below and unknown entries are
 rejected with their line number.  All numeric output is serialized with
 full round-trip precision and no timestamps, so identical configs give
-byte-identical artifacts.
+byte-identical artifacts.  A CSV number is the repr of its float64, run
+once per distinct bit pattern of its column and gathered back per cell.
 
 Exit codes: 0 success, 2 validation failure (including a non-simple
 kernel), 3 convergence failure (partial branch written), 4 config or
@@ -231,18 +232,24 @@ def _write_json(path, payload):
     _write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(value):
-    if type(value) is float:
-        return repr(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    return repr(float(value))
+def _column_text(column):
+    """Cell texts of a 1-D column: true/false for bools, else the repr of each
+    float64, run once per distinct int64 view (bits, so -0.0 keeps its sign)
+    and gathered back through np.unique's inverse."""
+    column = np.asarray(column)
+    if column.dtype == bool:
+        return np.where(column, "true", "false").tolist()
+    bits = np.asarray(column, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
-def _csv_lines(header, rows):
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_lines(header, columns):
+    """A header line and one line per row of equal-length 1-D columns; cell
+    texts come from _column_text, one repr per distinct bit pattern."""
+    rows = map(",".join, zip(*map(_column_text, columns)))
+    return "\n".join([header, *rows, ""])
 
 
 def _out_path(config, name):
@@ -261,9 +268,9 @@ def cmd_dispersion(config):
     rows = dispersion_table(
         k_grid, config.physical, n_max=config.scan_limit, tol=config.scan_tol
     )
-    table = [astuple(r) for r in rows]
+    columns = zip(*map(astuple, rows))
     _write_text(
-        _out_path(config, "dispersion.csv"), _csv_lines(_DISPERSION_HEADER, table)
+        _out_path(config, "dispersion.csv"), _csv_lines(_DISPERSION_HEADER, columns)
     )
     return 0
 
@@ -304,15 +311,12 @@ def _branch_payload(branch):
 
 def _profiles_lines(branch):
     # unchecked: each point passed the residual's admissibility gate when it converged
-    rows = []
     x = grid_nodes(collocation_size(branch.n_modes))
-    for pt in branch.points:
-        abscissa, height = SurfaceCurve(pt.elevation, branch.params).profile(x)
-        rows.extend(
-            (pt.amplitude, xi, ai, hi)
-            for xi, ai, hi in zip(x, abscissa, height)
-        )
-    return _csv_lines("s [m],x [rad],X [m],Y [m]", rows)
+    s = [pt.amplitude for pt in branch.points]
+    curves = [SurfaceCurve(pt.elevation, branch.params).profile(x) for pt in branch.points]
+    abscissa, height = np.reshape(curves, (-1, 2, x.size)).transpose(1, 0, 2)
+    columns = (np.repeat(s, x.size), np.tile(x, len(s)), abscissa.ravel(), height.ravel())
+    return _csv_lines("s [m],x [rad],X [m],Y [m]", columns)
 
 
 def cmd_branch(config):
@@ -417,23 +421,12 @@ def cmd_reconstruct(config, branch_path, index):
     except FlowForceError as exc:
         raise _point_error(branch_path, index, s, exc) from exc
     n_x, n_rows = field.u.n_x, field.u.n_y + 1
-    # one row per grid node, x fastest; tolist() hands _csv_lines Python
-    # floats, whose repr is the same as that of the numpy scalars
-    rows = np.column_stack(
-        [
-            np.tile(field.u.x_nodes, n_rows),
-            np.repeat(field.u.y_nodes, n_x),
-            field.u.values.ravel(),
-            field.v.values.ravel(),
-            field.harmonic_potential.values.ravel(),
-            field.raw_force.values.ravel(),
-            field.flow_force.values.ravel(),
-        ]
-    ).tolist()
-    header = (
-        "x [rad],y [-],X [m],Y [m],zeta [m^3/s^2],xi [m^3/s^2],S [m^3/s^2]"
-    )
-    _write_text(_out_path(config, "field.csv"), _csv_lines(header, rows))
+    # one row per grid node, x fastest, from the bed up
+    grids = (field.u, field.v, field.harmonic_potential, field.raw_force, field.flow_force)
+    columns = [np.tile(field.u.x_nodes, n_rows), np.repeat(field.u.y_nodes, n_x)]
+    columns += [grid.values.ravel() for grid in grids]
+    header = "x [rad],y [-],X [m],Y [m],zeta [m^3/s^2],xi [m^3/s^2],S [m^3/s^2]"
+    _write_text(_out_path(config, "field.csv"), _csv_lines(header, columns))
     summary = {
         "schema": "flowforce/field-v1",
         "s": s,

@@ -21,6 +21,8 @@ from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
     StripGridField,
+    _eval_points,
+    _eval_sums,
     _spectrum,
     _trig_matrices,
     analyze,
@@ -64,11 +66,8 @@ class SurfaceCurve:
     params: PhysicalParams
 
     def __post_init__(self):
-        d = self.params.strip_depth
-        conj = hilbert_strip(self.elevation, d)
-        slope_conj = hilbert_strip(derivative(self.elevation), d)
+        conj = hilbert_strip(self.elevation, self.params.strip_depth)
         object.__setattr__(self, "_conjugate", conj)
-        object.__setattr__(self, "_slope_conjugate", slope_conj)
 
     def abscissa(self, x):
         x = np.asarray(x, dtype=float)
@@ -83,22 +82,24 @@ class SurfaceCurve:
     def invert(self, targets, x0=None):
         """Solve abscissa(x) = target elementwise (monotone Newton).
 
-        Each Newton step evaluates the conjugate and the slope conjugate
-        C(w') in one shared pass (eval_many).  At most 60 Newton steps,
-        then bisection on the entries left above 1e-13 * max(1, |targets|);
-        raises SurfaceInversionFailed if both passes miss that tolerance.
+        Each Newton pass evaluates the conjugate at the iterate; the slope
+        conjugate C(w') is summed on the same point setup (_eval_points)
+        only when a step follows.  At most 60 Newton steps, then bisection
+        on the entries left above 1e-13 * max(1, |targets|); raises
+        SurfaceInversionFailed if both passes miss that tolerance.
         """
         t = np.asarray(targets, dtype=float)
         k = self.params.k
         x = k * t if x0 is None else np.array(x0, dtype=float)
         tol = 1e-13
         scale = max(1.0, float(np.max(np.abs(t))))
+        slope_conj = hilbert_strip(derivative(self.elevation), self.params.strip_depth)
         for _ in range(60):
-            conj, slope_conj = eval_many((self._conjugate, self._slope_conjugate), x)
-            f = x / k + conj - t
+            points = _eval_points(x)
+            f = x / k + _eval_sums(self._conjugate, points, x.shape) - t
             if float(np.max(np.abs(f))) <= tol * scale:
                 return x
-            step = f / (1.0 / k + slope_conj)
+            step = f / (1.0 / k + _eval_sums(slope_conj, points, x.shape))
             np.clip(step, -np.pi, np.pi, out=step)
             x = x - step
         bad = (np.abs(self.abscissa(x) - t) > tol * scale).reshape(-1)

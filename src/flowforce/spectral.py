@@ -287,46 +287,52 @@ class PeriodicFunction:
         return self + (-other if isinstance(other, PeriodicFunction) else -float(other))
 
 
+def _eval_points(x):
+    """The point setup that every series summed at x shares (see eval_many):
+    per nonempty half of the circle, its selector, whether it is summed as
+    y = x - pi, and its lam = -4 sin^2(y/2) and sin(y)."""
+    half = 0.5 * x.reshape(-1)
+    s, c = np.sin(half), np.cos(half)
+    near_pi = np.abs(s) > np.abs(c)
+    lam = -4.0 * np.where(near_pi, c, s) ** 2
+    sin_y = 2.0 * np.where(near_pi, -s, s) * c
+    return [
+        (sel, flipped, lam[sel], sin_y[sel])
+        for sel, flipped in ((~near_pi, False), (near_pi, True))
+        if np.any(sel)
+    ]
+
+
+def _eval_sums(f, points, shape):
+    """Values of f at the points of _eval_points, in the points' shape."""
+    out = np.full(shape, f.cos_coeffs[0])
+    flat = out.reshape(-1)
+    for coeffs, is_sin in ((f.cos_coeffs[1:], False), (f.sin_coeffs, True)):
+        if not np.any(coeffs):
+            continue
+        flipped_coeffs = coeffs.copy()
+        flipped_coeffs[::2] *= -1.0
+        for sel, flipped, lam, sin_y in points:
+            c_1, d_1 = _reinsch_recurrence(lam, flipped_coeffs if flipped else coeffs)
+            flat[sel] += c_1 * sin_y if is_sin else 0.5 * lam * c_1 + d_1
+    return out[()]
+
+
 def eval_many(functions, x):
     """Values of several series at the same points (a scalar x gives scalars).
 
     Clenshaw's recurrence in Reinsch's stable form (_reinsch_recurrence),
     cost O(points * N) per series with a few point-sized work arrays and
-    no (points x N) temporary.  The point setup (the half angle, the
-    near-pi split, lam, sin(y) and their gathers) is shared; each series
-    runs its own sums, so its values are those of its own eval_at bit for
-    bit.  An all-zero cosine or sine block is skipped, so even parity never
-    runs the sine series.  Points with cos(x) < 0 are summed as x = y + pi,
-    which flips the sign of the odd modes: lam = -4 cos^2(x/2) and
-    sin(y) = -sin(x).
+    no (points x N) temporary.  The point setup (_eval_points) is shared;
+    each series runs its own sums (_eval_sums), so its values are those
+    of its own eval_at bit for bit.  An all-zero cosine or sine block is
+    skipped, so even parity never runs the sine series.  Points with
+    cos(x) < 0 are summed as x = y + pi, which flips the sign of the odd
+    modes: lam = -4 cos^2(x/2) and sin(y) = -sin(x).
     """
     x = np.asarray(x, dtype=float)
-    outs = [np.full(x.shape, f.cos_coeffs[0]) for f in functions]
-    sums = [  # (flat output, coefficients, sine sum?) of each nonzero block
-        (out.reshape(-1), coeffs, is_sin)
-        for f, out in zip(functions, outs)
-        for coeffs, is_sin in ((f.cos_coeffs[1:], False), (f.sin_coeffs, True))
-        if np.any(coeffs)
-    ]
-    if sums:
-        half = 0.5 * x.reshape(-1)
-        s, c = np.sin(half), np.cos(half)
-        near_pi = np.abs(s) > np.abs(c)
-        lam = -4.0 * np.where(near_pi, c, s) ** 2
-        has_sin = any(is_sin for _, _, is_sin in sums)
-        sin_y = 2.0 * np.where(near_pi, -s, s) * c if has_sin else None
-        flip = np.ones(max(coeffs.size for _, coeffs, _ in sums))
-        flip[::2] = -1.0
-        for sel, flipped in ((~near_pi, False), (near_pi, True)):
-            if not np.any(sel):
-                continue
-            lam_sel = lam[sel]
-            sin_sel = sin_y[sel] if has_sin else None
-            for flat, coeffs, is_sin in sums:
-                signed = flip[: coeffs.size] * coeffs if flipped else coeffs
-                c_1, d_1 = _reinsch_recurrence(lam_sel, signed)
-                flat[sel] += c_1 * sin_sel if is_sin else 0.5 * lam_sel * c_1 + d_1
-    return [out[()] for out in outs]
+    points = _eval_points(x)
+    return [_eval_sums(f, points, x.shape) for f in functions]
 
 
 def analyze(samples):

@@ -13,8 +13,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flowforce import PhysicalParams, dispersion_table, onset_speed_sq
-from flowforce.cli import _KEYS, RunConfig, load_config, main
+from flowforce import PhysicalParams, dispersion_table, onset_speed_sq, reconstruct
+from flowforce.cli import _KEYS, RunConfig, _csv_lines, load_config, main
+from flowforce.spectral import PeriodicFunction
+from flowforce.surface_equation import TrialState
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -181,6 +183,36 @@ def test_branch_profiles_have_one_crest(tmp_path):
         assert int(np.sum((~up) & (~down))) == 1
 
 
+def _per_value_csv(header, columns):
+    """The CSV writer's output as one repr per cell, bools as true/false."""
+    def text(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return repr(float(v))
+
+    rows = [",".join(text(v) for v in row) for row in zip(*columns)]
+    return "\n".join([header] + rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]],
+        [[math.nan, math.inf, -math.inf, 5e-324], [-5e-324, math.nan, 1.0, math.inf]],
+        [[1e16, 1e-5, 9999999999999998.0, 9.999999999999999e-06],
+         [1e-5, 1e16, 1e-5, -1e16]],
+        [[True, False, False, True], np.array([0.5, 0.5, 0.1 + 0.2, 0.3])],
+        [np.array([], dtype=float), np.array([], dtype=bool)],
+    ],
+    ids=["signed_zero", "non_finite_and_subnormal", "exponent_switch", "bool", "no_rows"],
+)
+def test_csv_writer_matches_per_value_repr(columns):
+    # the writer formats each distinct bit pattern once; the text must be
+    # that of repr on every cell, -0.0 and nan included.  No rows give the
+    # header line alone, as a branch that fails at step 1 writes it
+    assert _csv_lines("a,b", columns) == _per_value_csv("a,b", columns)
+
+
 def test_branch_outputs_are_byte_deterministic(tmp_path):
     cfg = _write(
         tmp_path / "c.ini",
@@ -188,11 +220,48 @@ def test_branch_outputs_are_byte_deterministic(tmp_path):
     )
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):
-        assert main(["--config", cfg, "--out", str(d), "branch"]) == 0
-        assert main(["--config", cfg, "--out", str(d), "dispersion"]) == 0
-        assert main(["--config", cfg, "--out", str(d), "kernel-check"]) == 0
-    for name in ("branch.json", "profiles.csv", "dispersion.csv", "kernel_check.json"):
+        for command in ("branch", "dispersion", "kernel-check"):
+            assert main(["--config", cfg, "--out", str(d), command]) == 0
+        for command in ("validate", "reconstruct"):
+            assert main(
+                ["--config", cfg, "--out", str(d), command, str(d / "branch.json")]
+            ) == 0
+    names = (
+        "branch.json", "profiles.csv", "dispersion.csv", "kernel_check.json",
+        "validation.json", "field.csv", "field.json",
+    )
+    for name in names:
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
+
+
+def test_default_field_csv_is_per_cell_repr(tmp_path):
+    # golden check of the writer on the default config: field.csv is the
+    # repr of every cell of the reconstructed arrays, row-major from the bed
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "branch"]) == 0
+    assert main(["--out", str(out), "reconstruct", str(out / "branch.json")]) == 0
+    payload = json.loads((out / "branch.json").read_text())
+    rec = payload["points"][-1]
+    state = TrialState(
+        rec["lambda"], rec["mu"], PeriodicFunction.from_cosines(rec["cos_coeffs"])
+    )
+    field = reconstruct(
+        state, PhysicalParams(**payload["params"]), n_y=load_config().vertical_points
+    )
+    grids = [
+        g.values.tolist()
+        for g in (field.u, field.v, field.harmonic_potential,
+                  field.raw_force, field.flow_force)
+    ]
+    lines = (out / "field.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "x [rad],y [-],X [m],Y [m],zeta [m^3/s^2],xi [m^3/s^2],S [m^3/s^2]"
+    assert lines[-1] == ""
+    expected = [
+        ",".join(repr(v) for v in [x, y] + [grid[j][i] for grid in grids])
+        for j, y in enumerate(field.u.y_nodes.tolist())
+        for i, x in enumerate(field.u.x_nodes.tolist())
+    ]
+    assert lines[1:-1] == expected
 
 
 def test_validate_traced_branch(tmp_path):

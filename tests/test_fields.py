@@ -238,6 +238,24 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     assert len(checks) == 1
 
 
+def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch):
+    # each Newton pass sums the conjugate on one point setup; the slope
+    # conjugate only when a step follows, so not on the converged pass.
+    # A curve that never inverts (the profile writer's) never builds it
+    transforms = _count_calls(monkeypatch, fields, "hilbert_strip")
+    curve = SurfaceCurve(wave_point.elevation, water)
+    curve.profile(grid_nodes(16))
+    assert len(transforms) == 1
+    passes = _count_calls(monkeypatch, fields, "_eval_points")
+    sums = _count_calls(monkeypatch, fields, "_eval_sums")
+    x = np.linspace(-1.0, 7.0, 41)
+    x_s = curve.invert(curve.abscissa(x), x0=x + 0.1)
+    assert np.max(np.abs(x_s - x)) < 1e-12
+    assert len(transforms) == 2
+    assert len(passes) >= 2
+    assert len(sums) == 2 * len(passes) - 1
+
+
 def test_validated_point_evaluates_elevation_once_per_grid(
     water, wave_point, monkeypatch
 ):
