@@ -8,6 +8,11 @@ that interpolates the capillary and atmospheric boundary strength
 linearly in physical height.  The sum is constant along the free
 surface, vanishes on the bed, and satisfies a vertical force balance
 whose defect the validator measures by grid refinement.
+
+The correction layer is pulled back at the surface parameters x_s, which
+lie close to the grid nodes: series are evaluated there by their Taylor
+expansions about the nodes where a remainder bound makes them exact to
+rounding (_even_at), and the inversion starts from the expansion's root.
 """
 
 import math
@@ -23,7 +28,9 @@ from .spectral import (
     StripGridField,
     _eval_points,
     _eval_sums,
+    _node_taylor,
     _spectrum,
+    _taylor_fits,
     _trig_matrices,
     analyze,
     collocation_size,
@@ -83,22 +90,25 @@ class SurfaceCurve:
         """Solve abscissa(x) = target elementwise (monotone Newton).
 
         Each Newton pass evaluates the conjugate at the iterate; the slope
-        conjugate C(w') is summed on the same point setup (_eval_points)
-        only when a step follows.  At most 60 Newton steps, then bisection
-        on the entries left above 1e-13 * max(1, |targets|); raises
-        SurfaceInversionFailed if both passes miss that tolerance.
+        conjugate C(w') is built before the first step and summed on the
+        same point setup (_eval_points) only when a step follows.  At most
+        60 Newton steps, then bisection on the entries left above
+        1e-13 * max(1, |targets|); raises SurfaceInversionFailed if both
+        passes miss that tolerance.
         """
         t = np.asarray(targets, dtype=float)
         k = self.params.k
         x = k * t if x0 is None else np.array(x0, dtype=float)
         tol = 1e-13
         scale = max(1.0, float(np.max(np.abs(t))))
-        slope_conj = hilbert_strip(derivative(self.elevation), self.params.strip_depth)
+        slope_conj = None
         for _ in range(60):
             points = _eval_points(x)
             f = x / k + _eval_sums(self._conjugate, points, x.shape) - t
             if float(np.max(np.abs(f))) <= tol * scale:
                 return x
+            if slope_conj is None:
+                slope_conj = hilbert_strip(derivative(self.elevation), self.params.strip_depth)
             step = f / (1.0 / k + _eval_sums(slope_conj, points, x.shape))
             np.clip(step, -np.pi, np.pi, out=step)
             x = x - step
@@ -197,9 +207,47 @@ def _unfold(half, n_x, odd=False):
     return np.concatenate((half, 2.0 * np.pi - tail if odd else tail), axis=1)
 
 
+def _horner(coeffs, d):
+    """sum_q coeffs[q] d^q, coeffs (M + 1, columns) against d (rows, columns)."""
+    out = coeffs[-1] * d
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= d
+    out += coeffs[0]
+    return out
+
+
 def _even_at(f, x_s):
-    """An even polynomial at x_s, evaluated on columns 0..n_x//2 and unfolded."""
-    return _unfold(f.eval_at(x_s[:, : x_s.shape[1] // 2 + 1]), x_s.shape[1])
+    """An even polynomial at x_s, evaluated on columns 0..n_x//2 and unfolded.
+
+    Column j is summed as f's Taylor expansion about its node x_j
+    (_node_taylor) in d = x_s - x_j, when the remainder bound holds at
+    max |d| (_taylor_fits); otherwise by f.eval_at.
+    """
+    n_x = x_s.shape[1]
+    half = n_x // 2 + 1
+    d = x_s[:, :half] - grid_nodes(n_x)[:half]
+    if _taylor_fits(f, float(np.max(np.abs(d)))):
+        return _unfold(_horner(_node_taylor(f, n_x), d), n_x)
+    return _unfold(f.eval_at(x_s[:, :half]), n_x)
+
+
+def _inversion_start(curve, targets, n_x):
+    """Start for inverting X = x/k + C(w) at targets on columns 0..n_x//2:
+    the root of X's Taylor polynomial about each node, from a linear guess
+    and two Newton steps on the polynomial, when C's remainder bound holds
+    at the reach of the guess; otherwise the nodes."""
+    nodes = grid_nodes(n_x)[: n_x // 2 + 1]
+    coeffs = _node_taylor(curve._conjugate, n_x)
+    coeffs[0] += nodes / curve.params.k
+    coeffs[1] += 1.0 / curve.params.k
+    d = (targets - coeffs[0]) / coeffs[1]
+    if not _taylor_fits(curve._conjugate, float(np.max(np.abs(d)))):
+        return np.broadcast_to(nodes, targets.shape)
+    slope = coeffs[1:] * np.arange(1, coeffs.shape[0])[:, None]
+    for _ in range(2):
+        d -= (_horner(coeffs, d) - targets) / _horner(slope, d)
+    return nodes + d
 
 
 def _geometry(curve, n_y, n_x):
@@ -208,11 +256,14 @@ def _geometry(curve, n_y, n_x):
 
     The elevation is even, so X(x) = x/k + C(w)(x) is odd about x = pi, as
     is u: columns 0..n_x//2 are inverted, x_s[:, n_x - j] = 2 pi - x_s[:, j].
+    The inversion starts from the root of X's node expansion, so where
+    that is exact to rounding, invert's first direct summation of C(w) is
+    its convergence check and no Newton step is taken.
     """
     u, v = conformal_map(curve.elevation, curve.params, n_y, n_x)
-    half = u.n_x // 2 + 1
-    x0 = np.broadcast_to(u.x_nodes[:half], (u.n_y + 1, half))
-    x_s = _unfold(curve.invert(u.values[:, :half], x0=x0), u.n_x, odd=True)
+    targets = u.values[:, : u.n_x // 2 + 1]
+    x0 = _inversion_start(curve, targets, u.n_x)
+    x_s = _unfold(curve.invert(targets, x0=x0), u.n_x, odd=True)
     heights = curve.params.h + _even_at(curve.elevation, x_s)
     x_s.flags.writeable = heights.flags.writeable = False
     return u, v, x_s, heights
@@ -402,7 +453,9 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     heights are free of p_atm and of the speed); the refined harmonicity
     check takes the doubled-grid potential layer alone, and both force
     balances share one correction curvature.  Even polynomials at x_s
-    are evaluated on the inverted columns and mirrored.
+    are evaluated on the inverted columns and mirrored, by their node
+    expansions where the remainder bound holds (_even_at); the inversion
+    starts from the root of X's expansion and takes one summation pass.
     """
     zeta = field.harmonic_potential
     n_y, n_x = zeta.n_y, zeta.n_x

@@ -12,6 +12,7 @@ ratios are evaluated in exponentially scaled form so large n*d never
 overflows.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _PARITY_TOL = 1e-12
+_TAYLOR_DEGREE = 8  # degree M of the node expansions (_node_taylor)
 
 
 def collocation_size(n_modes):
@@ -70,6 +72,42 @@ def _synthesize(coeffs, mat):
     gemm would not give that.
     """
     return (coeffs[:, None, :] @ mat)[:, 0]
+
+
+def _node_taylor(f, m):
+    """Taylor coefficients f^(q)(x_j)/q!, q = 0..M, of f about the nodes
+    x_j = 2 pi j / m, j = 0..m//2, shape (M + 1, m//2 + 1).
+
+    Differentiating maps (a_n, b_n) to (n b_n, -n a_n); the M + 1 rows of
+    scaled derivative coefficients take one _synthesize product against
+    the cosine and sine tables of the grid.
+    """
+    half = m // 2 + 1
+    out = np.zeros((_TAYLOR_DEGREE + 1, half))
+    out[0] = f.cos_coeffs[0]
+    n = f.n_modes
+    if n:
+        modes = np.arange(1, n + 1)
+        rows = np.empty((_TAYLOR_DEGREE + 1, 2 * n))
+        a, b = f.cos_coeffs[1:], f.sin_coeffs
+        for q in range(_TAYLOR_DEGREE + 1):
+            rows[q, :n], rows[q, n:] = a, b
+            a, b = modes * b / (q + 1), -modes * a / (q + 1)
+        cos_mat, sin_mat = _trig_matrices(m, n)
+        out += _synthesize(rows, np.concatenate((cos_mat[:, :half], sin_mat[:, :half])))
+    return out
+
+
+def _taylor_fits(f, reach):
+    """Whether the node expansions of f are exact to rounding within reach
+    of their nodes: the Lagrange remainder, at most
+    sum_n n^(M+1) (|a_n| + |b_n|) reach^(M+1) / (M+1)!, is at most
+    2^-53 (|a_0| + sum_n (|a_n| + |b_n|))."""
+    size = np.abs(f.cos_coeffs[1:]) + np.abs(f.sin_coeffs)
+    modes = np.arange(1, f.n_modes + 1, dtype=float)
+    top = float(np.sum(modes ** (_TAYLOR_DEGREE + 1) * size))
+    remainder = top * reach ** (_TAYLOR_DEGREE + 1) / math.factorial(_TAYLOR_DEGREE + 1)
+    return remainder <= 2.0**-53 * (abs(f.cos_coeffs[0]) + float(np.sum(size)))
 
 
 def _spectrum(values):
@@ -453,7 +491,8 @@ def harmonic_extension(f, d, n_y, n_x=None):
     """Harmonic extension into the strip, zero on the bottom, f on top.
 
     Per mode: sinh(n(y+d))/sinh(nd); the mean extends linearly in y.
-    The vertical grid has n_y uniform intervals (n_y + 1 rows).
+    The vertical grid has n_y uniform intervals (n_y + 1 rows).  An
+    all-zero sine block (even data) is skipped, as in eval_many.
     """
     dv = _depth_value(d)
     n_x, frac, y = _extension_grids(f, dv, n_y, n_x)
@@ -463,7 +502,8 @@ def harmonic_extension(f, d, n_y, n_x=None):
         ratio = sinh_ratio(modes, y, dv)
         cos_mat, sin_mat = _trig_matrices(n_x, f.n_modes)
         vals = vals + (ratio * f.cos_coeffs[1:]) @ cos_mat
-        vals = vals + (ratio * f.sin_coeffs) @ sin_mat
+        if np.any(f.sin_coeffs):
+            vals = vals + (ratio * f.sin_coeffs) @ sin_mat
     return StripGridField(vals, dv)
 
 
@@ -475,7 +515,7 @@ def conjugate_extension(f, d, n_y, n_x=None):
     [cosh(n(y+d))/sinh(nd)] sin nx and b_n sin nx -> -b_n [...] cos nx,
     so the top trace of zero-mean data is hilbert_strip(f).  The mean
     mode's conjugate is the non-periodic linear part mean/d * x, which
-    the caller adds where needed.
+    the caller adds where needed.  An all-zero sine block is skipped.
     """
     dv = _depth_value(d)
     n_x, _, y = _extension_grids(f, dv, n_y, n_x)
@@ -485,5 +525,6 @@ def conjugate_extension(f, d, n_y, n_x=None):
         ratio = cosh_ratio(modes, y, dv)
         cos_mat, sin_mat = _trig_matrices(n_x, f.n_modes)
         vals = (ratio * f.cos_coeffs[1:]) @ sin_mat
-        vals = vals - (ratio * f.sin_coeffs) @ cos_mat
+        if np.any(f.sin_coeffs):
+            vals = vals - (ratio * f.sin_coeffs) @ cos_mat
     return StripGridField(vals, dv)

@@ -29,6 +29,7 @@ from flowforce import (
     trace_branch,
     validate_solution,
 )
+from flowforce.spectral import _TAYLOR_DEGREE
 
 
 @pytest.fixture(scope="module")
@@ -260,22 +261,92 @@ def test_validated_point_evaluates_elevation_once_per_grid(
     water, wave_point, monkeypatch
 ):
     # depth + w(x_s) is free of p_atm and of the speed: each grid's geometry
-    # evaluates it once, on the inverted half of its columns, and every
-    # field assembled on that geometry reads it
+    # synthesizes w's node expansion once, for the inverted half of its
+    # columns, and every field assembled on that geometry reads it
     w = wave_point.elevation
     shapes = []
-    original = PeriodicFunction.eval_at
+    original = fields._node_taylor
 
-    def counted(f, x):
+    def counted(f, m):
+        coeffs = original(f, m)
         if np.array_equal(f.cos_coeffs, w.cos_coeffs):
-            shapes.append(np.shape(x))
-        return original(f, x)
+            shapes.append(coeffs.shape)
+        return coeffs
 
-    monkeypatch.setattr(PeriodicFunction, "eval_at", counted)
+    monkeypatch.setattr(fields, "_node_taylor", counted)
+    evaluations = _count_calls(monkeypatch, PeriodicFunction, "eval_at")
     field = reconstruct(wave_point, water, n_y=16)
     validate_solution(field, wave_point, water)
     n_x = field.u.n_x
-    assert shapes == [(17, n_x // 2 + 1), (33, n_x + 1)]
+    rows = _TAYLOR_DEGREE + 1
+    assert shapes == [(rows, n_x // 2 + 1), (rows, n_x + 1)]
+    assert evaluations == []
+
+
+def _half_values(f, x_s):
+    """f.eval_at on columns 0..n_x//2 of x_s, unfolded: the summation path."""
+    return fields._unfold(f.eval_at(x_s[:, : x_s.shape[1] // 2 + 1]), x_s.shape[1])
+
+
+def _node_reach(x_s):
+    """max |x_s - x_j| over columns 0..n_x//2, x_j the column's node."""
+    half = x_s.shape[1] // 2 + 1
+    return float(np.max(np.abs(x_s[:, :half] - grid_nodes(x_s.shape[1])[:half])))
+
+
+def _audited_series(w, p):
+    """The even series the audit evaluates at x_s: the elevation, the
+    correction strength at p_atm = 0 and 101325, and the curvature."""
+    strengths = [
+        fields._correction_strength(w, p.replace(p_atm=p_atm))[0]
+        for p_atm in (0.0, 101325.0)
+    ]
+    return [w, *strengths, fields._correction_curvature(w, p)]
+
+
+def test_node_expansion_agrees_with_summation(water, wave_point):
+    # on both grids of the fixture wave, the expansion path is taken and
+    # agrees with eval_at to 4 ulps of the coefficient sum
+    w = wave_point.elevation
+    curve = SurfaceCurve(w, water)
+    for n_y, n_x in ((16, None), (32, 2 * fields.collocation_size(w.n_modes))):
+        x_s = fields._geometry(curve, n_y, n_x)[2]
+        reach = _node_reach(x_s)
+        for f in _audited_series(w, water):
+            assert fields._taylor_fits(f, reach)
+            scale = abs(f.cos_coeffs[0]) + float(np.sum(np.abs(f.cos_coeffs[1:])))
+            err = np.max(np.abs(fields._even_at(f, x_s) - _half_values(f, x_s)))
+            assert err <= 4.0 * 2.0**-52 * scale
+
+
+def test_node_expansion_falls_back_to_summation(water, wave_point):
+    # where the remainder bound fails, _even_at is eval_at bit for bit:
+    # offsets of 0.5 rad from the nodes, and the correction strength at
+    # p_atm = 0 and the curvature of an N = 128 wave at ks = 0.04 on its
+    # own geometry
+    w = wave_point.elevation
+    x_s = grid_nodes(64) + np.array([[0.5], [-0.5]])
+    assert not fields._taylor_fits(w, 0.5)
+    assert np.array_equal(fields._even_at(w, x_s), _half_values(w, x_s))
+    steep = trace_branch(4e-3, 1, water, n_modes=128).points[-1].elevation
+    x_s = fields._geometry(SurfaceCurve(steep, water), 16, None)[2]
+    reach = _node_reach(x_s)
+    _, tension, _, curvature = _audited_series(steep, water)
+    for f in (tension, curvature):
+        assert not fields._taylor_fits(f, reach)
+        assert np.array_equal(fields._even_at(f, x_s), _half_values(f, x_s))
+
+
+def test_geometry_inverts_in_one_summation_pass(water, wave_point, monkeypatch):
+    # the inversion starts from the root of X's node expansion, so invert's
+    # first direct summation is its convergence check and no step is taken
+    curve = SurfaceCurve(wave_point.elevation, water)
+    passes = _count_calls(monkeypatch, fields, "_eval_points")
+    transforms = _count_calls(monkeypatch, fields, "hilbert_strip")
+    for n_y in (16, 64):
+        fields._geometry(curve, n_y, None)
+    assert len(passes) == 2
+    assert transforms == []
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):

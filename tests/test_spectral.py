@@ -25,6 +25,9 @@ from flowforce import (
     hilbert_strip,
 )
 from flowforce.spectral import (
+    _TAYLOR_DEGREE,
+    _node_taylor,
+    _taylor_fits,
     collocation_size,
     cosh_ratio,
     eval_many,
@@ -154,6 +157,34 @@ def test_eval_many_equals_separate_eval_at():
             for f, got in zip(series, shared):
                 assert np.array_equal(got, f.eval_at(points))
                 assert np.shape(got) == np.shape(points)
+
+
+@pytest.mark.parametrize("m", [8, 33, 256])
+def test_node_taylor_rows_are_scaled_derivatives(m):
+    # row q at node j is f^(q)(x_j)/q!, from the derivative's own samples,
+    # for cosine-only, sine-only, general and all-zero series
+    rng = np.random.default_rng(5)
+    half = m // 2 + 1
+    for f in _series_kinds(8, rng) + [PeriodicFunction.constant(2.5)]:
+        coeffs = _node_taylor(f, m)
+        assert coeffs.shape == (_TAYLOR_DEGREE + 1, half)
+        g = f
+        for q, row in enumerate(coeffs):
+            n = np.arange(1, f.n_modes + 1) ** q
+            scale = (abs(f.cos_coeffs[0]) if q == 0 else 0.0) + np.sum(
+                n * (np.abs(f.cos_coeffs[1:]) + np.abs(f.sin_coeffs))
+            )
+            expected = g.samples(m)[:half] / math.factorial(q)
+            assert np.max(np.abs(row - expected)) <= 1e-14 * max(scale, 1.0)
+            g = derivative(g)
+
+
+def test_taylor_remainder_bound_of_one_harmonic():
+    # cos(x): reach^9/9! <= 2^-53 holds up to reach = (9! 2^-53)^(1/9) = 0.06999
+    f = PeriodicFunction.harmonic(1, 1.0, n_modes=4)
+    assert _taylor_fits(f, 0.0699)
+    assert not _taylor_fits(f, 0.0700)
+    assert _taylor_fits(PeriodicFunction.constant(3.0, n_modes=4), 1e3)
 
 
 def test_analyze_rejects_bad_input():
