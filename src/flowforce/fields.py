@@ -12,7 +12,10 @@ whose defect the validator measures by grid refinement.
 The correction layer is pulled back at the surface parameters x_s, which
 lie close to the grid nodes: series are evaluated there by their Taylor
 expansions about the nodes where a remainder bound makes them exact to
-rounding (_even_at), and the inversion starts from the expansion's root.
+rounding (_even_at).  The inversion (SurfaceCurve.invert) is one
+safeguarded Newton loop on a bracket that holds every root; it starts
+from the root of the expansion and raises SurfaceInversionFailed if it
+does not converge.
 """
 
 import math
@@ -64,9 +67,10 @@ MIN_VALIDATION_ROWS = 8  # vertical intervals validate_solution needs
 class SurfaceCurve:
     """Physical free surface parametrized by the conformal abscissa.
 
-    abscissa(x) = x/k + (conjugate of the elevation), strictly
-    increasing for admissible waves; profile(x) gives it with the height
-    depth + elevation.
+    The physical abscissa X(x) = x/k + C(w)(x), C(w) the strip conjugate
+    of the elevation w, is strictly increasing for admissible waves;
+    profile(x) gives it with the height depth + w(x), and invert solves
+    X(x) = target.
     """
 
     elevation: PeriodicFunction
@@ -76,68 +80,44 @@ class SurfaceCurve:
         conj = hilbert_strip(self.elevation, self.params.strip_depth)
         object.__setattr__(self, "_conjugate", conj)
 
-    def abscissa(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / self.params.k + self._conjugate.eval_at(x)
-
     def profile(self, x):
-        """(abscissa(x), depth + elevation(x)) from one shared evaluation pass."""
+        """(x/k + C(w)(x), depth + w(x)) from one shared evaluation pass."""
         x = np.asarray(x, dtype=float)
         conj, w = eval_many((self._conjugate, self.elevation), x)
         return x / self.params.k + conj, self.params.h + w
 
     def invert(self, targets, x0=None):
-        """Solve abscissa(x) = target elementwise (monotone Newton).
+        """Solve x/k + C(w)(x) = target elementwise (safeguarded Newton).
 
-        Each Newton pass evaluates the conjugate at the iterate; the slope
-        conjugate C(w') is built before the first step and summed on the
-        same point setup (_eval_points) only when a step follows.  At most
-        60 Newton steps, then bisection on the entries left above
-        1e-13 * max(1, |targets|); raises SurfaceInversionFailed if both
-        passes miss that tolerance.
+        Each pass sums C(w) at the iterate on one point setup
+        (_eval_points) and returns once every defect is at most
+        1e-13 * max(1, |targets|).  Before the first step it builds the
+        slope conjugate C(w') and the bracket k t -+ k B, B the coefficient
+        sum of C(w), which holds every root since |C(w)| <= B; each pass
+        narrows the bracket by the sign of the defect and keeps the Newton
+        iterate where it lies in the bracket, else takes its midpoint.
+        Raises SurfaceInversionFailed after 60 passes.
         """
         t = np.asarray(targets, dtype=float)
         k = self.params.k
         x = k * t if x0 is None else np.array(x0, dtype=float)
-        tol = 1e-13
-        scale = max(1.0, float(np.max(np.abs(t))))
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(t))))
         slope_conj = None
         for _ in range(60):
             points = _eval_points(x)
             f = x / k + _eval_sums(self._conjugate, points, x.shape) - t
-            if float(np.max(np.abs(f))) <= tol * scale:
+            err = float(np.max(np.abs(f)))
+            if err <= tol:
                 return x
             if slope_conj is None:
                 slope_conj = hilbert_strip(derivative(self.elevation), self.params.strip_depth)
-            step = f / (1.0 / k + _eval_sums(slope_conj, points, x.shape))
-            np.clip(step, -np.pi, np.pi, out=step)
-            x = x - step
-        bad = (np.abs(self.abscissa(x) - t) > tol * scale).reshape(-1)
-        if np.any(bad):
-            x = x.reshape(-1)
-            tb = t.reshape(-1)[bad]
-            base = k * tb
-            lo, hi = base - 2.0 * np.pi, base + 2.0 * np.pi
-            for _ in range(8):
-                grow = self.abscissa(lo) > tb
-                shrink = self.abscissa(hi) < tb
-                if not (np.any(grow) or np.any(shrink)):
-                    break
-                lo = np.where(grow, lo - 2.0 * np.pi, lo)
-                hi = np.where(shrink, hi + 2.0 * np.pi, hi)
-            for _ in range(120):
-                mid = 0.5 * (lo + hi)
-                below = self.abscissa(mid) < tb
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            x[bad] = 0.5 * (lo + hi)
-            x = x.reshape(t.shape)
-            err = float(np.max(np.abs(self.abscissa(x) - t)))
-            if err > 10.0 * tol * scale:
-                raise SurfaceInversionFailed(
-                    f"surface abscissa inversion stalled at defect {err:.3e}"
-                )
-        return x
+                c = self._conjugate
+                bound = k * (np.sum(np.abs(c.cos_coeffs)) + np.sum(np.abs(c.sin_coeffs)))
+                lo, hi = k * t - bound, k * t + bound
+            lo, hi = np.where(f < 0.0, x, lo), np.where(f > 0.0, x, hi)
+            x = x - f / (1.0 / k + _eval_sums(slope_conj, points, x.shape))
+            x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+        raise SurfaceInversionFailed(f"surface abscissa inversion stalled at defect {err:.3e}")
 
 
 def surface_curve(elevation, p: PhysicalParams):
@@ -235,15 +215,14 @@ def _even_at(f, x_s):
 def _inversion_start(curve, targets, n_x):
     """Start for inverting X = x/k + C(w) at targets on columns 0..n_x//2:
     the root of X's Taylor polynomial about each node, from a linear guess
-    and two Newton steps on the polynomial, when C's remainder bound holds
-    at the reach of the guess; otherwise the nodes."""
+    and two Newton steps on the polynomial.  Where the expansion is exact
+    to rounding the root is X's root; elsewhere it is a close start, and
+    invert's bracket keeps any start safe."""
     nodes = grid_nodes(n_x)[: n_x // 2 + 1]
     coeffs = _node_taylor(curve._conjugate, n_x)
     coeffs[0] += nodes / curve.params.k
     coeffs[1] += 1.0 / curve.params.k
     d = (targets - coeffs[0]) / coeffs[1]
-    if not _taylor_fits(curve._conjugate, float(np.max(np.abs(d)))):
-        return np.broadcast_to(nodes, targets.shape)
     slope = coeffs[1:] * np.arange(1, coeffs.shape[0])[:, None]
     for _ in range(2):
         d -= (_horner(coeffs, d) - targets) / _horner(slope, d)
@@ -258,7 +237,8 @@ def _geometry(curve, n_y, n_x):
     is u: columns 0..n_x//2 are inverted, x_s[:, n_x - j] = 2 pi - x_s[:, j].
     The inversion starts from the root of X's node expansion, so where
     that is exact to rounding, invert's first direct summation of C(w) is
-    its convergence check and no Newton step is taken.
+    its convergence check and no Newton step is taken; elsewhere invert's
+    safeguarded Newton steps finish from that start.
     """
     u, v = conformal_map(curve.elevation, curve.params, n_y, n_x)
     targets = u.values[:, : u.n_x // 2 + 1]

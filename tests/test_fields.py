@@ -15,6 +15,7 @@ from flowforce import (
     PeriodicFunction,
     PhysicalParams,
     SurfaceCurve,
+    SurfaceInversionFailed,
     TrialState,
     conformal_map,
     derivative,
@@ -100,7 +101,7 @@ def test_conformal_map_boundary_rows(water, wave_point):
 def test_surface_curve_inversion_round_trip(water, wave_point):
     curve = surface_curve(wave_point.elevation, water)
     x = grid_nodes(96)
-    targets = curve.abscissa(x)
+    targets = curve.profile(x)[0]
     back = curve.invert(targets)
     assert back.shape == x.shape
     assert np.max(np.abs(back - x)) < 1e-11
@@ -118,7 +119,7 @@ def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
     j = np.arange(1, n_x - n_x // 2)
     assert np.array_equal(x_s[:, n_x - j], 2.0 * np.pi - x_s[:, j])
     curve = surface_curve(wave_point.elevation, water)
-    defect = np.abs(curve.abscissa(x_s) - u)
+    defect = np.abs(curve.profile(x_s)[0] - u)
     assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
     heights = field.surface_height
     assert np.array_equal(heights[:, n_x - j], heights[:, j])
@@ -250,7 +251,7 @@ def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch)
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     sums = _count_calls(monkeypatch, fields, "_eval_sums")
     x = np.linspace(-1.0, 7.0, 41)
-    x_s = curve.invert(curve.abscissa(x), x0=x + 0.1)
+    x_s = curve.invert(curve.profile(x)[0], x0=x + 0.1)
     assert np.max(np.abs(x_s - x)) < 1e-12
     assert len(transforms) == 2
     assert len(passes) >= 2
@@ -347,6 +348,49 @@ def test_geometry_inverts_in_one_summation_pass(water, wave_point, monkeypatch):
         fields._geometry(curve, n_y, None)
     assert len(passes) == 2
     assert transforms == []
+
+
+def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
+    # an admissible wave whose abscissa slope 1/k + C(w') nearly vanishes,
+    # where undamped Newton cycles: the bracketed loop converges in a few
+    # passes from the node expansion's root and from the default start k t
+    w = PeriodicFunction(np.array([0.0, 0.045444, 0.045444]), np.zeros(2), "even")
+    curve = surface_curve(w, water)
+    passes = _count_calls(monkeypatch, fields, "_eval_points")
+    for n_y in (16, 64):
+        passes.clear()
+        u, _, x_s, _ = fields._geometry(curve, n_y, None)
+        assert len(passes) <= 20
+        half = u.n_x // 2 + 1
+        u, x_s = u.values[:, :half], x_s[:, :half]
+        defect = np.abs(curve.profile(x_s)[0] - u)
+        assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
+    x = np.linspace(-1.0, 7.0, 2001)
+    assert np.max(np.abs(curve.invert(curve.profile(x)[0]) - x)) < 1e-12
+
+
+def test_steep_branch_audit_inverts_in_one_pass(water, monkeypatch):
+    # every geometry of an N = 64 branch to ks = 0.1 starts from its node
+    # expansion's root, and that root passes the first convergence check
+    branch = trace_branch(1e-2, 8, water, n_modes=64)
+    passes = _count_calls(monkeypatch, fields, "_eval_points")
+    inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
+    for point in branch.points:
+        validate_solution(reconstruct(point, water), point, water)
+    assert len(inverts) == 16
+    assert len(passes) == 16
+
+
+def test_inversion_of_nan(water, wave_point):
+    # a NaN target never converges and raises; a NaN start is replaced by
+    # the bracket's midpoint on the first step
+    curve = surface_curve(wave_point.elevation, water)
+    with pytest.raises(SurfaceInversionFailed):
+        curve.invert([0.1, math.nan])
+    t = curve.profile(np.array([0.0, 1.5, 3.0, 4.5, 6.0]))[0]
+    expect = curve.invert(t)
+    x_s = curve.invert(t, x0=[0.0, math.nan, 3.0, 4.5, 6.0])
+    assert np.max(np.abs(x_s - expect)) < 1e-12
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):

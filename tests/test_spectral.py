@@ -83,8 +83,9 @@ def _dense_eval(f, x):
     )
 
 
-# points within 1e-6 of 0 and of pi on both sides, plus the |x| <= 30 range
-# that the bisection brackets of SurfaceCurve.invert reach
+# points within 1e-6 of 0 and of pi on both sides, plus the |x| <= 30 range:
+# eval_at takes any real x, such as SurfaceCurve.invert's iterates from the
+# default start k t beyond one period
 _EVAL_POINTS = np.concatenate(
     [
         np.linspace(-1e-6, 1e-6, 41),
