@@ -24,10 +24,13 @@ from flowforce import (
     harmonic_extension,
     hilbert_strip,
 )
+from flowforce import spectral
 from flowforce.spectral import (
     _TAYLOR_DEGREE,
     _node_taylor,
+    _synthesize,
     _taylor_fits,
+    _trig_matrices,
     collocation_size,
     cosh_ratio,
     eval_many,
@@ -178,6 +181,63 @@ def test_node_taylor_rows_are_scaled_derivatives(m):
             expected = g.samples(m)[:half] / math.factorial(q)
             assert np.max(np.abs(row - expected)) <= 1e-14 * max(scale, 1.0)
             g = derivative(g)
+
+
+def _placed_at(table, offset):
+    """A C-contiguous copy of table whose data start offset bytes past a
+    64-byte boundary."""
+    buf = spectral._aligned((table.size + 8,))[offset // 8 :]
+    copy = buf[: table.size].reshape(table.shape)
+    copy[...] = table
+    assert copy.ctypes.data % 64 == offset
+    return copy
+
+
+@pytest.mark.parametrize("m, n", [(8, 1), (33, 5), (128, 32), (200, 50), (512, 128)])
+def test_trig_tables_are_aligned_read_only_and_exact(m, n):
+    # computed straight into 64-byte-aligned buffers, with the bits of
+    # np.cos / np.sin of the same arguments
+    arg = np.outer(np.arange(1, n + 1), grid_nodes(m))
+    for table, exact in zip(_trig_matrices(m, n), (np.cos(arg), np.sin(arg))):
+        assert table.ctypes.data % 64 == 0
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
+        assert np.array_equal(table, exact)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_synthesis_bits_do_not_depend_on_table_alignment(n):
+    # alignment sets only the gemv's speed: 32 random rows give the same
+    # bits against copies of each table placed 16, 32 and 48 bytes off a
+    # 64-byte boundary
+    rows = np.random.default_rng(n).standard_normal((32, n))
+    for table in _trig_matrices(collocation_size(n), n):
+        aligned = _synthesize(rows, table)
+        for offset in (16, 32, 48):
+            assert np.array_equal(_synthesize(rows, _placed_at(table, offset)), aligned)
+
+
+@pytest.mark.parametrize("m", [8, 33, 256])
+def test_node_taylor_table_is_aligned(m, monkeypatch):
+    # the stacked (2N, m//2 + 1) table starts on a 64-byte boundary, holds
+    # the tables' first m//2 + 1 columns, and the product against unaligned
+    # copies of it has the same bits
+    calls = []
+
+    def recording(coeffs, mat):
+        calls.append((coeffs, mat))
+        return _synthesize(coeffs, mat)
+
+    monkeypatch.setattr(spectral, "_synthesize", recording)
+    _node_taylor(_series_kinds(8, np.random.default_rng(m))[2], m)
+    ((rows, table),) = calls
+    half = m // 2 + 1
+    assert table.ctypes.data % 64 == 0
+    assert np.array_equal(table, np.vstack([t[:, :half] for t in _trig_matrices(m, 8)]))
+    for offset in (16, 32, 48):
+        assert np.array_equal(
+            _synthesize(rows, _placed_at(table, offset)), _synthesize(rows, table)
+        )
 
 
 def test_taylor_remainder_bound_of_one_harmonic():
