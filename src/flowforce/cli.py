@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .continuation import trace_branch
+from .continuation import small_amplitude_limit, trace_branch
 from .dispersion import dispersion_table, kernel_is_simple
 from .errors import (
     ConfigError, FlowForceError, InputFileError, InvalidSamples, KernelNotSimple,
@@ -196,7 +196,7 @@ def _check_command(config, args):
     if args.command == "branch":
         # the first predictor amplitude, bounded as in initial_guess
         first = abs(config.amplitude_max) / config.steps
-        limit = 0.1 * config.physical.h
+        limit = small_amplitude_limit(config.physical)
         if first > limit:
             message = (
                 f"first amplitude step amplitude_max / steps = {first:.3e} exceeds "

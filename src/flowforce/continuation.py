@@ -29,6 +29,7 @@ __all__ = [
     "BranchPoint",
     "Branch",
     "initial_guess",
+    "small_amplitude_limit",
     "newton_correct",
     "trace_branch",
     "branch_diagnostics",
@@ -78,18 +79,24 @@ class Branch:
         return np.array([pt.amplitude for pt in self.points])
 
 
+def small_amplitude_limit(p: PhysicalParams):
+    """Largest |s| initial_guess accepts: a tenth of the depth."""
+    return 0.1 * p.h
+
+
 def initial_guess(s, p: PhysicalParams, n_modes=32):
     """Linear-theory predictor: onset speed, zero shift, s*cos(x).
 
     Only meaningful well inside the small-amplitude regime; amplitudes
-    beyond a tenth of the depth are rejected.
+    beyond small_amplitude_limit are rejected.
     """
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    if abs(s) > 0.1 * p.h:
+    limit = small_amplitude_limit(p)
+    if abs(s) > limit:
         raise ValueError(
-            f"amplitude {s:.3e} outside small-amplitude range (limit {0.1 * p.h:.3e})"
+            f"amplitude {s:.3e} outside small-amplitude range (limit {limit:.3e})"
         )
     w = PeriodicFunction.harmonic(1, s, n_modes=n_modes, kind="cos")
     return TrialState(onset_speed_sq(1, p.k, p), 0.0, w)

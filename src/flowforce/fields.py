@@ -32,19 +32,15 @@ from .spectral import (
     _eval_points,
     _eval_sums,
     _node_taylor,
-    _spectrum,
     _taylor_fits,
-    _trig_matrices,
     analyze,
     collocation_size,
-    cosh_ratio,
     derivative,
     eval_many,
     grid_nodes,
     harmonic_extension,
     conjugate_extension,
     hilbert_strip,
-    sinh_ratio,
 )
 from .surface_equation import AdmissibilityReport, TrialState, check_admissibility, residual
 from .surface_equation import _admitted, _surface_rows
@@ -329,18 +325,12 @@ def _hi_order_laplacian(values, depth):
     return lap_x + lap_y
 
 
-def _map_gradient_sq(elevation, p: PhysicalParams, y, n_x):
-    """|gradient of the height field|^2 at strip heights y, spectrally."""
-    d = p.strip_depth
-    n = elevation.n_modes
-    vx = np.zeros((y.size, n_x))
-    vy = np.full((y.size, n_x), 1.0 / p.k)
-    if n:
-        modes = np.arange(1, n + 1)
-        na = modes * elevation.cos_coeffs[1:]
-        cos_mat, sin_mat = _trig_matrices(n_x, n)
-        vx = -(sinh_ratio(modes, y, d) * na) @ sin_mat
-        vy = vy + (cosh_ratio(modes, y, d) * na) @ cos_mat
+def _map_gradient_sq(w, p: PhysicalParams, n_y, n_x):
+    """|gradient of the height field V|^2 on the (n_y + 1, n_x) strip grid:
+    V_x extends w', and V_y is the conjugate extension of w' plus 1/k."""
+    slope = derivative(w)
+    vx = harmonic_extension(slope, p.strip_depth, n_y, n_x).values
+    vy = conjugate_extension(slope, p.strip_depth, n_y, n_x).values + 1.0 / p.k
     return vx**2 + vy**2
 
 
@@ -350,17 +340,13 @@ def _correction_curvature(w, p: PhysicalParams):
     The atmospheric part of the strength divided by the height is an exact
     constant, so it drops out; building the quotient from the tension part
     alone keeps the curvature free of p_atm-scale cancellation noise.
+    d/dX = d/dx / (1/k + C(w')) acts on the quotient's n-mode interpolant.
     """
     n = w.n_modes
     tension, m, v_s, dnv = _correction_strength(w, p.replace(p_atm=0.0))
-    modes = np.arange(1, n + 1)
-    cos_mat, sin_mat = _trig_matrices(m, n)
     quotient = tension.samples(m) / v_s
     for _ in range(2):
-        # d/dX = d/dx / (1/k + C(w')) of the n-mode interpolant (a_n, b_n)
-        a, b = _spectrum(quotient[None, :])
-        slope = 0.0 + (modes * b[0, :n]) @ cos_mat + (-modes * a[0, 1 : n + 1]) @ sin_mat
-        quotient = slope / dnv
+        quotient = derivative(analyze(quotient).truncated(n)).samples(m) / dnv
     return analyze(quotient).truncated(n)
 
 
@@ -372,7 +358,7 @@ def _force_balance_defect(field, curvature, w, p):
     conformal factor); the curvature is evaluated at the field's inverted
     surface abscissa.
     """
-    grad_sq = _map_gradient_sq(w, p, field.u.y_nodes, field.u.n_x)
+    grad_sq = _map_gradient_sq(w, p, field.u.n_y, field.u.n_x)
     lap = _five_point_laplacian(field.flow_force.values, p.strip_depth)
     physical = lap / grad_sq[1:-1]
     bend = _even_at(curvature, field.surface_abscissa[1:-1])

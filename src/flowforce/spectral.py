@@ -200,13 +200,13 @@ def cosh_ratio(modes, y, d):
 class PeriodicFunction:
     """Real trigonometric polynomial stored by cosine/sine coefficients.
 
-    cos_coeffs holds a_0..a_N, sin_coeffs holds b_1..b_N.  parity is
-    "even" (sine storage forced to zero) or "general".
+    cos_coeffs holds a_0..a_N, sin_coeffs holds b_1..b_N.  The series is
+    even (is_even) exactly when its sine block is all zero; analyze zeros
+    a sine block that is rounding noise (see _spectrum).
     """
 
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
-    parity: str = "general"
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float)).copy()
@@ -217,13 +217,6 @@ class PeriodicFunction:
             )
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise InvalidSamples("non-finite coefficients")
-        if self.parity not in ("even", "general"):
-            raise ValueError(f"unknown parity tag {self.parity!r}")
-        if self.parity == "even":
-            scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-            if b.size and float(np.max(np.abs(b))) > _PARITY_TOL * scale:
-                raise InvalidSamples("parity tagged even but sine content present")
-            b = np.zeros_like(b)
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "cos_coeffs", a)
@@ -232,18 +225,20 @@ class PeriodicFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, n_modes, parity="even"):
-        return cls(np.zeros(n_modes + 1), np.zeros(n_modes), parity)
+    def zero(cls, n_modes):
+        return cls(np.zeros(n_modes + 1), np.zeros(n_modes))
 
     @classmethod
     def constant(cls, value, n_modes=0):
         a = np.zeros(n_modes + 1)
         a[0] = value
-        return cls(a, np.zeros(n_modes), "even")
+        return cls(a, np.zeros(n_modes))
 
     @classmethod
     def harmonic(cls, mode, amplitude=1.0, n_modes=None, kind="cos"):
-        """amplitude * cos(mode x) or sin(mode x)."""
+        """amplitude * cos(mode x), mode >= 0, or sin(mode x), mode >= 1."""
+        if kind not in ("cos", "sin") or mode < (1 if kind == "sin" else 0):
+            raise ValueError(f"no {kind!r} harmonic of mode {mode}")
         n = mode if n_modes is None else n_modes
         if n < mode:
             raise ValueError("n_modes too small for requested mode")
@@ -251,20 +246,25 @@ class PeriodicFunction:
         b = np.zeros(n)
         if kind == "cos":
             a[mode] = amplitude
-            return cls(a, b, "even")
-        b[mode - 1] = amplitude
-        return cls(a, b, "general")
+        else:
+            b[mode - 1] = amplitude
+        return cls(a, b)
 
     @classmethod
     def from_cosines(cls, cos_coeffs):
         a = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
-        return cls(a, np.zeros(a.size - 1), "even")
+        return cls(a, np.zeros(a.size - 1))
 
     # -- basic queries ------------------------------------------------
 
     @property
     def n_modes(self):
         return self.cos_coeffs.size - 1
+
+    @property
+    def is_even(self):
+        """Whether the series is even: its sine block is all zero."""
+        return not np.any(self.sin_coeffs)
 
     def mean(self):
         return float(self.cos_coeffs[0])
@@ -279,7 +279,7 @@ class PeriodicFunction:
         if n:
             cos_mat, sin_mat = _trig_matrices(m, n)
             out = out + _synthesize(self.cos_coeffs[None, 1:], cos_mat)[0]
-            if self.parity != "even":
+            if not self.is_even:
                 out = out + _synthesize(self.sin_coeffs[None, :], sin_mat)[0]
         return out
 
@@ -300,7 +300,7 @@ class PeriodicFunction:
         keep = min(n_modes, self.n_modes)
         a[: keep + 1] = self.cos_coeffs[: keep + 1]
         b[:keep] = self.sin_coeffs[:keep]
-        return PeriodicFunction(a, b, self.parity)
+        return PeriodicFunction(a, b)
 
     def tail_energy_fraction(self):
         """Energy fraction carried by the top quarter of mode numbers."""
@@ -318,18 +318,15 @@ class PeriodicFunction:
         if isinstance(other, PeriodicFunction):
             n = max(self.n_modes, other.n_modes)
             f, g = self.truncated(n), other.truncated(n)
-            parity = "even" if (f.parity == g.parity == "even") else "general"
-            return PeriodicFunction(
-                f.cos_coeffs + g.cos_coeffs, f.sin_coeffs + g.sin_coeffs, parity
-            )
+            return PeriodicFunction(f.cos_coeffs + g.cos_coeffs, f.sin_coeffs + g.sin_coeffs)
         a = self.cos_coeffs.copy()
         a[0] += float(other)
-        return PeriodicFunction(a, self.sin_coeffs, self.parity)
+        return PeriodicFunction(a, self.sin_coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PeriodicFunction(-self.cos_coeffs, -self.sin_coeffs, self.parity)
+        return PeriodicFunction(-self.cos_coeffs, -self.sin_coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, PeriodicFunction) else -float(other))
@@ -374,7 +371,7 @@ def eval_many(functions, x):
     no (points x N) temporary.  The point setup (_eval_points) is shared;
     each series runs its own sums (_eval_sums), so its values are those
     of its own eval_at bit for bit.  An all-zero cosine or sine block is
-    skipped, so even parity never runs the sine series.  Points with
+    skipped, so an even series never runs the sine sums.  Points with
     cos(x) < 0 are summed as x = y + pi, which flips the sign of the odd
     modes: lam = -4 cos^2(x/2) and sin(y) = -sin(x).
     """
@@ -387,13 +384,14 @@ def analyze(samples):
     """Trigonometric interpolation coefficients of uniform grid samples.
 
     Modes up to (M-1)//2 are kept (the Nyquist mode of an even-length
-    grid is dropped).  Parity is detected within 1e-12 and tagged.
+    grid is dropped).  Sines all below 1e-12 of the largest coefficient
+    are zeroed, so samples of an even function give an even series.
     """
     vals = np.asarray(samples, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise InvalidSamples("need a 1-D sample array of length >= 2")
     a, b = _spectrum(vals[None, :])
-    return PeriodicFunction(a[0], b[0], "general" if np.any(b) else "even")
+    return PeriodicFunction(a[0], b[0])
 
 
 def derivative(f):
@@ -402,7 +400,7 @@ def derivative(f):
     a = np.zeros(f.n_modes + 1)
     a[1:] = n * f.sin_coeffs
     b = -n * f.cos_coeffs[1:]
-    return PeriodicFunction(a, b, "general")
+    return PeriodicFunction(a, b)
 
 
 def _depth_value(d):
@@ -473,7 +471,7 @@ def hilbert_strip(f, d):
     a = np.zeros(f.n_modes + 1)
     a[1:] = -coth * f.sin_coeffs
     b = coth * f.cos_coeffs[1:]
-    return PeriodicFunction(a, b, "general")
+    return PeriodicFunction(a, b)
 
 
 def dirichlet_neumann(f, d):
@@ -485,7 +483,7 @@ def dirichlet_neumann(f, d):
     a[0] = f.cos_coeffs[0] / dv
     a[1:] = mult * f.cos_coeffs[1:]
     b = mult * f.sin_coeffs
-    return PeriodicFunction(a, b, f.parity)
+    return PeriodicFunction(a, b)
 
 
 def _extension_grids(f, d, n_y, n_x):
@@ -502,7 +500,7 @@ def harmonic_extension(f, d, n_y, n_x=None):
 
     Per mode: sinh(n(y+d))/sinh(nd); the mean extends linearly in y.
     The vertical grid has n_y uniform intervals (n_y + 1 rows).  An
-    all-zero sine block (even data) is skipped, as in eval_many.
+    all-zero cosine or sine block is skipped, as in eval_many.
     """
     dv = _depth_value(d)
     n_x, frac, y = _extension_grids(f, dv, n_y, n_x)
@@ -511,9 +509,10 @@ def harmonic_extension(f, d, n_y, n_x=None):
         modes = np.arange(1, f.n_modes + 1)
         ratio = sinh_ratio(modes, y, dv)
         cos_mat, sin_mat = _trig_matrices(n_x, f.n_modes)
-        vals = vals + (ratio * f.cos_coeffs[1:]) @ cos_mat
+        if np.any(f.cos_coeffs[1:]):
+            vals += (ratio * f.cos_coeffs[1:]) @ cos_mat
         if np.any(f.sin_coeffs):
-            vals = vals + (ratio * f.sin_coeffs) @ sin_mat
+            vals += (ratio * f.sin_coeffs) @ sin_mat
     return StripGridField(vals, dv)
 
 
@@ -525,7 +524,8 @@ def conjugate_extension(f, d, n_y, n_x=None):
     [cosh(n(y+d))/sinh(nd)] sin nx and b_n sin nx -> -b_n [...] cos nx,
     so the top trace of zero-mean data is hilbert_strip(f).  The mean
     mode's conjugate is the non-periodic linear part mean/d * x, which
-    the caller adds where needed.  An all-zero sine block is skipped.
+    the caller adds where needed.  An all-zero cosine or sine block is
+    skipped, as in harmonic_extension.
     """
     dv = _depth_value(d)
     n_x, _, y = _extension_grids(f, dv, n_y, n_x)
@@ -534,7 +534,8 @@ def conjugate_extension(f, d, n_y, n_x=None):
         modes = np.arange(1, f.n_modes + 1)
         ratio = cosh_ratio(modes, y, dv)
         cos_mat, sin_mat = _trig_matrices(n_x, f.n_modes)
-        vals = (ratio * f.cos_coeffs[1:]) @ sin_mat
+        if np.any(f.cos_coeffs[1:]):
+            vals = (ratio * f.cos_coeffs[1:]) @ sin_mat
         if np.any(f.sin_coeffs):
-            vals = vals - (ratio * f.sin_coeffs) @ cos_mat
+            vals -= (ratio * f.sin_coeffs) @ cos_mat
     return StripGridField(vals, dv)

@@ -76,7 +76,7 @@ class TrialState:
 
     def __post_init__(self):
         w = self.elevation
-        if w.parity != "even":
+        if not w.is_even:
             raise ValueError("elevation must live in the even (cosine) space")
         scale = max(1.0, float(np.max(np.abs(w.cos_coeffs))))
         if abs(w.mean()) > 1e-12 * scale:
@@ -333,7 +333,7 @@ def _admissibility(cos_coeffs, samples, p: PhysicalParams):
     m = w_s.shape[1]
     # C(w) is the sine series coth(n d) a_n sin(nx)
     coth = scaled_coth(np.arange(1, cos_coeffs.size) * p.strip_depth)
-    conj = (coth * cos_coeffs[1:]) @ _trig_matrices(m, cos_coeffs.size - 1)[1]
+    conj = _synthesize((coth * cos_coeffs[1:])[None, :], _trig_matrices(m, coth.size)[1])[0]
     surface_x = grid_nodes(m) / p.k + conj
     period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
     monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
@@ -367,9 +367,9 @@ def _admitted(report):
 def check_admissibility(w, p: PhysicalParams):
     """Evaluate the admissibility guards on the collocation grid.
 
-    Violations are reported in `failures`; only a non-even w raises.
+    Violations are reported in `failures`; only a w with a sine raises.
     """
-    if w.parity != "even":
+    if not w.is_even:
         raise ValueError("elevation must live in the even (cosine) space")
     samples = _surface_rows(w.cos_coeffs[None, :], p, collocation_size(w.n_modes))
     return _admissibility(w.cos_coeffs, samples, p)

@@ -30,7 +30,14 @@ from flowforce import (
     trace_branch,
     validate_solution,
 )
-from flowforce.spectral import _TAYLOR_DEGREE
+from flowforce.spectral import (
+    _TAYLOR_DEGREE,
+    _spectrum,
+    _trig_matrices,
+    analyze,
+    cosh_ratio,
+    sinh_ratio,
+)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +164,31 @@ def test_correction_strength_matches_surface_geometry(water, wave_point):
     got = field.correction.eval_at(x)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(got - direct)) < 1e-10 * scale
+
+
+def test_audit_operators_match_mode_sums(water, wave_point):
+    """The map gradient and the correction curvature, built from the strip
+    extensions and derivative, equal the per-mode sums bit for bit."""
+    w = wave_point.elevation
+    n = w.n_modes
+    modes = np.arange(1, n + 1)
+    na = modes * w.cos_coeffs[1:]
+    for n_y, n_x in ((64, 128), (128, 256)):
+        y = water.strip_depth * (np.arange(n_y + 1) / n_y - 1.0)
+        cos_mat, sin_mat = _trig_matrices(n_x, n)
+        vx = -(sinh_ratio(modes, y, water.strip_depth) * na) @ sin_mat
+        vy = 1.0 / water.k + (cosh_ratio(modes, y, water.strip_depth) * na) @ cos_mat
+        assert np.array_equal(fields._map_gradient_sq(w, water, n_y, n_x), vx**2 + vy**2)
+    for p in (water, water.replace(p_atm=101325.0)):
+        tension, m, v_s, dnv = fields._correction_strength(w, p.replace(p_atm=0.0))
+        cos_mat, sin_mat = _trig_matrices(m, n)
+        quotient = tension.samples(m) / v_s
+        for _ in range(2):
+            a, b = _spectrum(quotient[None, :])
+            slope = 0.0 + (modes * b[0, :n]) @ cos_mat - (modes * a[0, 1 : n + 1]) @ sin_mat
+            quotient = slope / dnv
+        expect = analyze(quotient).truncated(n)
+        assert np.array_equal(fields._correction_curvature(w, p).cos_coeffs, expect.cos_coeffs)
 
 
 def test_validate_wave_solution(water, wave_point, wave_field):
@@ -354,7 +386,7 @@ def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
     # an admissible wave whose abscissa slope 1/k + C(w') nearly vanishes,
     # where undamped Newton cycles: the bracketed loop converges in a few
     # passes from the node expansion's root and from the default start k t
-    w = PeriodicFunction(np.array([0.0, 0.045444, 0.045444]), np.zeros(2), "even")
+    w = PeriodicFunction(np.array([0.0, 0.045444, 0.045444]), np.zeros(2))
     curve = surface_curve(w, water)
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     for n_y in (16, 64):

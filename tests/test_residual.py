@@ -17,6 +17,7 @@ from flowforce import (
     PhysicalParams,
     SingularExpression,
     TrialState,
+    analyze,
     check_admissibility,
     derivative,
     galerkin_residual,
@@ -119,7 +120,7 @@ def test_residual_is_even_and_records_diagnostics(water):
     w = PeriodicFunction.harmonic(1, 1e-3, n_modes=16, kind="cos")
     diag = {}
     r = residual(TrialState(1.3, 0.0, w), water, diag=diag)
-    assert r.parity == "even"
+    assert r.is_even
     assert diag["sine_energy_fraction"] < 1e-20
     assert diag["min_metric"] > 0.0
     assert diag["min_quotient_denominator"] > 0.0
@@ -164,6 +165,27 @@ def test_trial_state_validation():
     bad_mean = PeriodicFunction.constant(0.5, 4)
     with pytest.raises(ValueError):
         TrialState(1.0, 0.0, bad_mean)
+
+
+def test_evenness_is_the_sine_block_however_built(water):
+    """TrialState and check_admissibility accept an elevation whose sine
+    block is all zero, built four ways, and reject one with a single
+    nonzero sine."""
+    a = np.array([0.0, 1e-3, -2e-4, 5e-5])
+    one_sine = np.array([0.0, 0.0, 1e-300])
+    for w in (
+        PeriodicFunction(a, np.zeros(3)),
+        PeriodicFunction.from_cosines(a),
+        PeriodicFunction(a, -np.zeros(3)),
+        analyze(PeriodicFunction.from_cosines(a).samples(16)).truncated(3),
+    ):
+        TrialState(1.0, 0.0, w)
+        assert check_admissibility(w, water).passed
+        odd = PeriodicFunction(w.cos_coeffs, one_sine)
+        with pytest.raises(ValueError, match="even"):
+            TrialState(1.0, 0.0, odd)
+        with pytest.raises(ValueError, match="even"):
+            check_admissibility(odd, water)
 
 
 def test_admissibility_of_laminar(water):

@@ -70,7 +70,7 @@ def test_samples_on_default_grid_round_trip():
 )
 def test_value_level_round_trip(coeffs, extra):
     a = np.asarray(coeffs)
-    f = PeriodicFunction(a, np.zeros(a.size - 1), "even")
+    f = PeriodicFunction(a, np.zeros(a.size - 1))
     m = collocation_size(f.n_modes) + 2 * extra
     vals = f.samples(m)
     back = analyze(vals).samples(m)
@@ -99,13 +99,14 @@ _EVAL_POINTS = np.concatenate(
 )
 
 
-@pytest.mark.parametrize("parity", ["even", "general"])
+@pytest.mark.parametrize("kind", ["even", "general"])
 @pytest.mark.parametrize("n_modes", [0, 1, 8, 64, 256])
-def test_eval_at_matches_dense_formula(parity, n_modes):
+def test_eval_at_matches_dense_formula(kind, n_modes):
     rng = np.random.default_rng(n_modes)
     a = rng.standard_normal(n_modes + 1)
-    b = rng.standard_normal(n_modes) if parity == "general" else np.zeros(n_modes)
-    f = PeriodicFunction(a, b, parity)
+    b = rng.standard_normal(n_modes) if kind == "general" else np.zeros(n_modes)
+    f = PeriodicFunction(a, b)
+    assert f.is_even == (kind == "even" or n_modes == 0)
     tol = 1e-12 * (np.abs(a).sum() + np.abs(b).sum())
     got = f.eval_at(_EVAL_POINTS)
     assert got.shape == _EVAL_POINTS.shape
@@ -140,7 +141,7 @@ def _series_kinds(n_modes, rng):
     b = rng.standard_normal(n_modes)
     zeros = np.zeros(n_modes)
     return [
-        PeriodicFunction(a, zeros, "even"),
+        PeriodicFunction(a, zeros),
         PeriodicFunction(np.r_[a[0], zeros], b),
         PeriodicFunction(a, b),
         PeriodicFunction.zero(n_modes),
@@ -255,11 +256,28 @@ def test_analyze_rejects_bad_input():
         analyze(np.array([1.0, np.nan, 0.0, 0.0]))
 
 
-def test_parity_validation():
-    with pytest.raises(InvalidSamples):
-        PeriodicFunction(np.array([0.0, 1.0]), np.array([0.5]), "even")
-    f = PeriodicFunction(np.array([0.0, 1.0]), np.array([1e-14]), "even")
-    assert f.sin_coeffs[0] == 0.0
+@pytest.mark.parametrize(
+    "mode, kind",
+    [(0, "sin"), (-1, "cos"), (-2, "sin"), (1, "tan")],
+)
+def test_harmonic_rejects_bad_mode_or_kind(mode, kind):
+    with pytest.raises(ValueError):
+        PeriodicFunction.harmonic(mode, n_modes=4, kind=kind)
+
+
+def test_cos_harmonic_of_mode_zero_is_a_constant():
+    f = PeriodicFunction.harmonic(0, 2.0, n_modes=4)
+    assert np.array_equal(f.cos_coeffs, [2.0, 0, 0, 0, 0]) and f.is_even
+
+
+def test_evenness_is_read_from_the_sine_block():
+    a = np.array([0.0, 1.0, 0.5])
+    assert PeriodicFunction(a, np.zeros(2)).is_even
+    assert not PeriodicFunction(a, np.array([0.0, 1e-300])).is_even
+    sine = PeriodicFunction.harmonic(1, kind="sin")
+    assert not sine.is_even and (sine - sine).is_even
+    assert analyze(np.cos(grid_nodes(16))).is_even
+    assert not analyze(np.sin(grid_nodes(16))).is_even
 
 
 def test_derivative_action():
@@ -281,11 +299,11 @@ def test_truncated_keeps_and_pads_modes():
 def test_tail_energy_fraction():
     a = np.zeros(9)
     a[8] = 3.0
-    f = PeriodicFunction(a, np.zeros(8), "even")
+    f = PeriodicFunction(a, np.zeros(8))
     assert f.tail_energy_fraction() == pytest.approx(1.0)
     a2 = np.zeros(9)
     a2[1] = 3.0
-    assert PeriodicFunction(a2, np.zeros(8), "even").tail_energy_fraction() == 0.0
+    assert PeriodicFunction(a2, np.zeros(8)).tail_energy_fraction() == 0.0
 
 
 # -- hyperbolic ratios ---------------------------------------------------
