@@ -55,7 +55,6 @@ from .fields import (
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
-    StripGridField,
     analyze,
     conjugate_extension,
     derivative,
@@ -63,6 +62,7 @@ from .spectral import (
     grid_nodes,
     harmonic_extension,
     hilbert_strip,
+    strip_nodes,
 )
 from .surface_equation import (
     AdmissibilityReport,
@@ -95,7 +95,6 @@ __all__ = [
     "PhysicalParams",
     "SingularExpression",
     "SingularJacobian",
-    "StripGridField",
     "SurfaceCurve",
     "SurfaceInversionFailed",
     "TrialState",
@@ -124,6 +123,7 @@ __all__ = [
     "reconstruct",
     "residual",
     "solver_parameters",
+    "strip_nodes",
     "surface_curve",
     "trace_branch",
     "transversality_value",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import MIN_VALIDATION_ROWS, SurfaceCurve, reconstruct, validate_solution
 from .params import PhysicalParams
-from .spectral import PeriodicFunction, collocation_size, grid_nodes
+from .spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
 from .surface_equation import TrialState
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -420,19 +420,20 @@ def cmd_reconstruct(config, branch_path, index):
         field = reconstruct(state, params, n_y=config.vertical_points)
     except FlowForceError as exc:
         raise _point_error(branch_path, index, s, exc) from exc
-    n_x, n_rows = field.u.n_x, field.u.n_y + 1
+    n_rows, n_x = field.u.shape
     # one row per grid node, x fastest, from the bed up
     grids = (field.u, field.v, field.harmonic_potential, field.raw_force, field.flow_force)
-    columns = [np.tile(field.u.x_nodes, n_rows), np.repeat(field.u.y_nodes, n_x)]
-    columns += [grid.values.ravel() for grid in grids]
+    y = strip_nodes(n_rows - 1, params.strip_depth)
+    columns = [np.tile(grid_nodes(n_x), n_rows), np.repeat(y, n_x)]
+    columns += [grid.ravel() for grid in grids]
     header = "x [rad],y [-],X [m],Y [m],zeta [m^3/s^2],xi [m^3/s^2],S [m^3/s^2]"
     _write_text(_out_path(config, "field.csv"), _csv_lines(header, columns))
     summary = {
         "schema": "flowforce/field-v1",
         "s": s,
         "surface_value": field.surface_value,
-        "n_x": field.u.n_x,
-        "n_y": field.u.n_y,
+        "n_x": n_x,
+        "n_y": n_rows - 1,
     }
     _write_json(_out_path(config, "field.json"), summary)
     return 0
@@ -482,7 +483,8 @@ def main(argv=None):
     except InputFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # a config value too large to allocate for (a scan limit or grid size)
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     except KernelNotSimple as exc:

@@ -28,7 +28,6 @@ from .errors import SurfaceInversionFailed
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
-    StripGridField,
     _eval_points,
     _eval_sums,
     _node_taylor,
@@ -123,18 +122,16 @@ def surface_curve(elevation, p: PhysicalParams):
 
 
 def conformal_map(elevation, p: PhysicalParams, n_y, n_x=None):
-    """Strip-to-domain map as a pair of grid fields (abscissa, height).
+    """Strip-to-domain map (u, v), read-only arrays laid out as harmonic_extension's.
 
-    The height field is the harmonic extension of depth + elevation
-    with zero bottom values; the abscissa field is its harmonic
-    conjugate plus the linear part x/k.
+    The height v is the harmonic extension of depth + elevation with zero
+    bottom values; the abscissa u is its harmonic conjugate plus x/k.
     """
     d = p.strip_depth
     v_top = elevation + p.h
     v = harmonic_extension(v_top, d, n_y, n_x)
-    conj = conjugate_extension(v_top, d, n_y, n_x)
-    x_row = grid_nodes(conj.n_x) / p.k
-    u = StripGridField(conj.values + x_row, d)
+    u = conjugate_extension(v_top, d, n_y, n_x) + grid_nodes(v.shape[1]) / p.k
+    u.flags.writeable = False
     return u, v
 
 
@@ -152,6 +149,10 @@ def _correction_strength(w, p: PhysicalParams):
 class FlowForceField:
     """Flow-force density and its ingredients on the reference strip grid.
 
+    The five grids u, v, harmonic_potential, raw_force and flow_force are
+    read-only (n_y + 1, n_x) float64 arrays: row m lies at strip_nodes(n_y,
+    p.strip_depth)[m], from the bed (row 0) up, and column j at grid_nodes(n_x)[j].
+
     flow_force = harmonic_potential - (g/2) v^2 + correction pullback;
     its top trace is the constant surface_value and its bottom trace is
     zero.  u and v are the conformal map components; surface_abscissa
@@ -165,11 +166,11 @@ class FlowForceField:
     times height/surface height.
     """
 
-    u: StripGridField
-    v: StripGridField
-    harmonic_potential: StripGridField
-    raw_force: StripGridField
-    flow_force: StripGridField
+    u: np.ndarray
+    v: np.ndarray
+    harmonic_potential: np.ndarray
+    raw_force: np.ndarray
+    flow_force: np.ndarray
     surface_value: float
     correction: PeriodicFunction
     surface_abscissa: np.ndarray
@@ -237,9 +238,10 @@ def _geometry(curve, n_y, n_x):
     safeguarded Newton steps finish from that start.
     """
     u, v = conformal_map(curve.elevation, curve.params, n_y, n_x)
-    targets = u.values[:, : u.n_x // 2 + 1]
-    x0 = _inversion_start(curve, targets, u.n_x)
-    x_s = _unfold(curve.invert(targets, x0=x0), u.n_x, odd=True)
+    n_x = u.shape[1]
+    targets = u[:, : n_x // 2 + 1]
+    x0 = _inversion_start(curve, targets, n_x)
+    x_s = _unfold(curve.invert(targets, x0=x0), n_x, odd=True)
     heights = curve.params.h + _even_at(curve.elevation, x_s)
     x_s.flags.writeable = heights.flags.writeable = False
     return u, v, x_s, heights
@@ -256,15 +258,16 @@ def _potential(state, p: PhysicalParams, n_y, n_x):
 
 def _assemble(state, p: PhysicalParams, u, v, x_s, heights):
     """The FlowForceField of state under p on the geometry of _geometry."""
-    s0, e0, zeta = _potential(state, p, u.n_y, u.n_x)
-    xi_vals = zeta.values - 0.5 * p.g * v.values**2
-    pullback = _even_at(e0, x_s) * v.values / heights
+    s0, e0, zeta = _potential(state, p, u.shape[0] - 1, u.shape[1])
+    xi = zeta - 0.5 * p.g * v**2
+    force = xi + _even_at(e0, x_s) * v / heights
+    xi.flags.writeable = force.flags.writeable = False
     return FlowForceField(
         u=u,
         v=v,
         harmonic_potential=zeta,
-        raw_force=StripGridField(xi_vals, p.strip_depth),
-        flow_force=StripGridField(xi_vals + pullback, p.strip_depth),
+        raw_force=xi,
+        flow_force=force,
         surface_value=s0,
         correction=e0,
         surface_abscissa=x_s,
@@ -329,8 +332,8 @@ def _map_gradient_sq(w, p: PhysicalParams, n_y, n_x):
     """|gradient of the height field V|^2 on the (n_y + 1, n_x) strip grid:
     V_x extends w', and V_y is the conjugate extension of w' plus 1/k."""
     slope = derivative(w)
-    vx = harmonic_extension(slope, p.strip_depth, n_y, n_x).values
-    vy = conjugate_extension(slope, p.strip_depth, n_y, n_x).values + 1.0 / p.k
+    vx = harmonic_extension(slope, p.strip_depth, n_y, n_x)
+    vy = conjugate_extension(slope, p.strip_depth, n_y, n_x) + 1.0 / p.k
     return vx**2 + vy**2
 
 
@@ -358,11 +361,11 @@ def _force_balance_defect(field, curvature, w, p):
     conformal factor); the curvature is evaluated at the field's inverted
     surface abscissa.
     """
-    grad_sq = _map_gradient_sq(w, p, field.u.n_y, field.u.n_x)
-    lap = _five_point_laplacian(field.flow_force.values, p.strip_depth)
+    grad_sq = _map_gradient_sq(w, p, field.u.shape[0] - 1, field.u.shape[1])
+    lap = _five_point_laplacian(field.flow_force, p.strip_depth)
     physical = lap / grad_sq[1:-1]
     bend = _even_at(curvature, field.surface_abscissa[1:-1])
-    target = -p.g + bend * field.v.values[1:-1]
+    target = -p.g + bend * field.v[1:-1]
     return float(np.max(np.abs(physical - target)))
 
 
@@ -423,8 +426,8 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     expansions where the remainder bound holds (_even_at); the inversion
     starts from the root of X's expansion and takes one summation pass.
     """
-    zeta = field.harmonic_potential
-    n_y, n_x = zeta.n_y, zeta.n_x
+    zeta, d = field.harmonic_potential, p.strip_depth
+    n_y, n_x = zeta.shape[0] - 1, zeta.shape[1]
     if n_y < MIN_VALIDATION_ROWS:
         raise ValueError(
             f"validation needs at least {MIN_VALIDATION_ROWS} vertical intervals"
@@ -438,22 +441,22 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
 
     # the potential layer legitimately carries p_atm-sized values, so
     # its stencil defects are judged against the layer's own magnitude
-    layer_scale = max(scale, float(np.max(np.abs(zeta.values))))
-    harmonic_hi = float(np.max(np.abs(_hi_order_laplacian(zeta.values, zeta.depth))))
-    coarse = float(np.max(np.abs(_five_point_laplacian(zeta.values, zeta.depth))))
-    fine_zeta = _potential(trial, p, 2 * n_y, 2 * n_x)[2].values
-    fine = float(np.max(np.abs(_five_point_laplacian(fine_zeta, zeta.depth))))
+    layer_scale = max(scale, float(np.max(np.abs(zeta))))
+    harmonic_hi = float(np.max(np.abs(_hi_order_laplacian(zeta, d))))
+    coarse = float(np.max(np.abs(_five_point_laplacian(zeta, d))))
+    fine_zeta = _potential(trial, p, 2 * n_y, 2 * n_x)[2]
+    fine = float(np.max(np.abs(_five_point_laplacian(fine_zeta, d))))
     del fine_zeta  # a doubled-grid array; not needed during the fine assembly below
     floor = 1e-10 * layer_scale
     ratio, order = _refinement_order(coarse, fine, floor)
 
-    surface_trace = float(np.max(np.abs(field.flow_force.top_row - field.surface_value)))
-    bottom_trace = float(np.max(np.abs(field.flow_force.bottom_row)))
+    surface_trace = float(np.max(np.abs(field.flow_force[-1] - field.surface_value)))
+    bottom_trace = float(np.max(np.abs(field.flow_force[0])))
 
     geometry = (field.u, field.v, field.surface_abscissa, field.surface_height)
     gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), *geometry)
-    flow = field.flow_force.values
-    gauge = float(np.max(np.abs(gauged.flow_force.values - flow)))
+    flow = field.flow_force
+    gauge = float(np.max(np.abs(gauged.flow_force - flow)))
     gauge /= max(1.0, float(np.max(np.abs(flow))))
 
     # the flow force is invariant under the atmospheric gauge (checked

@@ -22,7 +22,6 @@ from .errors import InvalidSamples, MeanNotZero
 
 __all__ = [
     "PeriodicFunction",
-    "StripGridField",
     "analyze",
     "eval_many",
     "collocation_size",
@@ -32,6 +31,7 @@ __all__ = [
     "harmonic_extension",
     "conjugate_extension",
     "grid_nodes",
+    "strip_nodes",
     "scaled_coth",
     "sinh_ratio",
     "cosh_ratio",
@@ -49,6 +49,12 @@ def collocation_size(n_modes):
 def grid_nodes(m):
     """Uniform collocation nodes x_j = 2 pi j / m, j = 0..m-1."""
     return 2.0 * np.pi * np.arange(m) / m
+
+
+def strip_nodes(n_y, d):
+    """Uniform strip rows y_m = -d + d m / n_y, m = 0..n_y: row 0 is the bed,
+    exactly -d, and the last row the surface, exactly 0."""
+    return d * (np.arange(n_y + 1) / n_y - 1.0)
 
 
 def _aligned(shape):
@@ -410,51 +416,6 @@ def _depth_value(d):
     return val
 
 
-@dataclass(frozen=True, eq=False)
-class StripGridField:
-    """Real field sampled on the strip grid x_j = 2 pi j / n_x, y_m = -d + d m / n_y.
-
-    Row 0 is the bottom (y = -d), the last row the top boundary (y = 0).
-    """
-
-    values: np.ndarray
-    depth: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise InvalidSamples("field values must be a (n_y+1, n_x) matrix")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "depth", float(self.depth))
-
-    @property
-    def n_y(self):
-        return self.values.shape[0] - 1
-
-    @property
-    def n_x(self):
-        return self.values.shape[1]
-
-    @property
-    def x_nodes(self):
-        return grid_nodes(self.n_x)
-
-    @property
-    def y_nodes(self):
-        frac = np.arange(self.n_y + 1) / self.n_y
-        return self.depth * (frac - 1.0)
-
-    @property
-    def bottom_row(self):
-        return self.values[0]
-
-    @property
-    def top_row(self):
-        return self.values[-1]
-
-
 def hilbert_strip(f, d):
     """Periodic Hilbert transform for the strip of depth d.
 
@@ -490,21 +451,23 @@ def _extension_grids(f, d, n_y, n_x):
     if n_y < 2:
         raise ValueError("need at least two vertical intervals")
     n_x = collocation_size(f.n_modes) if n_x is None else int(n_x)
-    frac = np.arange(n_y + 1) / n_y
-    y = d * (frac - 1.0)
-    return n_x, frac, y
+    return n_x, strip_nodes(n_y, d)
 
 
 def harmonic_extension(f, d, n_y, n_x=None):
     """Harmonic extension into the strip, zero on the bottom, f on top.
 
     Per mode: sinh(n(y+d))/sinh(nd); the mean extends linearly in y.
-    The vertical grid has n_y uniform intervals (n_y + 1 rows).  An
-    all-zero cosine or sine block is skipped, as in eval_many.
+    Returns a read-only (n_y + 1, n_x) array on the rows strip_nodes(n_y, d),
+    row 0 the bed, and the columns grid_nodes(n_x).  An all-zero cosine or
+    sine block is skipped, as in eval_many, and so is a zero mean's linear
+    part, which would only repeat the mean's signed zero.
     """
     dv = _depth_value(d)
-    n_x, frac, y = _extension_grids(f, dv, n_y, n_x)
-    vals = np.outer(frac, np.full(n_x, f.cos_coeffs[0]))
+    n_x, y = _extension_grids(f, dv, n_y, n_x)
+    vals = np.full((n_y + 1, n_x), f.cos_coeffs[0])
+    if f.cos_coeffs[0]:
+        vals *= (np.arange(n_y + 1) / n_y)[:, None]
     if f.n_modes:
         modes = np.arange(1, f.n_modes + 1)
         ratio = sinh_ratio(modes, y, dv)
@@ -513,7 +476,8 @@ def harmonic_extension(f, d, n_y, n_x=None):
             vals += (ratio * f.cos_coeffs[1:]) @ cos_mat
         if np.any(f.sin_coeffs):
             vals += (ratio * f.sin_coeffs) @ sin_mat
-    return StripGridField(vals, dv)
+    vals.flags.writeable = False
+    return vals
 
 
 def conjugate_extension(f, d, n_y, n_x=None):
@@ -524,11 +488,11 @@ def conjugate_extension(f, d, n_y, n_x=None):
     [cosh(n(y+d))/sinh(nd)] sin nx and b_n sin nx -> -b_n [...] cos nx,
     so the top trace of zero-mean data is hilbert_strip(f).  The mean
     mode's conjugate is the non-periodic linear part mean/d * x, which
-    the caller adds where needed.  An all-zero cosine or sine block is
-    skipped, as in harmonic_extension.
+    the caller adds where needed.  Returns a read-only grid laid out as
+    harmonic_extension's; an all-zero cosine or sine block is skipped.
     """
     dv = _depth_value(d)
-    n_x, _, y = _extension_grids(f, dv, n_y, n_x)
+    n_x, y = _extension_grids(f, dv, n_y, n_x)
     vals = np.zeros((n_y + 1, n_x))
     if f.n_modes:
         modes = np.arange(1, f.n_modes + 1)
@@ -538,4 +502,5 @@ def conjugate_extension(f, d, n_y, n_x=None):
             vals = (ratio * f.cos_coeffs[1:]) @ sin_mat
         if np.any(f.sin_coeffs):
             vals -= (ratio * f.sin_coeffs) @ cos_mat
-    return StripGridField(vals, dv)
+    vals.flags.writeable = False
+    return vals

@@ -194,15 +194,15 @@ def test_criterion_08_field_reconstruction(water, timed_branch):
     lam = onset_speed_sq(1, water.k, water)
     laminar = TrialState(lam, 0.0, PeriodicFunction.zero(8))
     field = reconstruct(laminar, water, n_y=64, n_x=128)
-    expect = laminar_flow_force(field.v.values, lam, water)
-    assert np.max(np.abs(field.flow_force.values - expect)) < 1e-10
+    expect = laminar_flow_force(field.v, lam, water)
+    assert np.max(np.abs(field.flow_force - expect)) < 1e-10
     branch, _ = timed_branch
     point = branch.points[0]
     assert point.amplitude == 1e-3
     wave = reconstruct(point, water)
     s0, _ = physical_constants(point.speed_sq, point.bernoulli_shift, water)
-    assert np.max(np.abs(wave.flow_force.bottom_row)) < 1e-10
-    assert np.max(np.abs(wave.flow_force.top_row - s0)) < 1e-10
+    assert np.max(np.abs(wave.flow_force[0])) < 1e-10
+    assert np.max(np.abs(wave.flow_force[-1] - s0)) < 1e-10
     report = validate_solution(wave, point, water)
     assert report.passed, report.failures
     assert 3.0 <= report.harmonic_ratio <= 5.0

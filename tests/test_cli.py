@@ -15,7 +15,7 @@ import pytest
 
 from flowforce import PhysicalParams, dispersion_table, onset_speed_sq, reconstruct
 from flowforce.cli import _KEYS, RunConfig, _csv_lines, load_config, main
-from flowforce.spectral import PeriodicFunction
+from flowforce.spectral import PeriodicFunction, grid_nodes, strip_nodes
 from flowforce.surface_equation import TrialState
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -245,11 +245,11 @@ def test_default_field_csv_is_per_cell_repr(tmp_path):
     state = TrialState(
         rec["lambda"], rec["mu"], PeriodicFunction.from_cosines(rec["cos_coeffs"])
     )
-    field = reconstruct(
-        state, PhysicalParams(**payload["params"]), n_y=load_config().vertical_points
-    )
+    params = PhysicalParams(**payload["params"])
+    field = reconstruct(state, params, n_y=load_config().vertical_points)
+    n_rows, n_x = field.u.shape
     grids = [
-        g.values.tolist()
+        g.tolist()
         for g in (field.u, field.v, field.harmonic_potential,
                   field.raw_force, field.flow_force)
     ]
@@ -258,8 +258,8 @@ def test_default_field_csv_is_per_cell_repr(tmp_path):
     assert lines[-1] == ""
     expected = [
         ",".join(repr(v) for v in [x, y] + [grid[j][i] for grid in grids])
-        for j, y in enumerate(field.u.y_nodes.tolist())
-        for i, x in enumerate(field.u.x_nodes.tolist())
+        for j, y in enumerate(strip_nodes(n_rows - 1, params.strip_depth).tolist())
+        for i, x in enumerate(grid_nodes(n_x).tolist())
     ]
     assert lines[1:-1] == expected
 
@@ -583,6 +583,25 @@ def test_out_of_range_config_value_rejected(tmp_path, capsys, text, command, key
     err = capsys.readouterr().err
     assert key in err
     assert f"{cfg}:{line}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ("[kernel]\nscan_limit = 100000000000000\n", "kernel-check"),
+        ("[dispersion]\nk_count = 100000000000000\n", "dispersion"),
+    ],
+    ids=["scan_limit", "k_count"],
+)
+def test_config_value_too_large_to_allocate_rejected(tmp_path, capsys, text, command):
+    # numpy refuses the 728 TiB array before allocating anything
+    cfg = _write(tmp_path / "c.ini", text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), command]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -35,6 +35,7 @@ from flowforce.spectral import (
     _spectrum,
     _trig_matrices,
     analyze,
+    collocation_size,
     cosh_ratio,
     sinh_ratio,
 )
@@ -58,8 +59,8 @@ def _laminar_state(p, n_modes=8):
 def test_laminar_field_matches_closed_form(water):
     state = _laminar_state(water)
     field = reconstruct(state, water, n_y=64, n_x=128)
-    expect = laminar_flow_force(field.v.values, state.speed_sq, water)
-    assert np.max(np.abs(field.flow_force.values - expect)) < 1e-10
+    expect = laminar_flow_force(field.v, state.speed_sq, water)
+    assert np.max(np.abs(field.flow_force - expect)) < 1e-10
     s0, _ = physical_constants(state.speed_sq, 0.0, water)
     assert field.surface_value == pytest.approx(s0, rel=1e-15)
 
@@ -85,24 +86,34 @@ def test_wave_traces(water, wave_point, wave_field):
     )
     scale = max(1.0, abs(s0))
     assert wave_field.surface_value == pytest.approx(s0, rel=1e-15)
-    top = wave_field.flow_force.top_row
+    top = wave_field.flow_force[-1]
     assert np.max(np.abs(top - s0)) < 1e-10 * scale
-    assert np.max(np.abs(wave_field.flow_force.bottom_row)) < 1e-10 * scale
-    assert np.max(np.abs(wave_field.harmonic_potential.bottom_row)) < 1e-12
+    assert np.max(np.abs(wave_field.flow_force[0])) < 1e-10 * scale
+    assert np.max(np.abs(wave_field.harmonic_potential[0])) < 1e-12
 
 
 def test_conformal_map_boundary_rows(water, wave_point):
     w = wave_point.elevation
     u, v = conformal_map(w, water, n_y=16)
-    x = grid_nodes(u.n_x)
+    x = grid_nodes(u.shape[1])
     surface = water.h + w.eval_at(x)
-    assert np.max(np.abs(v.top_row - surface)) < 1e-12
-    assert np.all(v.bottom_row == 0.0)
+    assert np.max(np.abs(v[-1] - surface)) < 1e-12
+    assert np.all(v[0] == 0.0)
     conj = hilbert_strip(w, water.strip_depth).eval_at(x)
     expect_u = x / water.k + conj
-    assert np.max(np.abs(u.top_row - expect_u)) < 1e-12
-    assert u.depth == water.strip_depth
-    assert v.n_y == 16
+    assert np.max(np.abs(u[-1] - expect_u)) < 1e-12
+    assert u.shape == v.shape == (17, x.size)
+
+
+@pytest.mark.parametrize("n_x", [None, 33])
+def test_field_grids_are_read_only_arrays(water, wave_point, n_x):
+    field = reconstruct(wave_point, water, n_y=16, n_x=n_x)
+    width = collocation_size(wave_point.elevation.n_modes) if n_x is None else n_x
+    for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
+        grid = getattr(field, name)
+        assert type(grid) is np.ndarray and grid.dtype == np.float64, name
+        assert grid.shape == (17, width), name
+        assert grid.flags.c_contiguous and not grid.flags.writeable, name
 
 
 def test_surface_curve_inversion_round_trip(water, wave_point):
@@ -121,8 +132,8 @@ def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
     # the abscissa of an even elevation is odd about x = pi, so the inverted
     # half of the grid gives the other half; the mirror must still invert u
     field = reconstruct(wave_point, water, n_y=16, n_x=n_x)
-    x_s, u = field.surface_abscissa, field.u.values
-    n_x = field.u.n_x
+    x_s, u = field.surface_abscissa, field.u
+    n_x = u.shape[1]
     j = np.arange(1, n_x - n_x // 2)
     assert np.array_equal(x_s[:, n_x - j], 2.0 * np.pi - x_s[:, j])
     curve = surface_curve(wave_point.elevation, water)
@@ -215,10 +226,8 @@ def test_validate_laminar_solution(water):
 
 def test_field_gauge_invariance(water, wave_point, wave_field):
     gauged = reconstruct(wave_point, water.replace(p_atm=101325.0))
-    scale = max(1.0, float(np.max(np.abs(wave_field.flow_force.values))))
-    diff = np.max(
-        np.abs(gauged.flow_force.values - wave_field.flow_force.values)
-    )
+    scale = max(1.0, float(np.max(np.abs(wave_field.flow_force))))
+    diff = np.max(np.abs(gauged.flow_force - wave_field.flow_force))
     assert diff / scale < 1e-9
 
 
@@ -310,7 +319,7 @@ def test_validated_point_evaluates_elevation_once_per_grid(
     evaluations = _count_calls(monkeypatch, PeriodicFunction, "eval_at")
     field = reconstruct(wave_point, water, n_y=16)
     validate_solution(field, wave_point, water)
-    n_x = field.u.n_x
+    n_x = field.u.shape[1]
     rows = _TAYLOR_DEGREE + 1
     assert shapes == [(rows, n_x // 2 + 1), (rows, n_x + 1)]
     assert evaluations == []
@@ -393,8 +402,8 @@ def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
         passes.clear()
         u, _, x_s, _ = fields._geometry(curve, n_y, None)
         assert len(passes) <= 20
-        half = u.n_x // 2 + 1
-        u, x_s = u.values[:, :half], x_s[:, :half]
+        half = u.shape[1] // 2 + 1
+        u, x_s = u[:, :half], x_s[:, :half]
         defect = np.abs(curve.profile(x_s)[0] - u)
         assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
     x = np.linspace(-1.0, 7.0, 2001)
@@ -455,9 +464,7 @@ def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     )
     rebuilt = reconstruct(wave_point, gauge, n_y=16)
     for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
-        assert np.array_equal(
-            getattr(assembled, name).values, getattr(rebuilt, name).values
-        ), name
+        assert np.array_equal(getattr(assembled, name), getattr(rebuilt, name)), name
     assert np.array_equal(assembled.surface_abscissa, rebuilt.surface_abscissa)
     assert assembled.surface_value == rebuilt.surface_value
 

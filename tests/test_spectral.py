@@ -23,6 +23,7 @@ from flowforce import (
     grid_nodes,
     harmonic_extension,
     hilbert_strip,
+    strip_nodes,
 )
 from flowforce import spectral
 from flowforce.spectral import (
@@ -459,10 +460,42 @@ def test_extension_boundary_rows_exact():
     for d in DEPTHS:
         field = harmonic_extension(f, d, n_y=16)
         np.testing.assert_allclose(
-            field.top_row, f.samples(field.n_x), atol=1e-13
+            field[-1], f.samples(field.shape[1]), atol=1e-13
         )
-        assert np.all(field.bottom_row == 0.0)
-        assert field.y_nodes[0] == -d and field.y_nodes[-1] == 0.0
+        assert np.all(field[0] == 0.0)
+        y = strip_nodes(16, d)
+        assert y[0] == -d and y[-1] == 0.0
+
+
+@pytest.mark.parametrize("n_x", [None, 21])
+@pytest.mark.parametrize(
+    "f",
+    [
+        _mixed_function(),
+        PeriodicFunction.harmonic(2, 0.3, n_modes=5),
+        PeriodicFunction.harmonic(3, 0.3, n_modes=5, kind="sin"),
+        PeriodicFunction.zero(4),
+        PeriodicFunction.constant(1.5),
+    ],
+    ids=["mixed", "cos", "sin", "zero", "constant"],
+)
+@pytest.mark.parametrize("extension", [harmonic_extension, conjugate_extension])
+def test_extensions_return_read_only_grids(extension, f, n_x):
+    field = extension(f, 0.7, 12, n_x)
+    width = collocation_size(f.n_modes) if n_x is None else n_x
+    assert type(field) is np.ndarray and field.dtype == np.float64
+    assert field.shape == (13, width)
+    assert field.flags.c_contiguous and not field.flags.writeable
+
+
+@pytest.mark.parametrize("n_modes", [0, 3])
+@pytest.mark.parametrize("mean", [0.0, -0.0, 0.7])
+def test_harmonic_extension_mean_term_keeps_outer_product_bits(mean, n_modes):
+    # a zero mean skips the product with the rows; -0.0 still gives -0.0
+    field = harmonic_extension(PeriodicFunction.constant(mean, n_modes), 0.5, n_y=10)
+    expect = np.outer(np.arange(11) / 10, np.full(field.shape[1], mean))
+    assert np.array_equal(field, expect)
+    assert np.array_equal(np.signbit(field), np.signbit(expect))
 
 
 def test_conjugate_trace_is_hilbert_transform():
@@ -470,7 +503,7 @@ def test_conjugate_trace_is_hilbert_transform():
     f = f - f.mean()
     d = 1.0
     z = conjugate_extension(f, d, n_y=8)
-    trace = analyze(z.top_row).truncated(f.n_modes)
+    trace = analyze(z[-1]).truncated(f.n_modes)
     expect = hilbert_strip(f, d)
     np.testing.assert_allclose(trace.cos_coeffs, expect.cos_coeffs, atol=1e-12)
     np.testing.assert_allclose(trace.sin_coeffs, expect.sin_coeffs, atol=1e-12)
@@ -487,11 +520,12 @@ def test_extensions_conjugate_through_sub_strip_transform():
     w = harmonic_extension(f, d, n_y)
     z = conjugate_extension(f, d, n_y)
     worst = 0.0
+    y = strip_nodes(n_y, d)
     for row in range(1, n_y):
-        y0 = w.y_nodes[row]
-        trace = analyze(w.values[row])
+        y0 = y[row]
+        trace = analyze(w[row])
         expect = hilbert_strip(trace - trace.mean(), d + y0)
-        got = analyze(z.values[row])
+        got = analyze(z[row])
         worst = max(
             worst,
             float(np.max(np.abs(got.cos_coeffs - expect.cos_coeffs))),
@@ -513,12 +547,9 @@ def test_cauchy_riemann_by_refinement():
         w = harmonic_extension(f, d, n_y, n_x=64)
         z = conjugate_extension(f, d, n_y, n_x=64)
         hy = d / n_y
-        w_y = (
-            -w.values[4:] + 8.0 * w.values[3:-1]
-            - 8.0 * w.values[1:-3] + w.values[:-4]
-        ) / (12.0 * hy)
+        w_y = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * hy)
         zx_rows = [
-            derivative(analyze(z.values[r])).samples(64)
+            derivative(analyze(z[r])).samples(64)
             for r in range(2, n_y - 1)
         ]
         return float(np.max(np.abs(np.array(zx_rows) - w_y)))
@@ -532,10 +563,9 @@ def test_five_point_laplacian_refinement_ratio():
     d = 1.0
 
     def defect(n_x, n_y):
-        field = harmonic_extension(f, d, n_y, n_x=n_x)
+        v = harmonic_extension(f, d, n_y, n_x=n_x)
         hx = 2.0 * np.pi / n_x
         hy = d / n_y
-        v = field.values
         lap = (
             (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / hx**2
         )[1:-1] + (v[2:] - 2.0 * v[1:-1] + v[:-2]) / hy**2
@@ -548,5 +578,4 @@ def test_five_point_laplacian_refinement_ratio():
 def test_harmonic_extension_mean_is_linear_in_y():
     field = harmonic_extension(PeriodicFunction.constant(2.0, 2), 0.5, n_y=10)
     frac = np.arange(11) / 10
-    np.testing.assert_allclose(field.values, np.outer(frac, np.full(8, 2.0)),
-                               atol=1e-15)
+    np.testing.assert_allclose(field, np.outer(frac, np.full(8, 2.0)), atol=1e-15)
