@@ -5,7 +5,8 @@ periodic even waves.  The branch is parametrized by the first cosine
 coefficient s of the elevation: s is frozen, and Newton's method solves
 the Galerkin system for the squared surface speed, the Bernoulli shift
 and the remaining coefficients a_2..a_N.  Successive amplitudes are
-warm-started from the previous corrected state.
+warm-started from the previous corrected state.  At N > 64 each step
+is solved at 64 modes first and certified by the N-mode residual.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ __all__ = [
 
 _COND_LIMIT = 1e14
 _STALL_STEP = np.sqrt(np.finfo(float).eps)
+# fewest modes of a Newton level; 64 resolve every measured branch to rounding
+_COARSEST_MODES = 64
 
 
 @dataclass(frozen=True)
@@ -106,20 +109,36 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
                    tol=1e-11, max_iter=25):
     """Correct a predictor at frozen amplitude s = first cosine coefficient.
 
-    Returns (corrected TrialState, iterations, residual norm).  The
-    convergence test (max-norm of the residual <= tol) runs before each
-    Jacobian assembly, so a state that already satisfies the system costs
-    no linear solves.  Newton stops early on the residual's rounding
-    floor: once an update moves theta by at most sqrt(eps) * max|theta|,
-    quadratic contraction predicts a next step below rounding, so a
-    residual that then fails to fall can never reach tol.  Raises
-    SingularJacobian past condition 1e14, NoConvergence on such a stall
-    or after max_iter updates, and InadmissibleIterate when an iterate
-    leaves the physical regime: the gate sits in the residual, which
-    samples each iterate (the predictor, then each update) once and
-    checks it before anything else is evaluated on it.
+    Returns (corrected TrialState, iterations, residual norm).  At
+    N > 64 modes Newton visits the levels 64, 128, ... below N, then N,
+    each from the last one's result zero-padded; at N <= 64 the one
+    level is N.  Each level tests its residual (max-norm <= tol) before
+    each Jacobian assembly, so a level that the last one resolves costs
+    one residual and no linear solve: the N-mode test certifies the
+    truncation, and the tail above the last level that took an update is
+    exactly zero.  max_iter caps the updates of all levels together, and
+    the iterations reported count them all.  A level stops early on the
+    residual's rounding floor: once an update moves theta by at most
+    sqrt(eps) * max|theta|, quadratic contraction predicts a next step
+    below rounding, so a residual that then fails to fall can never
+    reach tol.  Raises SingularJacobian past condition 1e14,
+    NoConvergence on such a stall or after max_iter updates, and
+    InadmissibleIterate when an iterate leaves the physical regime: the
+    gate sits in the residual, which samples each iterate (the
+    predictor, then each update) once and checks it before anything
+    else is evaluated on it.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
+    level, done = min(n, _COARSEST_MODES), 0
+    while True:
+        state, done, norm = _newton_level(state, s, p, level, tol, done, max_iter)
+        if level == n:
+            return state, done, norm
+        level = min(2 * level, n)
+
+
+def _newton_level(state, s, p, n, tol, done, max_iter):
+    """Newton at n modes, counting iterations on from `done` to max_iter."""
     theta, a0 = _unknowns(state, n)
     theta[2] = s
     # every unknown but a_1 (theta[2]), which is the frozen amplitude
@@ -127,7 +146,7 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     current = _trial_state(theta, a0)
     norm = float("inf")
     small_step = False
-    for it in range(max_iter + 1):
+    for it in range(done, max_iter + 1):
         r = galerkin_residual(current, p, n_modes=n)
         previous, norm = norm, float(np.max(np.abs(r)))
         if norm <= tol:
@@ -167,7 +186,8 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
     scan_limit modes); otherwise KernelNotSimple is raised.  A step that
     fails to converge truncates the branch and records the failure
     instead of raising; any toolkit error raised inside a step counts
-    as such a failure.
+    as such a failure.  Each step is one newton_correct call; a point's
+    newton_iters counts the updates of all its Newton levels.
     """
     steps = int(steps)
     if steps < 1:

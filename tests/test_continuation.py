@@ -190,7 +190,7 @@ def _count_jacobians(monkeypatch):
     original = continuation.jacobian_fd
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("n_modes"))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "jacobian_fd", counting)
@@ -218,6 +218,69 @@ def test_large_steps_run_out_max_iter(monkeypatch):
     assert "after 25 iterations" in branch.failure
     assert "stalled" not in branch.failure
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize(
+    "p, s_max",
+    [
+        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0), 4e-3),
+        (PhysicalParams(g=9.81, sigma=0.0, h=0.1, k=10.0), 1e-2),
+        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0), 4e-3),
+    ],
+    ids=["water", "pure-gravity", "p_atm"],
+)
+def test_nested_newton_certifies_coarse_solution(monkeypatch, p, s_max):
+    # 64 modes resolve these waves to rounding, so every update happens at
+    # 64 modes and the 128-mode residual only certifies the padded result
+    coarse = trace_branch(s_max, 8, p, n_modes=64)
+    calls = _count_jacobians(monkeypatch)
+    fine = trace_branch(s_max, 8, p, n_modes=128)
+    assert fine.failure is None and coarse.failure is None
+    assert calls and set(calls) == {64}
+    assert len(fine.points) == len(coarse.points) == 8
+    for got, want in zip(fine.points, coarse.points):
+        a = got.elevation.cos_coeffs
+        assert got.speed_sq == want.speed_sq
+        assert got.bernoulli_shift == want.bernoulli_shift
+        assert np.array_equal(a[:65], want.elevation.cos_coeffs)
+        assert np.all(a[65:] == 0.0)
+        assert got.residual_norm <= 1e-11
+
+
+def test_nested_newton_refines_unresolved_levels(monkeypatch, water):
+    # four modes cannot hold a wave of steepness 0.2; the finer levels
+    # take updates.  Both traces run to tol = 1e-15, near the residual's
+    # rounding floor, so they agree to rounding rather than to the
+    # distance between two iterates stopped at a looser tol
+    single = trace_branch(2e-2, 4, water, n_modes=16, tol=1e-15)
+    monkeypatch.setattr(continuation, "_COARSEST_MODES", 4)
+    calls = _count_jacobians(monkeypatch)
+    nested = trace_branch(2e-2, 4, water, n_modes=16, tol=1e-15)
+    assert single.failure is None and nested.failure is None
+    assert {8, 16} <= set(calls)
+    assert sum(pt.newton_iters for pt in nested.points) == len(calls)
+    for got, want in zip(nested.points, single.points):
+        assert got.residual_norm <= 1e-15
+        assert got.speed_sq == pytest.approx(want.speed_sq, rel=1e-12, abs=0.0)
+        scale = np.max(np.abs(want.elevation.cos_coeffs))
+        assert np.max(np.abs(got.elevation.cos_coeffs - want.elevation.cos_coeffs)) \
+            <= 1e-12 * scale
+
+
+def test_nested_newton_shares_one_iteration_budget(monkeypatch, water):
+    # from the linear predictor at steepness 0.05 the 4-mode level takes
+    # three updates and the 8- and 16-mode levels one each
+    monkeypatch.setattr(continuation, "_COARSEST_MODES", 4)
+    calls = _count_jacobians(monkeypatch)
+    state = initial_guess(5e-3, water, n_modes=16)
+    _, iters, _ = newton_correct(state, 5e-3, water, tol=1e-15, max_iter=5)
+    assert iters == 5
+    assert calls == [4, 4, 4, 8, 16]
+    calls.clear()
+    with pytest.raises(NoConvergence, match="after 4 iterations") as info:
+        newton_correct(state, 5e-3, water, tol=1e-15, max_iter=4)
+    assert info.value.iterations == 4
+    assert calls == [4, 4, 4, 8]
 
 
 REFERENCE_BRANCH = (
