@@ -15,6 +15,7 @@ input-file error.
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -28,10 +29,10 @@ from .dispersion import dispersion_table, kernel_is_simple
 from .errors import (
     ConfigError, FlowForceError, InputFileError, InvalidSamples, KernelNotSimple,
 )
-from .fields import MIN_VALIDATION_ROWS, SurfaceCurve, reconstruct, validate_solution
+from .fields import MIN_VALIDATION_ROWS, reconstruct, validate_solution
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
-from .surface_equation import TrialState
+from .surface_equation import TrialState, _surface_abscissa, _surface_rows
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -310,12 +311,15 @@ def _branch_payload(branch):
 
 
 def _profiles_lines(branch):
-    # unchecked: each point passed the residual's admissibility gate when it converged
-    x = grid_nodes(collocation_size(branch.n_modes))
+    """Each point's (X, Y) = (x/k + C(w), depth + w), sampled as the solver samples
+    it; unchecked: each point passed the admissibility gate when it converged."""
+    p, m = branch.params, collocation_size(branch.n_modes)
     s = [pt.amplitude for pt in branch.points]
-    curves = [SurfaceCurve(pt.elevation, branch.params).profile(x) for pt in branch.points]
-    abscissa, height = np.reshape(curves, (-1, 2, x.size)).transpose(1, 0, 2)
-    columns = (np.repeat(s, x.size), np.tile(x, len(s)), abscissa.ravel(), height.ravel())
+    stacked = [pt.elevation.cos_coeffs for pt in branch.points]
+    coeffs = np.reshape(stacked, (-1, branch.n_modes + 1))  # (0, N + 1) with no points
+    height = p.h + _surface_rows(coeffs, p, m)[0]
+    abscissa = _surface_abscissa(coeffs, p, m)
+    columns = (np.repeat(s, m), np.tile(grid_nodes(m), len(s)), abscissa.ravel(), height.ravel())
     return _csv_lines("s [m],x [rad],X [m],Y [m]", columns)
 
 
@@ -439,6 +443,7 @@ def cmd_reconstruct(config, branch_path, index):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="flowforce",

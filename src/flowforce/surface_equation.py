@@ -281,8 +281,9 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None)
     `active`, a sequence of indices into theta (default: all N + 2).
     Step per unknown: 1e-6 * max(1, |value|).  The perturbed
     states are evaluated together, in blocks of about _BLOCK_SAMPLES
-    grid values; a failing block is re-run state by state, so the error
-    raised is that of the first failing state in column order.
+    grid values.  States are independent, so a slice of a block raises
+    exactly when one of its states fails: a failing block is bisected to
+    its first failing state in column order, whose own error is raised.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     theta, a0 = _unknowns(state, n)
@@ -300,12 +301,20 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None)
         stack[:, 0] = a0
         stack[:, 1:] = rows[:, 2:]
         samples = _surface_rows(stack, p, collocation_size(n))
+        def states(i, j):
+            return _residual_rows(rows[i:j, 0], rows[i:j, 1], [a[i:j] for a in samples], p, n)
         try:
-            r = _residual_rows(rows[:, 0], rows[:, 1], samples, p, n)
+            r = states(0, rows.shape[0])
         except FlowForceError:
-            for i in range(rows.shape[0]):
-                one = slice(i, i + 1)
-                _residual_rows(rows[one, 0], rows[one, 1], [a[one] for a in samples], p, n)
+            lo, hi = 0, rows.shape[0]  # the first failing state is in [lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    states(lo, mid)
+                    lo = mid
+                except FlowForceError:
+                    hi = mid
+            states(lo, hi)
             raise
         jac[:, start : start + col.size] = (
             (r[0::2] - r[1::2]) / (2.0 * step[:, None])
@@ -325,16 +334,20 @@ class AdmissibilityReport:
     passed: bool
 
 
+def _surface_abscissa(cos_coeffs, p: PhysicalParams, m):
+    """The physical abscissae x/k + C(w) of B even elevations, cos_coeffs of
+    shape (B, N + 1), on m nodes; C(w) is the sine series coth(n d) a_n sin(nx)."""
+    coth = scaled_coth(np.arange(1, cos_coeffs.shape[1]) * p.strip_depth)
+    conj = _synthesize(coth * cos_coeffs[:, 1:], _trig_matrices(m, coth.size)[1])
+    return grid_nodes(m) / p.k + conj
+
+
 def _admissibility(cos_coeffs, samples, p: PhysicalParams):
     """The AdmissibilityReport of one elevation, cosines a_0..a_N, from its
-    single-row _surface_rows samples; only the abscissa x/k + C(w) of the
-    monotone-graph test is synthesized here."""
+    single-row _surface_rows samples; only the abscissa of the
+    monotone-graph test (_surface_abscissa) is synthesized here."""
     w_s, _, _, _, _, dnv, metric = samples
-    m = w_s.shape[1]
-    # C(w) is the sine series coth(n d) a_n sin(nx)
-    coth = scaled_coth(np.arange(1, cos_coeffs.size) * p.strip_depth)
-    conj = _synthesize((coth * cos_coeffs[1:])[None, :], _trig_matrices(m, coth.size)[1])[0]
-    surface_x = grid_nodes(m) / p.k + conj
+    surface_x = _surface_abscissa(cos_coeffs[None, :], p, w_s.shape[1])[0]
     period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
     monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
     min_height = float(np.min(w_s) + p.h)

@@ -13,10 +13,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flowforce import PhysicalParams, dispersion_table, onset_speed_sq, reconstruct
-from flowforce.cli import _KEYS, RunConfig, _csv_lines, load_config, main
-from flowforce.spectral import PeriodicFunction, grid_nodes, strip_nodes
-from flowforce.surface_equation import TrialState
+from flowforce import (
+    PhysicalParams, check_admissibility, dispersion_table, onset_speed_sq, reconstruct,
+    surface_equation,
+)
+from flowforce.cli import _KEYS, RunConfig, _build_parser, _csv_lines, load_config, main
+from flowforce.fields import SurfaceCurve
+from flowforce.spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
+from flowforce.surface_equation import TrialState, _surface_abscissa
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +44,8 @@ def _read_csv(path):
         rows.append(parsed)
     return header, rows
 
+
+PROFILES_HEADER = "s [m],x [rad],X [m],Y [m]"
 
 SMALL_BRANCH = """
 [continuation]
@@ -181,6 +187,98 @@ def test_branch_profiles_have_one_crest(tmp_path):
         down = y > np.roll(y, -1)
         assert int(np.sum(up & down)) == 1
         assert int(np.sum((~up) & (~down))) == 1
+
+
+def _branch_and_profiles(tmp_path, text, *flags):
+    """Run branch on a config; its branch.json payload and profiles.csv
+    reshaped to (points, nodes, 4)."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", text)
+    assert main(["--config", cfg, "--out", str(out), *flags, "branch"]) == 0
+    payload = json.loads((out / "branch.json").read_text())
+    header, rows = _read_csv(out / "profiles.csv")
+    assert ",".join(header) == PROFILES_HEADER
+    m = collocation_size(payload["n_modes"])
+    return payload, np.reshape(rows, (len(payload["points"]), m, 4))
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("", ()),
+        ("[physical]\nsurface_tension = 0.0\n", ()),
+        ("", ("--n-modes", "128")),
+    ],
+    ids=["water", "pure_gravity", "n128_zero_tail"],
+)
+def test_profiles_match_surface_curve(tmp_path, text, flags):
+    # profiles.csv is synthesized from the stacked points as the solver
+    # samples them; at the nodes it agrees with SurfaceCurve.profile
+    # (Reinsch's recurrence) to 4 eps of each column's scale
+    payload, profiles = _branch_and_profiles(
+        tmp_path, text + "[continuation]\nsteps = 2\n", *flags
+    )
+    params = PhysicalParams(**payload["params"])
+    x = grid_nodes(collocation_size(payload["n_modes"]))
+    assert len(payload["points"]) == 2
+    for rec, block in zip(payload["points"], profiles):
+        a = rec["cos_coeffs"]
+        if payload["n_modes"] == 128:
+            # the 64-mode Newton level leaves the tail exactly zero
+            assert not any(a[65:]) and any(a[2:65])
+        assert np.all(block[:, 0] == rec["s"])
+        assert np.array_equal(block[:, 1], x)
+        curve = SurfaceCurve(PeriodicFunction.from_cosines(a), params)
+        for column, ref in zip(block[:, 2:].T, curve.profile(x)):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(column - ref)) <= 4 * np.finfo(float).eps * scale
+
+
+def test_profile_abscissa_is_the_admissibility_abscissa(tmp_path, monkeypatch):
+    # the X column is _surface_abscissa of the stacked points, bit for bit,
+    # and the monotone-graph test of check_admissibility reads that helper
+    payload, profiles = _branch_and_profiles(tmp_path, SMALL_BRANCH)
+    params = PhysicalParams(**payload["params"])
+    coeffs = np.array([rec["cos_coeffs"] for rec in payload["points"]])
+    abscissa = _surface_abscissa(coeffs, params, collocation_size(16))
+    assert np.array_equal(profiles[:, :, 2], abscissa)
+    w = PeriodicFunction.from_cosines(coeffs[0])
+    assert check_admissibility(w, params).monotone_graph
+    helper = surface_equation._surface_abscissa
+    monkeypatch.setattr(
+        surface_equation, "_surface_abscissa", lambda *args: helper(*args)[:, ::-1]
+    )
+    assert not check_admissibility(w, params).monotone_graph
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # the cached parser carries nothing from one main() call to the next:
+    # a command, an argv that exits 2 and another command give the files
+    # and messages of runs that each build a fresh parser
+    assert _build_parser() is _build_parser()
+    cfg = _write(tmp_path / "c.ini", "[dispersion]\nk_count = 5\n")
+    results = {}
+    for run in ("reused", "fresh"):
+        out = tmp_path / run
+        texts = []
+        for argv in (
+            ["--k", "25.0", "--out", str(out / "one"), "kernel-check"],
+            ["--steps", "x", "branch"],
+            ["--config", cfg, "--out", str(out / "two"), "dispersion"],
+        ):
+            if run == "fresh":
+                _build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            texts.append((code, *capsys.readouterr()))
+        for name in ("one/kernel_check.json", "two/dispersion.csv"):
+            texts.append((out / name).read_text(encoding="utf-8"))
+        results[run] = texts
+    assert [text[0] for text in results["reused"][:3]] == [0, 2, 0]
+    assert "invalid int value" in results["reused"][1][2]
+    assert results["reused"] == results["fresh"]
 
 
 def _per_value_csv(header, columns):
@@ -457,6 +555,7 @@ def test_branch_convergence_failure_exit_code(tmp_path, capsys):
     payload = json.loads((out / "branch.json").read_text())
     assert payload["failure"] is not None
     assert payload["points"] == []
+    assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
 
 
 def test_branch_singular_quotient_exit_code(tmp_path, capsys):
@@ -473,6 +572,7 @@ def test_branch_singular_quotient_exit_code(tmp_path, capsys):
     payload = json.loads((out / "branch.json").read_text())
     assert payload["failure"].startswith("step 1 ")
     assert payload["points"] == []
+    assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
 
 
 def test_zero_steps_in_config_rejected(tmp_path, capsys):

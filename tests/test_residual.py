@@ -345,21 +345,53 @@ def test_jacobian_fd_is_bitwise_column_loop(regime, n, active):
     assert np.array_equal(jac, _column_loop(state, p, cols, n))
 
 
-def test_jacobian_quotient_floor_crossing_raises(water):
-    """Near the trivial state the quotient denominator is about
-    speed_sq/k^2 - g s cos(x)/k^2, so a speed just above the floor
-    1e-8 lambda* k^2 drops below it in the minus step of the speed column,
-    first at x = pi for s < 0.  The error is that of the single-state
-    evaluation of the perturbed state."""
-    n = 8
+def _assert_bisected_floor_crossing(water, monkeypatch, n, active, passing_blocks):
+    """jacobian_fd at a state whose speed sits just above the quotient floor
+    raises the single-state error of the speed column's minus step; its
+    failing block, the one after passing_blocks passing ones, is bisected
+    in at most ceil(log2(rows)) + 2 _residual_rows calls, the last on that
+    state alone.  Returns the batch size of every call."""
     w = PeriodicFunction.harmonic(1, -1e-12, n_modes=n, kind="cos")
     lam = 1e-8 * onset_speed_sq(1, water.k, water) * water.k**2 + 0.5e-6
     galerkin_residual(TrialState(lam, 0.0, w), water, n_modes=n)
-    with pytest.raises(SingularExpression) as batched:
-        jacobian_fd(TrialState(lam, 0.0, w), water, active=(2, 3, 0), n_modes=n)
     with pytest.raises(SingularExpression) as single:
         galerkin_residual(TrialState(lam - 1e-6, 0.0, w), water, n_modes=n)
+    calls = []
+    rows = surface_equation._residual_rows
+
+    def counted(speed_sq, *args, **kwargs):
+        calls.append(speed_sq.size)
+        return rows(speed_sq, *args, **kwargs)
+
+    monkeypatch.setattr(surface_equation, "_residual_rows", counted)
+    with pytest.raises(SingularExpression) as batched:
+        jacobian_fd(TrialState(lam, 0.0, w), water, active=active, n_modes=n)
     assert "quotient denominator" in str(batched.value)
     assert str(batched.value) == str(single.value)
-    assert batched.value.node_x == pytest.approx(math.pi)
-    assert batched.value.node_x == single.value.node_x
+    assert batched.value.node_x == single.value.node_x == pytest.approx(math.pi)
+    after = calls[passing_blocks + 1 :]
+    assert 1 <= len(after) <= math.ceil(math.log2(calls[passing_blocks])) + 2
+    assert after[-1] == 1
+    return calls
+
+
+def test_jacobian_quotient_floor_crossing_raises(water, monkeypatch):
+    """Near the trivial state the quotient denominator is about
+    speed_sq/k^2 - g s cos(x)/k^2, so a speed just above the floor
+    1e-8 lambda* k^2 drops below it in the minus step of the speed column,
+    first at x = pi for s < 0.  The failing block is bisected, and the
+    error is that of the single-state evaluation of the perturbed state."""
+    calls = _assert_bisected_floor_crossing(water, monkeypatch, 8, (2, 3, 0), 0)
+    assert calls[0] == 6
+
+
+def test_jacobian_floor_crossing_in_second_block(water, monkeypatch):
+    """At N = 128 a block holds 16 columns: the first block's columns all
+    pass, and the speed column, tenth in the second block, fails there;
+    a state-by-state re-run would take 20 calls."""
+    n = 128
+    per_block = _BLOCK_SAMPLES // (2 * 4 * n)
+    assert per_block == 16
+    active = (*range(32, 57), 0, *range(57, 60))
+    calls = _assert_bisected_floor_crossing(water, monkeypatch, n, active, 1)
+    assert calls[:2] == [2 * per_block, 2 * (len(active) - per_block)]
