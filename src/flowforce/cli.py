@@ -53,7 +53,6 @@ class RunConfig:
     k_min: float = 1.0
     k_max: float = 100.0
     k_count: int = 100
-    scan_limit: int = 1000
     scan_tol: float = 1e-10
     out_dir: str = "."
 
@@ -88,7 +87,6 @@ _KEYS = {
     ("dispersion", "k_min"): ("k_min", float, _POSITIVE),
     ("dispersion", "k_max"): ("k_max", float, _POSITIVE),
     ("dispersion", "k_count"): ("k_count", int, _at_least(1)),
-    ("kernel", "scan_limit"): ("scan_limit", int, _at_least(2)),
     ("kernel", "tolerance"): ("scan_tol", float, _POSITIVE),
     ("output", "directory"): ("out_dir", str, None),
 }
@@ -266,9 +264,7 @@ _DISPERSION_HEADER = (
 
 def cmd_dispersion(config):
     k_grid = np.linspace(config.k_min, config.k_max, config.k_count)
-    rows = dispersion_table(
-        k_grid, config.physical, n_max=config.scan_limit, tol=config.scan_tol
-    )
+    rows = dispersion_table(k_grid, config.physical, tol=config.scan_tol)
     columns = zip(*map(astuple, rows))
     _write_text(
         _out_path(config, "dispersion.csv"), _csv_lines(_DISPERSION_HEADER, columns)
@@ -277,12 +273,7 @@ def cmd_dispersion(config):
 
 
 def cmd_kernel_check(config):
-    report = kernel_is_simple(
-        config.physical.k,
-        config.physical,
-        n_max=config.scan_limit,
-        tol=config.scan_tol,
-    )
+    report = kernel_is_simple(config.physical.k, config.physical, tol=config.scan_tol)
     payload = {"schema": "flowforce/kernel-v1", "k": config.physical.k, **asdict(report)}
     _write_json(_out_path(config, "kernel_check.json"), payload)
     return 0 if report.simple else 2
@@ -326,14 +317,8 @@ def _profiles_lines(branch):
 def cmd_branch(config):
     steps = 1 if config.amplitude_max == 0.0 else config.steps
     branch = trace_branch(
-        config.amplitude_max,
-        steps,
-        config.physical,
-        n_modes=config.n_modes,
-        tol=config.tolerance,
-        max_iter=config.max_iterations,
-        scan_limit=config.scan_limit,
-        scan_tol=config.scan_tol,
+        config.amplitude_max, steps, config.physical, n_modes=config.n_modes,
+        tol=config.tolerance, max_iter=config.max_iterations, scan_tol=config.scan_tol,
     )
     _write_json(_out_path(config, "branch.json"), _branch_payload(branch))
     _write_text(_out_path(config, "profiles.csv"), _profiles_lines(branch))
@@ -460,7 +445,7 @@ def _build_parser():
                         help="override the spectral mode count")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("dispersion", help="tabulate onset values over a wavenumber grid")
-    sub.add_parser("kernel-check", help="scan for kernel simplicity at the configured k")
+    sub.add_parser("kernel-check", help="decide kernel simplicity at the configured k")
     sub.add_parser("branch", help="trace the small-amplitude branch")
     val = sub.add_parser("validate", help="audit every point of a branch file")
     val.add_argument("branch_file", help="branch JSON produced by the branch command")
@@ -489,7 +474,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except (ConfigError, MemoryError) as exc:
-        # a config value too large to allocate for (a scan limit or grid size)
+        # a config value too large to allocate for (a k_count or grid size)
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     except KernelNotSimple as exc:

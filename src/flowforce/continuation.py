@@ -179,11 +179,11 @@ def _newton_level(state, s, p, n, tol, done, max_iter):
 
 
 def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
-                 max_iter=25, scan_limit=1000, scan_tol=1e-10):
+                 max_iter=25, scan_tol=1e-10):
     """Trace the mode-1 branch at amplitudes s_j = s_max j / steps.
 
-    The kernel at the chosen wavenumber must be simple (scan up to
-    scan_limit modes); otherwise KernelNotSimple is raised.  A step that
+    The kernel at the chosen wavenumber must be simple (kernel_is_simple
+    at scan_tol); otherwise KernelNotSimple is raised.  A step that
     fails to converge truncates the branch and records the failure
     instead of raising; any toolkit error raised inside a step counts
     as such a failure.  Each step is one newton_correct call; a point's
@@ -192,7 +192,7 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
     steps = int(steps)
     if steps < 1:
         raise ValueError("need at least one amplitude step")
-    report = kernel_is_simple(p.k, p, n_max=scan_limit, tol=scan_tol)
+    report = kernel_is_simple(p.k, p, tol=scan_tol)
     if not report.simple:
         raise KernelNotSimple(
             f"mode {report.colliding_mode} shares the onset value at "

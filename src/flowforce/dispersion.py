@@ -26,14 +26,15 @@ __all__ = [
     "dispersion_table",
 ]
 
+# modes per block of kernel_is_simple's direct scan; bounds its work arrays
+_SCAN_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Verdict of the kernel-simplicity scan plus the analytic criteria.
-
-    simple is decided by the brute-force scan over modes 2..scan_limit;
-    monotone_criterion (sigma/(g h^2) > 1/3) and capillary_constant
-    (k^2 sigma / g) are reported alongside, never used as the verdict.
+    """Verdict of the exact kernel check (kernel_is_simple) plus the analytic
+    criteria monotone_criterion (sigma/(g h^2) > 1/3) and capillary_constant
+    (k^2 sigma / g), reported alongside, never used as the verdict.
     """
 
     simple: bool
@@ -42,7 +43,6 @@ class KernelReport:
     monotone_criterion: bool
     monotone_ratio: float
     capillary_constant: float
-    scan_limit: int
     tol: float
 
     def __post_init__(self):
@@ -71,37 +71,60 @@ def monotone_dispersion(p: PhysicalParams):
     g = 0 is the capillary limit where the dispersion curve is strictly
     increasing anyway; reported True.
     """
-    if p.g == 0.0:
-        return True
-    return p.sigma / (p.g * p.h**2) > 1.0 / 3.0
+    return p.g == 0.0 or p.sigma / (p.g * p.h**2) > 1.0 / 3.0
 
 
-def kernel_is_simple(k, p: PhysicalParams, n_max=1000, tol=1e-10):
-    """Scan modes 2..n_max for a collision with the mode-1 onset value.
-
-    simple iff min_n |onset_n - onset_1| > tol * onset_1.
-    """
-    n_max = int(n_max)
-    if n_max < 2:
-        raise ValueError("scan limit must be >= 2")
-    base = onset_speed_sq(1, k, p)
-    modes = np.arange(2, n_max + 1, dtype=float)
+def _onset_values(modes, k, p: PhysicalParams):
+    """Onset values at float mode numbers, elementwise."""
     m = modes * k
-    values = (p.sigma * m + p.g / m) * np.tanh(m * p.h)
-    gaps = np.abs(values - base) / base
-    idx = int(np.argmin(gaps))
-    min_gap = float(gaps[idx])
+    return (p.sigma * m + p.g / m) * np.tanh(m * p.h)
+
+
+def _candidate_modes(k, p: PhysicalParams, base):
+    """Blocks of float modes n >= 2 whose union holds the least gap to base."""
+    if p.sigma == 0.0:
+        yield np.array([2.0])
+        return
+    n_c = max(2, math.ceil(math.sqrt(p.g / p.sigma) / k))
+    for start in range(2, n_c, _SCAN_BLOCK):
+        yield np.arange(start, min(start + _SCAN_BLOCK, n_c), dtype=float)
+    # bisect the tail: f(lo k) < base unless lo = n_c - 1, and f(hi k) > base
+    lo, hi = n_c - 1, max(n_c, math.ceil(1.0 + p.g / (p.sigma * k * k)))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        below = _onset_values(np.array([float(mid)]), k, p)[0] < base
+        lo, hi = (mid, hi) if below else (lo, mid)
+    yield np.arange(max(lo, n_c), hi + 1, dtype=float)
+
+
+def kernel_is_simple(k, p: PhysicalParams, tol=1e-10):
+    """Decide exactly whether a mode n >= 2 shares the mode-1 onset value.
+
+    simple iff the least relative gap |f(n k) - f(k)| / f(k) over every
+    n >= 2 exceeds tol, f(m) = (sigma m + g/m) tanh(m h).  f decreases
+    strictly for sigma = 0 (n = 2 is closest), else increases strictly for
+    m >= sqrt(g/sigma) and exceeds f(k) from n = 1 + g/(sigma k^2) on, as
+    f(n k)/f(k) > n/(1 + g/(sigma k^2)).  So modes below sqrt(g/sigma)/k
+    are scanned in blocks, and on the tail only the last mode below f(k),
+    found by bisection, and the next can be closest.
+    """
+    base = onset_speed_sq(1, k, p)
+    min_gap, mode = math.inf, None
+    for modes in _candidate_modes(k, p, base):
+        gaps = np.abs(_onset_values(modes, k, p) - base) / base
+        idx = int(np.argmin(gaps))
+        if gaps[idx] < min_gap:
+            min_gap, mode = float(gaps[idx]), int(modes[idx])
     simple = min_gap > tol
     ratio = math.inf if p.g == 0.0 else p.sigma / (p.g * p.h**2)
     cap = math.inf if p.g == 0.0 else k * k * p.sigma / p.g
     return KernelReport(
         simple=simple,
-        colliding_mode=None if simple else int(modes[idx]),
+        colliding_mode=None if simple else mode,
         min_relative_gap=min_gap,
         monotone_criterion=monotone_dispersion(p),
         monotone_ratio=ratio,
         capillary_constant=cap,
-        scan_limit=n_max,
         tol=tol,
     )
 
@@ -140,25 +163,14 @@ class DispersionRow:
     kernel_simple: bool
 
 
-def dispersion_table(k_grid, p: PhysicalParams, n_max=1000, tol=1e-10):
-    """Tabulate the mode-1 onset data over a wavenumber grid."""
+def dispersion_table(k_grid, p: PhysicalParams, tol=1e-10):
+    """Tabulate the mode-1 onset data over a wavenumber grid, one row per k
+    with its fields in the dispersion.csv column order."""
     rows = []
-    for k in np.asarray(k_grid, dtype=float):
-        k = float(k)
-        if not k > 0.0:
-            raise ValueError("wavenumber grid must be positive")
+    for k in np.asarray(k_grid, dtype=float).tolist():
         lam = onset_speed_sq(1, k, p)
         s0, _ = physical_constants(lam, 0.0, p)
-        report = kernel_is_simple(k, p, n_max=n_max, tol=tol)
-        rows.append(
-            DispersionRow(
-                k=k,
-                onset_speed_sq=lam,
-                surface_flow_force=s0,
-                surface_speed=math.sqrt(lam),
-                monotone_ratio=report.monotone_ratio,
-                capillary_constant=report.capillary_constant,
-                kernel_simple=report.simple,
-            )
-        )
+        report = kernel_is_simple(k, p, tol=tol)
+        criteria = (report.monotone_ratio, report.capillary_constant, report.simple)
+        rows.append(DispersionRow(k, lam, s0, math.sqrt(lam), *criteria))
     return rows

@@ -8,16 +8,18 @@ rewritten surface equation
 
     (A*(1/k + C(w')) - B*w')^2 / D
       + A*w' + B*(1/k + C(w'))
-      - (p_atm - sigma*T) * metric
+      + sigma*T * metric
       - (speed_sq + shift + 2*sigma*T - 2*g*w) * metric  =  0
 
 with C = hilbert transform of the strip of depth k*h,
 metric = w'^2 + (1/k + C(w'))^2, curvature term
 T = (w''/k + w'' C(w') - w' C(w'')) / metric^(3/2), and
-D = A*w' + B*(1/k + C(w')) - (p_atm - sigma*T)*metric.
+D = A*w' + B*(1/k + C(w')) + sigma*T*metric.
 
 A and B are the tangential and normal boundary derivative coefficients
-of the conjugated flow-force potential.  One array function,
+of the conjugated flow-force potential.  The atmospheric pressure is an
+exact gauge, left out: its terms p_atm*w' in A, p_atm*(1/k + C(w')) in B
+and -p_atm*metric cancel from A*(1/k + C(w')) - B*w' and from D.  One array function,
 _residual_rows, evaluates the whole residual for a stack of states (a
 leading batch axis) from their _surface_rows samples: residual passes
 one state, whose samples first decide admissibility (a graph above the
@@ -177,7 +179,7 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
     tnum = wpp / p.k + wpp * cwp - wp * cwpp
     t_s = tnum / metric32
     # tangential coefficient A
-    a_s = p.p_atm * wp - p.sigma * wp * tnum / metric32
+    a_s = -p.sigma * wp * tnum / metric32
     # normal coefficient B
     sq = np.sqrt(metric)
     den = sq * (dnv + sq)
@@ -204,12 +206,11 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
         (speed_sq / p.k - (p.sigma / kh) * bracket)[:, None]
         + p.g * g_part
         + p.sigma * flux_t
-        + p.p_atm * dnv
     )
     aw = a_s * wp
     bd = b_s * dnv
-    pm = (p.p_atm - p.sigma * t_s) * metric
-    d_s = aw + bd - pm
+    tm = p.sigma * t_s * metric
+    d_s = aw + bd + tm
     floor = 1e-8 * onset_speed_sq(1, p.k, p)
     low_d = _guard(
         np.abs(d_s), floor,
@@ -219,7 +220,7 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
         (a_s * dnv - b_s * wp) ** 2 / d_s
         + aw
         + bd
-        - pm
+        + tm
         - ((speed_sq + shift)[:, None] + 2.0 * p.sigma * t_s - 2.0 * p.g * w) * metric
     )
     full, sines = _spectrum(res)

@@ -656,7 +656,9 @@ def test_amplitude_beyond_small_range_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, command, key, line",
     [
-        ("[kernel]\nscan_limit = 1\n", "kernel-check", "kernel.scan_limit", 2),
+        # the retired scan bound is now an unknown key, rejected at its line
+        ("[kernel]\nscan_limit = 1\n", "kernel-check",
+         "unknown key 'scan_limit' in section [kernel]", 2),
         ("[dispersion]\nk_count = -3\n", "dispersion", "dispersion.k_count", 2),
         ("[continuation]\nmax_iterations = -1\n", "branch",
          "continuation.max_iterations", 2),
@@ -690,6 +692,7 @@ def test_out_of_range_config_value_rejected(tmp_path, capsys, text, command, key
 @pytest.mark.parametrize(
     "text, command",
     [
+        # no longer a key, so rejected before anything is allocated from it
         ("[kernel]\nscan_limit = 100000000000000\n", "kernel-check"),
         ("[dispersion]\nk_count = 100000000000000\n", "dispersion"),
     ],

@@ -247,6 +247,21 @@ def test_nested_newton_certifies_coarse_solution(monkeypatch, p, s_max):
         assert got.residual_norm <= 1e-11
 
 
+@pytest.mark.parametrize("n_modes", [32, 128])
+def test_atmospheric_pressure_branch_is_bitwise_gauge_free(water, n_modes):
+    # p_atm cancels exactly from the residual, which therefore leaves it out
+    calm = trace_branch(4e-3, 4, water, n_modes=n_modes)
+    pressured = trace_branch(4e-3, 4, water.replace(p_atm=101325.0), n_modes=n_modes)
+    assert calm.failure is None and pressured.failure is None
+    assert len(pressured.points) == len(calm.points) == 4
+    for got, want in zip(pressured.points, calm.points):
+        assert got.speed_sq == want.speed_sq
+        assert got.bernoulli_shift == want.bernoulli_shift
+        assert got.residual_norm == want.residual_norm
+        assert got.newton_iters == want.newton_iters
+        assert got.elevation.cos_coeffs.tobytes() == want.elevation.cos_coeffs.tobytes()
+
+
 def test_nested_newton_refines_unresolved_levels(monkeypatch, water):
     # four modes cannot hold a wave of steepness 0.2; the finer levels
     # take updates.  Both traces run to tol = 1e-15, near the residual's

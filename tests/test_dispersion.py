@@ -7,6 +7,7 @@ collision depth comes from a bisection oracle on the mode-1/mode-2 gap.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from flowforce import (
     solver_parameters,
     transversality_value,
 )
+from flowforce import dispersion
 from conftest import gravity_collision_depth, gravity_gap
 
 
@@ -92,7 +94,7 @@ def test_kernel_report_criteria_fields(water):
     assert report.capillary_constant == pytest.approx(
         100.0 * water.sigma / water.g, rel=1e-15
     )
-    assert report.scan_limit == 1000
+    assert report.tol == 1e-10
 
 
 def test_gravity_collision_depth_frozen():
@@ -113,6 +115,105 @@ def test_collision_case_is_simple_at_relaxed_depth(gravity_collision):
     p, tol = gravity_collision
     deeper = p.replace(h=100.0 * p.h)
     assert kernel_is_simple(p.k, deeper, tol=tol).simple
+
+
+def _brute_least_gap(k, p, n_top):
+    """(least relative onset gap, its mode) over modes 2..n_top, by plain
+    numpy scans in chunks."""
+    base = onset_speed_sq(1, k, p)
+    best = (math.inf, None)
+    for start in range(2, n_top + 1, 2**18):
+        modes = np.arange(start, min(start + 2**18, n_top + 1), dtype=float)
+        m = modes * k
+        gaps = np.abs((p.sigma * m + p.g / m) * np.tanh(m * p.h) - base) / base
+        i = int(np.argmin(gaps))
+        if gaps[i] < best[0]:
+            best = (float(gaps[i]), int(modes[i]))
+    return best
+
+
+def _n_star(k, p, tol):
+    """Modes above n* = ceil((1 + g/(sigma k^2))(1 + tol)) have onset
+    values above (1 + tol) f(k), since f(n k)/f(k) > n/(1 + g/(sigma k^2));
+    with sigma = 0 the onset values decrease in n, so a cap of 10^4 modes
+    checks that."""
+    if p.sigma == 0.0:
+        return 10**4
+    return math.ceil((1.0 + p.g / (p.sigma * k * k)) * (1.0 + tol))
+
+
+def _assert_matches_brute_scan(k, p, tol):
+    gap, mode = _brute_least_gap(k, p, _n_star(k, p, tol))
+    report = kernel_is_simple(k, p, tol=tol)
+    assert report.simple == (gap > tol)
+    assert abs(report.min_relative_gap - gap) <= 4 * np.finfo(float).eps
+    assert report.colliding_mode == (None if report.simple else mode)
+    # the closest mode itself, reported once the tolerance admits its gap
+    assert kernel_is_simple(k, p, tol=2.0 * gap + 1e-300).colliding_mode == mode
+    return report, mode
+
+
+_SEA = dict(g=9.81, sigma=0.073)
+
+
+@pytest.mark.parametrize(
+    "params, tol, simple, gap, mode",
+    [
+        (PhysicalParams(h=100.0, k=0.01, **_SEA), 1e-10, True, 1.948e-7, 1023457),
+        (PhysicalParams(h=1000.0, k=0.01, **_SEA), 1e-10, True, 2.895e-7, 1343836),
+        # f(k) = f(2000 k) has a root here: mode 2000 collides to rounding
+        (PhysicalParams(h=100.0, k=0.2592137743676400, **_SEA), 1e-10, False, None, 2000),
+        (None, None, False, None, 2),
+        # sigma/(g h^2) = 0.3: f dips and climbs back to f(k) below
+        # sqrt(g/sigma), so the least gap lies in the direct scan (modes 2..18)
+        (PhysicalParams(g=9.81, sigma=2.943, h=1.0, k=0.1), 1e-10, True, 7.342e-4, 13),
+    ],
+    ids=["ocean", "deep-ocean", "mode-2000", "gravity-collision", "shallow-dip"],
+)
+def test_kernel_check_exact_on_named_cases(
+    monkeypatch, gravity_collision, params, tol, simple, gap, mode
+):
+    if params is None:
+        params, tol = gravity_collision
+    report, closest = _assert_matches_brute_scan(params.k, params, tol)
+    assert report.simple is simple
+    assert closest == mode
+    if gap is not None:
+        assert report.min_relative_gap == pytest.approx(gap, rel=1e-3)
+    else:
+        assert report.min_relative_gap <= tol
+    # the direct scan's blocks tile its modes: tiny blocks find the same mode
+    for block in (1, 4):
+        monkeypatch.setattr(dispersion, "_SCAN_BLOCK", block)
+        _assert_matches_brute_scan(params.k, params, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    ratio=st.one_of(st.just(0.0), st.floats(1e-3, 1.8e5)),
+    h=st.floats(1e-3, 1e3),
+    k=st.floats(1e-2, 1e2),
+)
+def test_kernel_check_matches_brute_scan(sigma, ratio, h, k):
+    # ratio = g/(sigma k^2), so n* <= 2e5; pure gravity draws g = 1 + ratio
+    g = ratio * sigma * k * k if sigma > 0.0 else 1.0 + ratio
+    p = PhysicalParams(g=g, sigma=sigma, h=h, k=k)
+    _assert_matches_brute_scan(k, p, 1e-10)
+
+
+def test_kernel_check_memory_bounded_at_tiny_surface_tension():
+    # sqrt(g/sigma)/k = 3.1e6 modes lie below the increasing tail
+    p = PhysicalParams(g=9.81, sigma=1e-12, h=100.0, k=1.0)
+    tracemalloc.start()
+    try:
+        report = kernel_is_simple(p.k, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # neighbouring tail modes differ by about sigma k^2/g = 1e-13 relative
+    assert not report.simple
 
 
 def test_transversality_frozen_value(water):
@@ -159,7 +260,7 @@ def test_mode_index_validation(water):
     with pytest.raises(ValueError):
         onset_speed_sq(0, 1.0, water)
     with pytest.raises(ValueError):
-        kernel_is_simple(1.0, water, n_max=1)
+        kernel_is_simple(0.0, water)
 
 
 def test_physical_params_validation():
