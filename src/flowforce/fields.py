@@ -4,10 +4,11 @@ Given a corrected surface wave, the conformal change of variables maps
 the reference strip onto the fluid domain.  The flow-force density is
 rebuilt there in three layers: a potential that is harmonic on the
 strip, the hydrostatic quadratic, and a surface-anchored correction
-that interpolates the capillary and atmospheric boundary strength
-linearly in physical height.  The sum is constant along the free
-surface, vanishes on the bed, and satisfies a vertical force balance
-whose defect the validator measures by grid refinement.
+that interpolates the capillary boundary strength linearly in physical
+height; the atmospheric pressure, an exact gauge, only adds p_atm*v to
+the potential.  The sum is constant along the free surface, vanishes on
+the bed, and satisfies a vertical force balance whose defect the
+validator measures by grid refinement.
 
 The correction layer is pulled back at the surface parameters x_s, which
 lie close to the grid nodes: series are evaluated there by their Taylor
@@ -136,12 +137,12 @@ def conformal_map(elevation, p: PhysicalParams, n_y, n_x=None):
 
 
 def _correction_strength(w, p: PhysicalParams):
-    """Surface values of the correction strength as a cosine polynomial, with
-    the grid size m and the samples of depth + w and 1/k + C(w') they use."""
+    """The tension strength sigma*(1 - (1/k + C(w'))/metric^(1/2)) as a cosine
+    polynomial, with the grid size m and its samples of depth + w and 1/k + C(w')."""
     m = collocation_size(w.n_modes)
     w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
     v_s, dnv = p.h + w_s[0], dnv[0]
-    e0 = -p.p_atm * v_s + p.sigma * (1.0 - dnv / np.sqrt(metric[0]))
+    e0 = p.sigma * (1.0 - dnv / np.sqrt(metric[0]))
     return analyze(e0).truncated(w.n_modes), m, v_s, dnv
 
 
@@ -163,7 +164,9 @@ class FlowForceField:
     _geometry).  correction is the boundary strength of the correction
     layer, -p_atm*(depth + elevation) + sigma*(1 - (1/k + C(w'))/metric^(1/2))
     as a trigonometric polynomial; the bulk correction is this strength
-    times height/surface height.
+    times height/surface height.  Its atmospheric part pulls back to
+    -p_atm*v, cancelling the p_atm*v of harmonic_potential and raw_force;
+    flow_force is built without either and is bitwise the same at any p_atm.
     """
 
     u: np.ndarray
@@ -247,21 +250,18 @@ def _geometry(curve, n_y, n_x):
     return u, v, x_s, heights
 
 
-def _potential(state, p: PhysicalParams, n_y, n_x):
-    """Surface flow force s0, correction strength e0 and harmonic layer zeta,
-    the extension of s0 - e0 + (g/2) (depth + w)^2; it needs no geometry."""
-    e0, m, v_s, _ = _correction_strength(state.elevation, p)
-    s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
-    boundary = analyze(s0 - e0.samples(m) + 0.5 * p.g * v_s**2).truncated(e0.n_modes)
-    return s0, e0, harmonic_extension(boundary, p.strip_depth, n_y, n_x)
-
-
 def _assemble(state, p: PhysicalParams, u, v, x_s, heights):
     """The FlowForceField of state under p on the geometry of _geometry."""
-    s0, e0, zeta = _potential(state, p, u.shape[0] - 1, u.shape[1])
+    w = state.elevation
+    tension, m, v_s, _ = _correction_strength(w, p)
+    s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
+    boundary = analyze(s0 - tension.samples(m) + 0.5 * p.g * v_s**2).truncated(w.n_modes)
+    zeta = harmonic_extension(boundary, p.strip_depth, u.shape[0] - 1, u.shape[1])
     xi = zeta - 0.5 * p.g * v**2
-    force = xi + _even_at(e0, x_s) * v / heights
-    xi.flags.writeable = force.flags.writeable = False
+    force = xi + _even_at(tension, x_s) * v / heights
+    pressure = p.p_atm * v
+    zeta, xi = zeta + pressure, xi + pressure
+    zeta.flags.writeable = xi.flags.writeable = force.flags.writeable = False
     return FlowForceField(
         u=u,
         v=v,
@@ -269,7 +269,7 @@ def _assemble(state, p: PhysicalParams, u, v, x_s, heights):
         raw_force=xi,
         flow_force=force,
         surface_value=s0,
-        correction=e0,
+        correction=tension - PeriodicFunction.from_cosines(p.p_atm * (w + p.h).cos_coeffs),
         surface_abscissa=x_s,
         surface_height=heights,
     )
@@ -340,13 +340,12 @@ def _map_gradient_sq(w, p: PhysicalParams, n_y, n_x):
 def _correction_curvature(w, p: PhysicalParams):
     """d^2/dX^2 of strength/height along the surface (X the physical abscissa).
 
-    The atmospheric part of the strength divided by the height is an exact
-    constant, so it drops out; building the quotient from the tension part
-    alone keeps the curvature free of p_atm-scale cancellation noise.
-    d/dX = d/dx / (1/k + C(w')) acts on the quotient's n-mode interpolant.
+    The atmospheric part of that quotient is the constant -p_atm, so the
+    tension strength alone gives it.  d/dX = d/dx / (1/k + C(w')) acts on
+    the quotient's n-mode interpolant.
     """
     n = w.n_modes
-    tension, m, v_s, dnv = _correction_strength(w, p.replace(p_atm=0.0))
+    tension, m, v_s, dnv = _correction_strength(w, p)
     quotient = tension.samples(m) / v_s
     for _ in range(2):
         quotient = derivative(analyze(quotient).truncated(n)).samples(m) / dnv
@@ -416,13 +415,12 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     Work per call: one surface-equation residual, evaluated first; its
     samples of the elevation also decide admissibility, so its gate
     precedes everything else and its report is the one kept.  Then one
-    surface inversion, on half the columns of the doubled grid of the
-    fine force balance (_geometry).  The other fields are assembled on
-    the input field's geometry (the map, the inverted abscissa and the
-    heights are free of p_atm and of the speed); the refined harmonicity
-    check takes the doubled-grid potential layer alone, and both force
-    balances share one correction curvature.  Even polynomials at x_s
-    are evaluated on the inverted columns and mirrored, by their node
+    doubled-grid field (one surface inversion on half its columns, one
+    assembly) for the refined harmonicity check and the fine force
+    balance; the coarse audits read the input field, and the gauge audit
+    assembles on its geometry (free of p_atm and of the speed).  Both
+    force balances share one correction curvature.  Even polynomials at
+    x_s are evaluated on the inverted columns and mirrored, by their node
     expansions where the remainder bound holds (_even_at); the inversion
     starts from the root of X's expansion and takes one summation pass.
     """
@@ -436,7 +434,7 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     diag = {}  # receives the admissibility report of the residual's gate
     residual_sup = residual(trial, p, diag=diag).sup_norm()
-    fine_geometry = _geometry(SurfaceCurve(w, p), 2 * n_y, 2 * n_x)
+    fine_field = _assemble(trial, p, *_geometry(SurfaceCurve(w, p), 2 * n_y, 2 * n_x))
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so
@@ -444,9 +442,7 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     layer_scale = max(scale, float(np.max(np.abs(zeta))))
     harmonic_hi = float(np.max(np.abs(_hi_order_laplacian(zeta, d))))
     coarse = float(np.max(np.abs(_five_point_laplacian(zeta, d))))
-    fine_zeta = _potential(trial, p, 2 * n_y, 2 * n_x)[2]
-    fine = float(np.max(np.abs(_five_point_laplacian(fine_zeta, d))))
-    del fine_zeta  # a doubled-grid array; not needed during the fine assembly below
+    fine = float(np.max(np.abs(_five_point_laplacian(fine_field.harmonic_potential, d))))
     floor = 1e-10 * layer_scale
     ratio, order = _refinement_order(coarse, fine, floor)
 
@@ -459,16 +455,10 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     gauge = float(np.max(np.abs(gauged.flow_force - flow)))
     gauge /= max(1.0, float(np.max(np.abs(flow))))
 
-    # the flow force is invariant under the atmospheric gauge (checked
-    # right above), so the balance identity is audited on the gauge-fixed
-    # representative; second differences of the pressured assembly would
-    # sit on an eps*p_atm/h^2 noise floor that grows under refinement
     balance_floor = 1e-10 * max(1.0, p.g)
-    gauge_free = p.replace(p_atm=0.0)
-    curvature = _correction_curvature(w, gauge_free)
+    curvature = _correction_curvature(w, p)
     balance_coarse, balance_fine = (
-        _force_balance_defect(_assemble(trial, gauge_free, *grid), curvature, w, gauge_free)
-        for grid in (geometry, fine_geometry)
+        _force_balance_defect(f, curvature, w, p) for f in (field, fine_field)
     )
     _, balance_order = _refinement_order(balance_coarse, balance_fine, balance_floor)
 

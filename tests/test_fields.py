@@ -190,16 +190,15 @@ def test_audit_operators_match_mode_sums(water, wave_point):
         vx = -(sinh_ratio(modes, y, water.strip_depth) * na) @ sin_mat
         vy = 1.0 / water.k + (cosh_ratio(modes, y, water.strip_depth) * na) @ cos_mat
         assert np.array_equal(fields._map_gradient_sq(w, water, n_y, n_x), vx**2 + vy**2)
-    for p in (water, water.replace(p_atm=101325.0)):
-        tension, m, v_s, dnv = fields._correction_strength(w, p.replace(p_atm=0.0))
-        cos_mat, sin_mat = _trig_matrices(m, n)
-        quotient = tension.samples(m) / v_s
-        for _ in range(2):
-            a, b = _spectrum(quotient[None, :])
-            slope = 0.0 + (modes * b[0, :n]) @ cos_mat - (modes * a[0, 1 : n + 1]) @ sin_mat
-            quotient = slope / dnv
-        expect = analyze(quotient).truncated(n)
-        assert np.array_equal(fields._correction_curvature(w, p).cos_coeffs, expect.cos_coeffs)
+    tension, m, v_s, dnv = fields._correction_strength(w, water)
+    cos_mat, sin_mat = _trig_matrices(m, n)
+    quotient = tension.samples(m) / v_s
+    for _ in range(2):
+        a, b = _spectrum(quotient[None, :])
+        slope = 0.0 + (modes * b[0, :n]) @ cos_mat - (modes * a[0, 1 : n + 1]) @ sin_mat
+        quotient = slope / dnv
+    expect = analyze(quotient).truncated(n)
+    assert np.array_equal(fields._correction_curvature(w, water).cos_coeffs, expect.cos_coeffs)
 
 
 def test_validate_wave_solution(water, wave_point, wave_field):
@@ -225,10 +224,9 @@ def test_validate_laminar_solution(water):
 
 
 def test_field_gauge_invariance(water, wave_point, wave_field):
+    # p_atm enters zeta and xi only as p_atm*v, added after S is formed
     gauged = reconstruct(wave_point, water.replace(p_atm=101325.0))
-    scale = max(1.0, float(np.max(np.abs(wave_field.flow_force))))
-    diff = np.max(np.abs(gauged.flow_force - wave_field.flow_force))
-    assert diff / scale < 1e-9
+    assert np.array_equal(gauged.flow_force, wave_field.flow_force)
 
 
 def test_tampered_profile_fails_validation(water, wave_point):
@@ -265,20 +263,26 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     # the caller's reconstruction inverts the base grid; validation inverts
-    # only the doubled grid and assembles every other field on a geometry
-    # it already has, without calling reconstruct; its verdict on
-    # admissibility comes from the residual it evaluates, so the only
-    # check_admissibility call is the reconstruction's surface_curve
+    # only the doubled grid and assembles two fields, the doubled-grid one
+    # and the gauge-shifted one on the input geometry, without calling
+    # reconstruct; its five harmonic extensions are the doubled grid's map
+    # and potential, the shifted potential and the two map gradients.  Its
+    # verdict on admissibility comes from the residual it evaluates, so the
+    # only check_admissibility call is the reconstruction's surface_curve
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
     checks = _count_calls(monkeypatch, fields, "check_admissibility")
     field = fields.reconstruct(wave_point, water, n_y=16)
+    assemblies = _count_calls(monkeypatch, fields, "_assemble")
+    extensions = _count_calls(monkeypatch, fields, "harmonic_extension")
     report = validate_solution(field, wave_point, water)
     assert report.passed, report.failures
     assert report.admissibility.passed
     assert len(inverts) == 2
     assert len(rebuilds) == 1
     assert len(checks) == 1
+    assert len(assemblies) == 2
+    assert len(extensions) == 5
 
 
 def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch):
@@ -338,12 +342,8 @@ def _node_reach(x_s):
 
 def _audited_series(w, p):
     """The even series the audit evaluates at x_s: the elevation, the
-    correction strength at p_atm = 0 and 101325, and the curvature."""
-    strengths = [
-        fields._correction_strength(w, p.replace(p_atm=p_atm))[0]
-        for p_atm in (0.0, 101325.0)
-    ]
-    return [w, *strengths, fields._correction_curvature(w, p)]
+    tension strength and the curvature."""
+    return [w, fields._correction_strength(w, p)[0], fields._correction_curvature(w, p)]
 
 
 def test_node_expansion_agrees_with_summation(water, wave_point):
@@ -363,9 +363,8 @@ def test_node_expansion_agrees_with_summation(water, wave_point):
 
 def test_node_expansion_falls_back_to_summation(water, wave_point):
     # where the remainder bound fails, _even_at is eval_at bit for bit:
-    # offsets of 0.5 rad from the nodes, and the correction strength at
-    # p_atm = 0 and the curvature of an N = 128 wave at ks = 0.04 on its
-    # own geometry
+    # offsets of 0.5 rad from the nodes, and the tension strength and the
+    # curvature of an N = 128 wave at ks = 0.04 on its own geometry
     w = wave_point.elevation
     x_s = grid_nodes(64) + np.array([[0.5], [-0.5]])
     assert not fields._taylor_fits(w, 0.5)
@@ -373,7 +372,7 @@ def test_node_expansion_falls_back_to_summation(water, wave_point):
     steep = trace_branch(4e-3, 1, water, n_modes=128).points[-1].elevation
     x_s = fields._geometry(SurfaceCurve(steep, water), 16, None)[2]
     reach = _node_reach(x_s)
-    _, tension, _, curvature = _audited_series(steep, water)
+    _, tension, curvature = _audited_series(steep, water)
     for f in (tension, curvature):
         assert not fields._taylor_fits(f, reach)
         assert np.array_equal(fields._even_at(f, x_s), _half_values(f, x_s))
@@ -435,9 +434,9 @@ def test_inversion_of_nan(water, wave_point):
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
-    # p_atm != 0 costs no extra inversion: the gauge-free fields reuse the
-    # input and doubled-grid geometries, and the audit sees the same
-    # gauge-free balance as without pressure
+    # p_atm != 0 costs no extra inversion: the fields reuse the input and
+    # doubled-grid geometries, and the audit sees the same gauge-free flow
+    # force, so the same balance as without pressure and no gauge defect
     pressured = water.replace(p_atm=101325.0)
     plain = validate_solution(
         reconstruct(wave_point, water, n_y=16), wave_point, water
@@ -448,6 +447,7 @@ def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
     )
     assert report.passed, report.failures
     assert len(inverts) == 2
+    assert report.gauge_defect == 0.0
     assert report.force_balance_coarse == plain.force_balance_coarse
     assert report.force_balance_fine == plain.force_balance_fine
 
