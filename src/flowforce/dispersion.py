@@ -26,15 +26,12 @@ __all__ = [
     "dispersion_table",
 ]
 
-# modes per block of kernel_is_simple's direct scan; bounds its work arrays
-_SCAN_BLOCK = 2**15
-
-
 @dataclass(frozen=True)
 class KernelReport:
     """Verdict of the exact kernel check (kernel_is_simple) plus the analytic
-    criteria monotone_criterion (sigma/(g h^2) > 1/3) and capillary_constant
-    (k^2 sigma / g), reported alongside, never used as the verdict.
+    criteria monotone_criterion (sigma/(g h^2) > 1/3, see monotone_dispersion)
+    and capillary_constant (k^2 sigma / g), reported alongside, never used
+    as the verdict.
     """
 
     simple: bool
@@ -66,10 +63,10 @@ def onset_speed_sq(mode, k, p: PhysicalParams):
 
 
 def monotone_dispersion(p: PhysicalParams):
-    """Sufficient monotonicity criterion sigma/(g h^2) > 1/3 (strict).
+    """Monotonicity criterion sigma/(g h^2) > 1/3, exact but for equality.
 
-    g = 0 is the capillary limit where the dispersion curve is strictly
-    increasing anyway; reported True.
+    By kernel_is_simple's lemma the onset curve increases strictly iff
+    sigma/(g h^2) >= 1/3 (g > 0); g = 0, the capillary limit, is True.
     """
     return p.g == 0.0 or p.sigma / (p.g * p.h**2) > 1.0 / 3.0
 
@@ -81,40 +78,40 @@ def _onset_values(modes, k, p: PhysicalParams):
 
 
 def _candidate_modes(k, p: PhysicalParams, base):
-    """Blocks of float modes n >= 2 whose union holds the least gap to base."""
-    if p.sigma == 0.0:
-        yield np.array([2.0])
-        return
-    n_c = max(2, math.ceil(math.sqrt(p.g / p.sigma) / k))
-    for start in range(2, n_c, _SCAN_BLOCK):
-        yield np.arange(start, min(start + _SCAN_BLOCK, n_c), dtype=float)
-    # bisect the tail: f(lo k) < base unless lo = n_c - 1, and f(hi k) > base
-    lo, hi = n_c - 1, max(n_c, math.ceil(1.0 + p.g / (p.sigma * k * k)))
+    """Float modes n >= 2 holding the least gap to base: 2, c - 1 and c, with
+    [2, c) the bisected interval where f(n k) < base (kernel_is_simple)."""
+    def below(n):
+        return _onset_values(np.array([float(n)]), k, p)[0] < base
+
+    # f(n k) falls in n (sigma = 0) or rises from n = 2 on: n = 2 is closest
+    if p.sigma == 0.0 or not below(2):
+        return np.array([2.0])
+    # f(lo k) < base, and f(n k) > base from n = 1 + g/(sigma k^2) on
+    lo, hi = 2, max(3, math.ceil(1.0 + p.g / (p.sigma * k * k)))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        below = _onset_values(np.array([float(mid)]), k, p)[0] < base
-        lo, hi = (mid, hi) if below else (lo, mid)
-    yield np.arange(max(lo, n_c), hi + 1, dtype=float)
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return np.unique(np.array([2, lo, hi], dtype=float))
 
 
 def kernel_is_simple(k, p: PhysicalParams, tol=1e-10):
     """Decide exactly whether a mode n >= 2 shares the mode-1 onset value.
 
     simple iff the least relative gap |f(n k) - f(k)| / f(k) over every
-    n >= 2 exceeds tol, f(m) = (sigma m + g/m) tanh(m h).  f decreases
-    strictly for sigma = 0 (n = 2 is closest), else increases strictly for
-    m >= sqrt(g/sigma) and exceeds f(k) from n = 1 + g/(sigma k^2) on, as
-    f(n k)/f(k) > n/(1 + g/(sigma k^2)).  So modes below sqrt(g/sigma)/k
-    are scanned in blocks, and on the tail only the last mode below f(k),
-    found by bisection, and the next can be closest.
+    n >= 2 exceeds tol, f(m) = (sigma m + g/m) tanh(m h).  Lemma: with
+    z = m h, B = sigma/(g h^2), S = sinh z cosh z, f' has the sign of
+    B - phi(z), phi = (S - z)/(z^2 (S + z)), and phi falls strictly from
+    1/3 to 0, as phi' < 0 iff F = sinh^2 z cosh z + z sinh z - 2 z^2 cosh z
+    = sum_j c_j z^(2j)/(2j)! > 0, c_j = (9^j - 1)/4 - 8 j^2 + 6 j (0 for
+    j = 1, 2, then positive).  So f falls then rises, or is monotone, and
+    {n >= 2 : f(n k) < f(k)} is an interval [2, c), c <= 1 + g/(sigma k^2)
+    by f(n k)/f(k) > n/(1 + g/(sigma k^2)): one bisection finds c.
     """
     base = onset_speed_sq(1, k, p)
-    min_gap, mode = math.inf, None
-    for modes in _candidate_modes(k, p, base):
-        gaps = np.abs(_onset_values(modes, k, p) - base) / base
-        idx = int(np.argmin(gaps))
-        if gaps[idx] < min_gap:
-            min_gap, mode = float(gaps[idx]), int(modes[idx])
+    modes = _candidate_modes(k, p, base)
+    gaps = np.abs(_onset_values(modes, k, p) - base) / base
+    idx = int(np.argmin(gaps))
+    min_gap, mode = float(gaps[idx]), int(modes[idx])
     simple = min_gap > tol
     ratio = math.inf if p.g == 0.0 else p.sigma / (p.g * p.h**2)
     cap = math.inf if p.g == 0.0 else k * k * p.sigma / p.g

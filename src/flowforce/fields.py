@@ -161,12 +161,12 @@ class FlowForceField:
     abscissa equals u there (the inversion the correction pullback is
     built on), and surface_height the height depth + w(x_s) there.  Both
     are computed on columns 0..n_x//2 and mirrored across x = pi (see
-    _geometry).  correction is the boundary strength of the correction
-    layer, -p_atm*(depth + elevation) + sigma*(1 - (1/k + C(w'))/metric^(1/2))
-    as a trigonometric polynomial; the bulk correction is this strength
-    times height/surface height.  Its atmospheric part pulls back to
-    -p_atm*v, cancelling the p_atm*v of harmonic_potential and raw_force;
-    flow_force is built without either and is bitwise the same at any p_atm.
+    _geometry).  The correction layer's boundary strength is
+    -p_atm*(depth + elevation) plus the tension strength of
+    _correction_strength; the bulk correction is this strength times
+    height/surface height.  Its atmospheric part pulls back to -p_atm*v,
+    cancelling the p_atm*v of harmonic_potential and raw_force; flow_force
+    is built without either and is bitwise the same at any p_atm.
     """
 
     u: np.ndarray
@@ -175,7 +175,6 @@ class FlowForceField:
     raw_force: np.ndarray
     flow_force: np.ndarray
     surface_value: float
-    correction: PeriodicFunction
     surface_abscissa: np.ndarray
     surface_height: np.ndarray
 
@@ -269,7 +268,6 @@ def _assemble(state, p: PhysicalParams, u, v, x_s, heights):
         raw_force=xi,
         flow_force=force,
         surface_value=s0,
-        correction=tension - PeriodicFunction.from_cosines(p.p_atm * (w + p.h).cos_coeffs),
         surface_abscissa=x_s,
         surface_height=heights,
     )

@@ -164,14 +164,14 @@ _SEA = dict(g=9.81, sigma=0.073)
         # f(k) = f(2000 k) has a root here: mode 2000 collides to rounding
         (PhysicalParams(h=100.0, k=0.2592137743676400, **_SEA), 1e-10, False, None, 2000),
         (None, None, False, None, 2),
-        # sigma/(g h^2) = 0.3: f dips and climbs back to f(k) below
-        # sqrt(g/sigma), so the least gap lies in the direct scan (modes 2..18)
+        # sigma/(g h^2) = 0.3 < 1/3: f dips and climbs back past f(k)
+        # between modes 13 and 14, the bracket the bisection ends on
         (PhysicalParams(g=9.81, sigma=2.943, h=1.0, k=0.1), 1e-10, True, 7.342e-4, 13),
     ],
     ids=["ocean", "deep-ocean", "mode-2000", "gravity-collision", "shallow-dip"],
 )
 def test_kernel_check_exact_on_named_cases(
-    monkeypatch, gravity_collision, params, tol, simple, gap, mode
+    gravity_collision, params, tol, simple, gap, mode
 ):
     if params is None:
         params, tol = gravity_collision
@@ -182,10 +182,6 @@ def test_kernel_check_exact_on_named_cases(
         assert report.min_relative_gap == pytest.approx(gap, rel=1e-3)
     else:
         assert report.min_relative_gap <= tol
-    # the direct scan's blocks tile its modes: tiny blocks find the same mode
-    for block in (1, 4):
-        monkeypatch.setattr(dispersion, "_SCAN_BLOCK", block)
-        _assert_matches_brute_scan(params.k, params, tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,6 +210,66 @@ def test_kernel_check_memory_bounded_at_tiny_surface_tension():
     assert peak < 4e6
     # neighbouring tail modes differ by about sigma k^2/g = 1e-13 relative
     assert not report.simple
+
+
+@pytest.mark.parametrize("k, h", [(0.1, 100.0), (1e-4, 1e5)])
+def test_kernel_check_work_bounded_at_tiny_surface_tension(monkeypatch, k, h):
+    # g/(sigma k^2) = 9.8e14 at k = 0.1 (54 onset values at most), where the
+    # block scan took 3.1e7; at k = 1e-4 the crossing mode, 9.8e20, exceeds
+    # numpy's integer range
+    p = PhysicalParams(g=9.81, sigma=1e-12, h=h, k=k)
+    sizes = []
+    onset_values = dispersion._onset_values
+
+    def counted(modes, *args):
+        sizes.append(np.size(modes))
+        return onset_values(modes, *args)
+
+    monkeypatch.setattr(dispersion, "_onset_values", counted)
+    report = kernel_is_simple(p.k, p)
+    ratio = p.g / (p.sigma * p.k**2)
+    assert sum(sizes) <= 4 + math.ceil(math.log2(1.0 + ratio))
+    assert not report.simple
+    # f(n k) ~ sigma n k there, and f(k) = sigma k (1 + ratio) tanh(k h)
+    expect = (1.0 + ratio) * math.tanh(k * p.h)
+    assert report.colliding_mode == pytest.approx(expect, rel=1e-6)
+
+
+def _taylor_coefficient(j):
+    """c_j of F(z) = sinh^2 z cosh z + z sinh z - 2 z^2 cosh z =
+    sum_j c_j z^(2j)/(2j)!, from sinh^2 z cosh z = (cosh 3z - cosh z)/4."""
+    assert (9**j - 1) % 4 == 0
+    return (9**j - 1) // 4 - 8 * j * j + 6 * j
+
+
+def test_onset_curve_lemma_taylor_coefficients():
+    coeffs = [_taylor_coefficient(j) for j in range(1, 41)]
+    assert coeffs[:5] == [0, 0, 128, 1536, 14592]
+    assert all(c > 0 for c in coeffs[2:])
+    # the series sums to F, so F > 0 for z > 0
+    for z in (0.5, 1.0, 2.0, 4.0):
+        sh, ch = math.sinh(z), math.cosh(z)
+        closed = sh * sh * ch + z * sh - 2 * z * z * ch
+        series = sum(
+            c * z ** (2 * j) / math.factorial(2 * j) for j, c in enumerate(coeffs, 1)
+        )
+        assert series == pytest.approx(closed, rel=1e-12)
+
+
+def test_onset_curve_slope_has_the_sign_of_b_minus_phi():
+    # f = (B z + 1/z) tanh z in units of g h, z = m h, B = sigma/(g h^2)
+    z = np.geomspace(1e-2, 30.0, 400)
+    s = np.sinh(z) * np.cosh(z)
+    phi = (s - z) / (z * z * (s + z))
+    assert np.all(np.diff(phi) < 0.0) and phi[0] < 1.0 / 3.0 and phi[-1] > 0.0
+    dz = 1e-5 * z
+    for b in (0.0, 1e-3, 0.01, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 10.0):
+        f_up = (b * (z + dz) + 1.0 / (z + dz)) * np.tanh(z + dz)
+        f_down = (b * (z - dz) + 1.0 / (z - dz)) * np.tanh(z - dz)
+        slope = (f_up - f_down) / (2.0 * dz)
+        clear = np.abs(b - phi) > 1e-4
+        assert np.count_nonzero(clear) > 300
+        assert np.array_equal(np.sign(slope[clear]), np.sign(b - phi[clear]))
 
 
 def test_transversality_frozen_value(water):

