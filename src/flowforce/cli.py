@@ -25,11 +25,11 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .continuation import small_amplitude_limit, trace_branch
-from .dispersion import dispersion_table, kernel_is_simple
+from .dispersion import _require_simple, dispersion_table, kernel_is_simple
 from .errors import (
     ConfigError, FlowForceError, InputFileError, InvalidSamples, KernelNotSimple,
 )
-from .fields import MIN_VALIDATION_ROWS, reconstruct, validate_solution
+from .fields import reconstruct, validate_solution
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
 from .surface_equation import TrialState, _surface_abscissa, _surface_rows
@@ -183,14 +183,12 @@ def _apply_flags(config, args):
 
 def _check_command(config, args):
     """Limits that only the chosen command imposes, as located config errors."""
-    rows = {"validate": MIN_VALIDATION_ROWS, "reconstruct": 2}.get(args.command)
-    if rows is not None and config.vertical_points < rows:
+    if args.command in ("validate", "reconstruct") and config.vertical_points < 2:
         _reject(
             args.config,
-            f"{args.command} needs discretization.vertical_points >= {rows}, "
+            f"{args.command} needs discretization.vertical_points >= 2, "
             f"got {config.vertical_points}",
-            "discretization",
-            "vertical_points",
+            "discretization", "vertical_points",
         )
     if args.command == "branch":
         # the first predictor amplitude, bounded as in initial_guess
@@ -276,7 +274,8 @@ def cmd_kernel_check(config):
     report = kernel_is_simple(config.physical.k, config.physical, tol=config.scan_tol)
     payload = {"schema": "flowforce/kernel-v1", "k": config.physical.k, **asdict(report)}
     _write_json(_out_path(config, "kernel_check.json"), payload)
-    return 0 if report.simple else 2
+    _require_simple(report, config.physical.k)
+    return 0
 
 
 def _branch_payload(branch):
@@ -384,11 +383,14 @@ def cmd_validate(config, branch_path):
         except FlowForceError as exc:
             raise _point_error(branch_path, index, s, exc) from exc
         all_passed = all_passed and rep.passed
+        if not rep.passed:
+            failures = "; ".join(rep.failures)
+            print(f"validation failed: point {index} at s = {s!r}: {failures}", file=sys.stderr)
         record = {"s": s, **asdict(rep)}
         record["admissible"] = record.pop("admissibility")["passed"]
         reports.append(record)
     payload = {
-        "schema": "flowforce/validation-v1",
+        "schema": "flowforce/validation-v2",
         "passed": all_passed,
         "points": reports,
     }

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import kernel_is_simple, onset_speed_sq, transversality_value
-from .errors import FlowForceError, KernelNotSimple, NoConvergence, SingularJacobian
+from .dispersion import _require_simple, kernel_is_simple, onset_speed_sq, transversality_value
+from .errors import FlowForceError, NoConvergence, SingularJacobian
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, derivative, grid_nodes
 from .surface_equation import (
@@ -192,12 +192,7 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
     steps = int(steps)
     if steps < 1:
         raise ValueError("need at least one amplitude step")
-    report = kernel_is_simple(p.k, p, tol=scan_tol)
-    if not report.simple:
-        raise KernelNotSimple(
-            f"mode {report.colliding_mode} shares the onset value at "
-            f"k = {p.k} (relative gap {report.min_relative_gap:.3e})"
-        )
+    _require_simple(kernel_is_simple(p.k, p, tol=scan_tol), p.k)
     onset = onset_speed_sq(1, p.k, p)
     crossing = transversality_value(p.k, p)
     points = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameters
+from .errors import DegenerateParameters, KernelNotSimple
 from .params import PhysicalParams
 
 __all__ = [
@@ -124,6 +124,15 @@ def kernel_is_simple(k, p: PhysicalParams, tol=1e-10):
         capillary_constant=cap,
         tol=tol,
     )
+
+
+def _require_simple(report, k):
+    """Raise KernelNotSimple, naming the colliding mode, unless report is simple."""
+    if not report.simple:
+        raise KernelNotSimple(
+            f"mode {report.colliding_mode} shares the onset value at "
+            f"k = {k} (relative gap {report.min_relative_gap:.3e})"
+        )
 
 
 def transversality_value(k, p: PhysicalParams):

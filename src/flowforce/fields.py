@@ -7,8 +7,10 @@ strip, the hydrostatic quadratic, and a surface-anchored correction
 that interpolates the capillary boundary strength linearly in physical
 height; the atmospheric pressure, an exact gauge, only adds p_atm*v to
 the potential.  The sum is constant along the free surface, vanishes on
-the bed, and satisfies a vertical force balance whose defect the
-validator measures by grid refinement.
+the bed, and satisfies a vertical force balance.  The validator checks
+that balance and the potential layer's harmonicity on the field rebuilt
+on Chebyshev-Lobatto rows, where y derivatives are spectral too, so the
+defects it reports are the wave's own truncation errors.
 
 The correction layer is pulled back at the surface parameters x_s, which
 lie close to the grid nodes: series are evaluated there by their Taylor
@@ -19,7 +21,6 @@ from the root of the expansion and raises SurfaceInversionFailed if it
 does not converge.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ from .spectral import (
     _node_taylor,
     _taylor_fits,
     analyze,
+    chebyshev_coefficients,
+    chebyshev_matrix,
+    chebyshev_rows,
     collocation_size,
     derivative,
     eval_many,
@@ -41,6 +45,7 @@ from .spectral import (
     harmonic_extension,
     conjugate_extension,
     hilbert_strip,
+    strip_rows,
 )
 from .surface_equation import AdmissibilityReport, TrialState, check_admissibility, residual
 from .surface_equation import _admitted, _surface_rows
@@ -55,8 +60,6 @@ __all__ = [
     "laminar_flow_force",
     "validate_solution",
 ]
-
-MIN_VALIDATION_ROWS = 8  # vertical intervals validate_solution needs
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def surface_curve(elevation, p: PhysicalParams):
     return SurfaceCurve(elevation, p)
 
 
-def conformal_map(elevation, p: PhysicalParams, n_y, n_x=None):
+def conformal_map(elevation, p: PhysicalParams, rows, n_x=None):
     """Strip-to-domain map (u, v), read-only arrays laid out as harmonic_extension's.
 
     The height v is the harmonic extension of depth + elevation with zero
@@ -130,8 +133,8 @@ def conformal_map(elevation, p: PhysicalParams, n_y, n_x=None):
     """
     d = p.strip_depth
     v_top = elevation + p.h
-    v = harmonic_extension(v_top, d, n_y, n_x)
-    u = conjugate_extension(v_top, d, n_y, n_x) + grid_nodes(v.shape[1]) / p.k
+    v = harmonic_extension(v_top, d, rows, n_x)
+    u = conjugate_extension(v_top, d, rows, n_x) + grid_nodes(v.shape[1]) / p.k
     u.flags.writeable = False
     return u, v
 
@@ -151,8 +154,9 @@ class FlowForceField:
     """Flow-force density and its ingredients on the reference strip grid.
 
     The five grids u, v, harmonic_potential, raw_force and flow_force are
-    read-only (n_y + 1, n_x) float64 arrays: row m lies at strip_nodes(n_y,
-    p.strip_depth)[m], from the bed (row 0) up, and column j at grid_nodes(n_x)[j].
+    read-only (len(rows), n_x) float64 arrays: row m lies at the depth fraction
+    rows[m] (reconstruct's are strip_rows(n_y)), from the bed (row 0) up, and
+    column j at grid_nodes(n_x)[j].
 
     flow_force = harmonic_potential - (g/2) v^2 + correction pullback;
     its top trace is the constant surface_value and its bottom trace is
@@ -228,7 +232,7 @@ def _inversion_start(curve, targets, n_x):
     return nodes + d
 
 
-def _geometry(curve, n_y, n_x):
+def _geometry(curve, rows, n_x):
     """Conformal map (u, v), inverted surface abscissa x_s and heights
     depth + w(x_s) of the curve, all free of p_atm and of the speed.
 
@@ -239,7 +243,7 @@ def _geometry(curve, n_y, n_x):
     its convergence check and no Newton step is taken; elsewhere invert's
     safeguarded Newton steps finish from that start.
     """
-    u, v = conformal_map(curve.elevation, curve.params, n_y, n_x)
+    u, v = conformal_map(curve.elevation, curve.params, rows, n_x)
     n_x = u.shape[1]
     targets = u[:, : n_x // 2 + 1]
     x0 = _inversion_start(curve, targets, n_x)
@@ -249,13 +253,13 @@ def _geometry(curve, n_y, n_x):
     return u, v, x_s, heights
 
 
-def _assemble(state, p: PhysicalParams, u, v, x_s, heights):
-    """The FlowForceField of state under p on the geometry of _geometry."""
+def _assemble(state, p: PhysicalParams, rows, u, v, x_s, heights):
+    """The FlowForceField of state under p on the geometry _geometry made on rows."""
     w = state.elevation
     tension, m, v_s, _ = _correction_strength(w, p)
     s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
     boundary = analyze(s0 - tension.samples(m) + 0.5 * p.g * v_s**2).truncated(w.n_modes)
-    zeta = harmonic_extension(boundary, p.strip_depth, u.shape[0] - 1, u.shape[1])
+    zeta = harmonic_extension(boundary, p.strip_depth, rows, u.shape[1])
     xi = zeta - 0.5 * p.g * v**2
     force = xi + _even_at(tension, x_s) * v / heights
     pressure = p.p_atm * v
@@ -280,7 +284,8 @@ def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None):
     (trial states and branch points both qualify).
     """
     curve = surface_curve(state.elevation, p)
-    return _assemble(state, p, *_geometry(curve, n_y, n_x))
+    rows = strip_rows(n_y)
+    return _assemble(state, p, rows, *_geometry(curve, rows, n_x))
 
 
 def laminar_flow_force(height, speed_sq, p: PhysicalParams):
@@ -293,45 +298,21 @@ def laminar_flow_force(height, speed_sq, p: PhysicalParams):
     return -0.5 * p.g * y**2 + (speed_sq + p.g * p.h) * y
 
 
-def _five_point_laplacian(values, depth):
-    """Second-order Laplacian on interior rows (periodic in x)."""
-    n_y = values.shape[0] - 1
-    n_x = values.shape[1]
-    hx = 2.0 * np.pi / n_x
-    hy = depth / n_y
-    lap_x = (np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)) / hx**2
-    lap_y = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / hy**2
-    return lap_x[1:-1] + lap_y
-
-
-def _spectral_xx(values):
-    """Per-row second x-derivative through the discrete Fourier basis."""
-    n_x = values.shape[1]
+def _laplacian(values, d2):
+    """Strip Laplacian of a grid: the per-row second x-derivative through the
+    discrete Fourier basis plus d2, the second y-derivative matrix of its rows."""
     spec = np.fft.rfft(values, axis=1)
     modes = np.arange(spec.shape[1])
-    return np.fft.irfft(spec * -(modes**2), n=n_x, axis=1)
+    return np.fft.irfft(spec * -(modes**2), n=values.shape[1], axis=1) + d2 @ values
 
 
-def _hi_order_laplacian(values, depth):
-    """Spectral-x plus fourth-order-y Laplacian on rows 2..n_y-2."""
-    n_y = values.shape[0] - 1
-    if n_y < 5:
-        raise ValueError("need at least five vertical intervals")
-    hy = depth / n_y
-    lap_x = _spectral_xx(values)[2:-2]
-    lap_y = (
-        -values[:-4] + 16.0 * values[1:-3] - 30.0 * values[2:-2]
-        + 16.0 * values[3:-1] - values[4:]
-    ) / (12.0 * hy**2)
-    return lap_x + lap_y
-
-
-def _map_gradient_sq(w, p: PhysicalParams, n_y, n_x):
-    """|gradient of the height field V|^2 on the (n_y + 1, n_x) strip grid:
-    V_x extends w', and V_y is the conjugate extension of w' plus 1/k."""
+def _map_gradient_sq(w, p: PhysicalParams, rows, n_x):
+    """|gradient of the height field V|^2 on the strip grid of the depth
+    fractions rows and n_x columns: V_x extends w', and V_y is the
+    conjugate extension of w' plus 1/k."""
     slope = derivative(w)
-    vx = harmonic_extension(slope, p.strip_depth, n_y, n_x)
-    vy = conjugate_extension(slope, p.strip_depth, n_y, n_x) + 1.0 / p.k
+    vx = harmonic_extension(slope, p.strip_depth, rows, n_x)
+    vy = conjugate_extension(slope, p.strip_depth, rows, n_x) + 1.0 / p.k
     return vx**2 + vy**2
 
 
@@ -350,121 +331,95 @@ def _correction_curvature(w, p: PhysicalParams):
     return analyze(quotient).truncated(n)
 
 
-def _force_balance_defect(field, curvature, w, p):
-    """Sup defect of lap(S) = -g + correction curvature, FD against spectral.
-
-    field is a reconstruction of w under p.  The Laplacian is taken in
-    physical variables (five-point stencil on the strip divided by the
-    conformal factor); the curvature is evaluated at the field's inverted
-    surface abscissa.
-    """
-    grad_sq = _map_gradient_sq(w, p, field.u.shape[0] - 1, field.u.shape[1])
-    lap = _five_point_laplacian(field.flow_force, p.strip_depth)
-    physical = lap / grad_sq[1:-1]
-    bend = _even_at(curvature, field.surface_abscissa[1:-1])
-    target = -p.g + bend * field.v[1:-1]
-    return float(np.max(np.abs(physical - target)))
+def _chebyshev_field(state, p: PhysicalParams, n_x):
+    """The field of state on the fewest Chebyshev rows, 16, 32, 64 or at most
+    128 intervals, whose last three Chebyshev coefficients of S in y are at
+    most 1e-14 max |S|; with its interval count and rows."""
+    curve = SurfaceCurve(state.elevation, p)
+    n = 16
+    while True:
+        rows = chebyshev_rows(n)
+        field = _assemble(state, p, rows, *_geometry(curve, rows, n_x))
+        force = field.flow_force
+        tail = np.max(np.abs(chebyshev_coefficients(force)[-3:]))
+        if n == 128 or tail <= 1e-14 * np.max(np.abs(force)):
+            return n, rows, field
+        n *= 2
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Defect measurements of a reconstructed flow-force field.
 
-    harmonic_defect uses the high-order stencil; the coarse/fine pairs
-    use the five-point stencil at the base and doubled resolutions, and
-    the orders are their dyadic refinement exponents.
+    harmonic_defect and force_balance_fine (the one force-balance defect)
+    are read on the field rebuilt on audit_rows Chebyshev intervals in y;
+    the trace and gauge defects on the input field.
     """
 
     harmonic_defect: float
-    harmonic_defect_coarse: float
-    harmonic_defect_fine: float
-    harmonic_ratio: float
-    harmonic_order: float
     surface_trace_defect: float
     bottom_trace_defect: float
     residual_sup: float
     gauge_defect: float
-    force_balance_coarse: float
     force_balance_fine: float
-    force_balance_order: float
+    audit_rows: int
     admissibility: AdmissibilityReport
     failures: tuple
     passed: bool
 
 
-def _refinement_order(coarse, fine, floor):
-    if fine <= floor and coarse <= floor:
-        return math.inf, math.inf
-    ratio = coarse / max(fine, 1e-300)
-    return ratio, math.log2(ratio) if ratio > 0.0 else -math.inf
-
-
 def validate_solution(field: FlowForceField, state, p: PhysicalParams):
     """Audit a reconstructed field against its defining properties.
 
-    Checks, in order: harmonicity of the potential layer (absolute
-    high-order defect plus five-point refinement order), the constant
-    surface trace and zero bottom trace, the surface-equation residual
-    of the generating wave, gauge invariance under a shift of the
-    atmospheric pressure, and the physical force balance with the
-    correction curvature.  An inadmissible surface raises
+    Checks, in order: harmonicity of the potential layer, the constant
+    surface trace and zero bottom trace, the surface-equation residual of
+    the generating wave, gauge invariance under a shift of the atmospheric
+    pressure, and the physical force balance lap S / |grad V|^2 = -g +
+    correction curvature * v.  An inadmissible surface raises
     InadmissibleIterate; the report keeps the admissibility margins.
 
-    Work per call: one surface-equation residual, evaluated first; its
-    samples of the elevation also decide admissibility, so its gate
-    precedes everything else and its report is the one kept.  Then one
-    doubled-grid field (one surface inversion on half its columns, one
-    assembly) for the refined harmonicity check and the fine force
-    balance; the coarse audits read the input field, and the gauge audit
-    assembles on its geometry (free of p_atm and of the speed).  Both
-    force balances share one correction curvature.  Even polynomials at
-    x_s are evaluated on the inverted columns and mirrored, by their node
-    expansions where the remainder bound holds (_even_at); the inversion
-    starts from the root of X's expansion and takes one summation pass.
+    The residual is evaluated first: its samples of the elevation decide
+    admissibility, so its gate precedes everything else and its report is
+    the one kept.  Harmonicity and the force balance are read on the wave
+    rebuilt on Chebyshev rows with the input's columns (_chebyshev_field),
+    on its interior rows (the traces audit the boundary rows, where the
+    rounding of the square of chebyshev_matrix peaks).  That Laplacian is
+    exact to rounding where S is resolved, so both bounds are absolute:
+    1e-8 of the layer scale and 1e-8 max(1, g).  The traces and the gauge
+    audit, assembled on the input geometry, read the input field.
     """
-    zeta, d = field.harmonic_potential, p.strip_depth
-    n_y, n_x = zeta.shape[0] - 1, zeta.shape[1]
-    if n_y < MIN_VALIDATION_ROWS:
-        raise ValueError(
-            f"validation needs at least {MIN_VALIDATION_ROWS} vertical intervals"
-        )
+    n_y, n_x = field.u.shape[0] - 1, field.u.shape[1]
     w = state.elevation
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     diag = {}  # receives the admissibility report of the residual's gate
     residual_sup = residual(trial, p, diag=diag).sup_norm()
-    fine_field = _assemble(trial, p, *_geometry(SurfaceCurve(w, p), 2 * n_y, 2 * n_x))
+    audit_rows, rows, audit = _chebyshev_field(trial, p, n_x)
+    # d/dy is d/dt over the depth, t the rows' depth fraction
+    d2 = np.linalg.matrix_power(chebyshev_matrix(audit_rows) / p.strip_depth, 2)
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so
-    # its stencil defects are judged against the layer's own magnitude
+    # its defect is judged against the layer's own magnitude
+    zeta = audit.harmonic_potential
     layer_scale = max(scale, float(np.max(np.abs(zeta))))
-    harmonic_hi = float(np.max(np.abs(_hi_order_laplacian(zeta, d))))
-    coarse = float(np.max(np.abs(_five_point_laplacian(zeta, d))))
-    fine = float(np.max(np.abs(_five_point_laplacian(fine_field.harmonic_potential, d))))
-    floor = 1e-10 * layer_scale
-    ratio, order = _refinement_order(coarse, fine, floor)
+    harmonic = float(np.max(np.abs(_laplacian(zeta, d2)[1:-1])))
+
+    physical = (_laplacian(audit.flow_force, d2) / _map_gradient_sq(w, p, rows, n_x))[1:-1]
+    bend = _even_at(_correction_curvature(w, p), audit.surface_abscissa[1:-1])
+    balance = float(np.max(np.abs(physical - (-p.g + bend * audit.v[1:-1]))))
 
     surface_trace = float(np.max(np.abs(field.flow_force[-1] - field.surface_value)))
     bottom_trace = float(np.max(np.abs(field.flow_force[0])))
 
     geometry = (field.u, field.v, field.surface_abscissa, field.surface_height)
-    gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), *geometry)
+    gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), strip_rows(n_y), *geometry)
     flow = field.flow_force
     gauge = float(np.max(np.abs(gauged.flow_force - flow)))
     gauge /= max(1.0, float(np.max(np.abs(flow))))
 
-    balance_floor = 1e-10 * max(1.0, p.g)
-    curvature = _correction_curvature(w, p)
-    balance_coarse, balance_fine = (
-        _force_balance_defect(f, curvature, w, p) for f in (field, fine_field)
-    )
-    _, balance_order = _refinement_order(balance_coarse, balance_fine, balance_floor)
-
     failures = []
-    if harmonic_hi > 1e-8 * layer_scale:
-        failures.append("potential layer fails the high-order harmonicity audit")
-    if not order >= 1.0:
-        failures.append("harmonic defect does not shrink at first order")
+    if not harmonic <= 1e-8 * layer_scale:
+        failures.append("potential layer fails the harmonicity audit")
     if surface_trace > 1e-10 * scale:
         failures.append("surface trace deviates from the surface flow force")
     if bottom_trace > 1e-10 * scale:
@@ -473,22 +428,17 @@ def validate_solution(field: FlowForceField, state, p: PhysicalParams):
         failures.append("surface equation residual above tolerance")
     if gauge > 1e-9:
         failures.append("field is not gauge invariant")
-    if not balance_order >= 1.0:
-        failures.append("force balance defect does not shrink at first order")
+    if not balance <= 1e-8 * max(1.0, p.g):
+        failures.append("force balance defect above tolerance")
 
     return ValidationReport(
-        harmonic_defect=harmonic_hi,
-        harmonic_defect_coarse=coarse,
-        harmonic_defect_fine=fine,
-        harmonic_ratio=ratio,
-        harmonic_order=order,
+        harmonic_defect=harmonic,
         surface_trace_defect=surface_trace,
         bottom_trace_defect=bottom_trace,
         residual_sup=residual_sup,
         gauge_defect=gauge,
-        force_balance_coarse=balance_coarse,
-        force_balance_fine=balance_fine,
-        force_balance_order=balance_order,
+        force_balance_fine=balance,
+        audit_rows=audit_rows,
         admissibility=diag["admissibility"],
         failures=tuple(failures),
         passed=not failures,

@@ -32,6 +32,10 @@ __all__ = [
     "conjugate_extension",
     "grid_nodes",
     "strip_nodes",
+    "strip_rows",
+    "chebyshev_rows",
+    "chebyshev_matrix",
+    "chebyshev_coefficients",
     "scaled_coth",
     "sinh_ratio",
     "cosh_ratio",
@@ -51,10 +55,47 @@ def grid_nodes(m):
     return 2.0 * np.pi * np.arange(m) / m
 
 
+def strip_rows(n_y):
+    """Depth fractions m / n_y, m = 0..n_y, of the uniform strip rows: row 0
+    is the bed, exactly 0, and the last row the surface, exactly 1."""
+    if n_y < 2:
+        raise ValueError("need at least two vertical intervals")
+    return np.arange(n_y + 1) / n_y
+
+
 def strip_nodes(n_y, d):
     """Uniform strip rows y_m = -d + d m / n_y, m = 0..n_y: row 0 is the bed,
     exactly -d, and the last row the surface, exactly 0."""
-    return d * (np.arange(n_y + 1) / n_y - 1.0)
+    return d * (strip_rows(n_y) - 1.0)
+
+
+def chebyshev_rows(n):
+    """Chebyshev-Lobatto depth fractions sin^2(pi j / 2n), j = 0..n: the rows
+    y_j = -(d/2)(1 + cos(pi j / n)) of a strip of depth d, as fractions of d
+    from the bed, exactly 0, to the surface, exactly 1."""
+    return np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
+
+
+def chebyshev_matrix(n):
+    """Differentiation matrix in the depth fraction on chebyshev_rows(n)
+    (Trefethen 2000, cheb): (c_i / c_j) / (t_i - t_j) off the diagonal, c the
+    alternating signs doubled at both ends and t_i - t_j a product of sines;
+    each diagonal entry makes its row sum zero."""
+    j = np.arange(n + 1)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    a = 0.5 * np.pi * j / n
+    gaps = np.sin(a[:, None] + a) * np.sin(a[:, None] - a) + np.eye(n + 1)
+    mat = np.outer(c, 1.0 / c) / gaps
+    return mat - np.diag(np.sum(mat, axis=1))
+
+
+def chebyshev_coefficients(values):
+    """Chebyshev coefficients along axis 0 of values on chebyshev_rows(n),
+    coefficient k of each column in row k (a DCT-I by one real FFT)."""
+    n = values.shape[0] - 1
+    coeffs = np.fft.rfft(np.concatenate((values, values[-2:0:-1])), axis=0).real / n
+    coeffs[[0, n]] /= 2.0
+    return coeffs
 
 
 def _aligned(shape):
@@ -447,27 +488,27 @@ def dirichlet_neumann(f, d):
     return PeriodicFunction(a, b)
 
 
-def _extension_grids(f, d, n_y, n_x):
-    if n_y < 2:
-        raise ValueError("need at least two vertical intervals")
+def _extension_grids(f, d, rows, n_x):
+    rows = np.asarray(rows, dtype=float)
     n_x = collocation_size(f.n_modes) if n_x is None else int(n_x)
-    return n_x, strip_nodes(n_y, d)
+    return n_x, rows, d * (rows - 1.0)
 
 
-def harmonic_extension(f, d, n_y, n_x=None):
+def harmonic_extension(f, d, rows, n_x=None):
     """Harmonic extension into the strip, zero on the bottom, f on top.
 
     Per mode: sinh(n(y+d))/sinh(nd); the mean extends linearly in y.
-    Returns a read-only (n_y + 1, n_x) array on the rows strip_nodes(n_y, d),
-    row 0 the bed, and the columns grid_nodes(n_x).  An all-zero cosine or
+    rows are depth fractions t in [0, 1] (strip_rows or chebyshev_rows),
+    row t at y = d (t - 1).  Returns a read-only (len(rows), n_x) array,
+    row 0 the bed, on the columns grid_nodes(n_x).  An all-zero cosine or
     sine block is skipped, as in eval_many, and so is a zero mean's linear
     part, which would only repeat the mean's signed zero.
     """
     dv = _depth_value(d)
-    n_x, y = _extension_grids(f, dv, n_y, n_x)
-    vals = np.full((n_y + 1, n_x), f.cos_coeffs[0])
+    n_x, rows, y = _extension_grids(f, dv, rows, n_x)
+    vals = np.full((len(rows), n_x), f.cos_coeffs[0])
     if f.cos_coeffs[0]:
-        vals *= (np.arange(n_y + 1) / n_y)[:, None]
+        vals *= rows[:, None]
     if f.n_modes:
         modes = np.arange(1, f.n_modes + 1)
         ratio = sinh_ratio(modes, y, dv)
@@ -480,7 +521,7 @@ def harmonic_extension(f, d, n_y, n_x=None):
     return vals
 
 
-def conjugate_extension(f, d, n_y, n_x=None):
+def conjugate_extension(f, d, rows, n_x=None):
     """Harmonic conjugate of the extension (oscillatory modes only).
 
     Sign convention: with W the harmonic extension and Z this field,
@@ -488,12 +529,13 @@ def conjugate_extension(f, d, n_y, n_x=None):
     [cosh(n(y+d))/sinh(nd)] sin nx and b_n sin nx -> -b_n [...] cos nx,
     so the top trace of zero-mean data is hilbert_strip(f).  The mean
     mode's conjugate is the non-periodic linear part mean/d * x, which
-    the caller adds where needed.  Returns a read-only grid laid out as
-    harmonic_extension's; an all-zero cosine or sine block is skipped.
+    the caller adds where needed.  Returns a read-only grid on the rows
+    and columns of harmonic_extension's; an all-zero cosine or sine block
+    is skipped.
     """
     dv = _depth_value(d)
-    n_x, y = _extension_grids(f, dv, n_y, n_x)
-    vals = np.zeros((n_y + 1, n_x))
+    n_x, rows, y = _extension_grids(f, dv, rows, n_x)
+    vals = np.zeros((len(rows), n_x))
     if f.n_modes:
         modes = np.arange(1, f.n_modes + 1)
         ratio = cosh_ratio(modes, y, dv)

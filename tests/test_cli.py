@@ -129,7 +129,7 @@ def test_kernel_check_water_simple(tmp_path):
     assert payload["min_relative_gap"] > payload["tol"]
 
 
-def test_kernel_check_collision_exit_code(tmp_path, gravity_collision):
+def test_kernel_check_collision_exit_code(tmp_path, capsys, gravity_collision):
     p, tol = gravity_collision
     out = tmp_path / "out"
     cfg = _write(
@@ -144,6 +144,11 @@ def test_kernel_check_collision_exit_code(tmp_path, gravity_collision):
     payload = json.loads((out / "kernel_check.json").read_text())
     assert payload["simple"] is False
     assert payload["colliding_mode"] == 2
+    # the line branch prints on the same config
+    err = capsys.readouterr().err
+    assert err.startswith(f"kernel not simple: mode 2 shares the onset value at k = {p.k}")
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_k_flag_overrides_config(tmp_path):
@@ -370,16 +375,22 @@ def test_validate_traced_branch(tmp_path):
         ["--config", cfg, "--out", str(out), "validate", str(out / "branch.json")]
     ) == 0
     payload = json.loads((out / "validation.json").read_text())
-    assert payload["schema"] == "flowforce/validation-v1"
+    assert payload["schema"] == "flowforce/validation-v2"
     assert payload["passed"] is True
     assert len(payload["points"]) == 1
     point = payload["points"][0]
+    assert sorted(point) == [
+        "admissible", "audit_rows", "bottom_trace_defect", "failures",
+        "force_balance_fine", "gauge_defect", "harmonic_defect", "passed",
+        "residual_sup", "s", "surface_trace_defect",
+    ]
     assert point["passed"] is True
     assert point["failures"] == []
     assert point["residual_sup"] < 1e-9
+    assert point["audit_rows"] == 16
 
 
-def test_validate_tampered_branch(tmp_path):
+def test_validate_tampered_branch(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
     assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
@@ -393,6 +404,28 @@ def test_validate_tampered_branch(tmp_path):
     report = json.loads((out / "validation.json").read_text())
     assert report["passed"] is False
     assert report["points"][0]["failures"]
+    s = report["points"][0]["s"]
+    assert f"validation failed: point 0 at s = {s!r}: " in capsys.readouterr().err
+
+
+def test_validate_names_each_failing_point(tmp_path, capsys):
+    # four modes do not resolve desk water at k s = 0.1: the Galerkin
+    # residual converges, but the field's surface trace misses the surface
+    # flow force, so every point fails and stderr says why, one line each
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", "[continuation]\namplitude_max = 1e-2\nsteps = 4\n")
+    assert main(["--config", cfg, "--n-modes", "4", "--out", str(out), "branch"]) == 0
+    capsys.readouterr()
+    code = main(["--config", cfg, "--out", str(out), "validate", str(out / "branch.json")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    points = json.loads((out / "validation.json").read_text())["points"]
+    assert len(lines) == len(points) == 4
+    for index, (line, point) in enumerate(zip(lines, points)):
+        assert not point["passed"]
+        assert "surface trace deviates from the surface flow force" in point["failures"]
+        expect = f"validation failed: point {index} at s = {point['s']!r}: "
+        assert line == expect + "; ".join(point["failures"])
 
 
 def test_reconstruct_outputs(tmp_path):
@@ -583,19 +616,6 @@ def test_zero_steps_in_config_rejected(tmp_path, capsys):
     assert f"{cfg}:2" in err
 
 
-def test_validate_needs_eight_vertical_points(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
-    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
-    coarse = _write(tmp_path / "coarse.ini", "[discretization]\nvertical_points = 7\n")
-    code = main(
-        ["--config", coarse, "--out", str(out), "validate", str(out / "branch.json")]
-    )
-    assert code == 4
-    assert "vertical_points" in capsys.readouterr().err
-    assert not (out / "validation.json").exists()
-
-
 def test_zero_modes_in_config_rejected(tmp_path, capsys):
     cfg = _write(tmp_path / "c.ini", "[discretization]\nmodes = 0\n")
     assert main(["--config", cfg, "--out", str(tmp_path), "branch"]) == 4
@@ -605,20 +625,25 @@ def test_zero_modes_in_config_rejected(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_reconstruct_needs_two_vertical_points(tmp_path, capsys):
+@pytest.mark.parametrize("command, artifact", [
+    ("reconstruct", "field.csv"), ("validate", "validation.json"),
+], ids=["reconstruct", "validate"])
+def test_reconstruct_needs_two_vertical_points(tmp_path, capsys, command, artifact):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
     assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
     flat = _write(tmp_path / "flat.ini", "[discretization]\nvertical_points = 1\n")
-    code = main(
-        ["--config", flat, "--out", str(out), "reconstruct", str(out / "branch.json")]
-    )
+    code = main(["--config", flat, "--out", str(out), command, str(out / "branch.json")])
     assert code == 4
     err = capsys.readouterr().err
-    assert "vertical_points" in err
+    assert f"{command} needs discretization.vertical_points >= 2" in err
     assert f"{flat}:2" in err
     assert "Traceback" not in err
-    assert not (out / "field.csv").exists()
+    assert not (out / artifact).exists()
+    # two intervals are enough: the audit differentiates on its own rows
+    coarse = _write(tmp_path / "coarse.ini", "[discretization]\nvertical_points = 2\n")
+    assert main(["--config", coarse, "--out", str(out), command, str(out / "branch.json")]) == 0
+    assert (out / artifact).exists()
 
 
 def test_nonpositive_k_min_rejected(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The laminar column has a closed-form quadratic flow force, which pins
 the whole pipeline to machine precision; wave cases are checked against
-trace conditions, refinement orders, and gauge invariance.
+trace conditions, the spectral audit's absolute bounds, and gauge
+invariance.
 """
 
 import math
@@ -35,9 +36,11 @@ from flowforce.spectral import (
     _spectrum,
     _trig_matrices,
     analyze,
+    chebyshev_rows,
     collocation_size,
     cosh_ratio,
     sinh_ratio,
+    strip_rows,
 )
 
 
@@ -94,7 +97,7 @@ def test_wave_traces(water, wave_point, wave_field):
 
 def test_conformal_map_boundary_rows(water, wave_point):
     w = wave_point.elevation
-    u, v = conformal_map(w, water, n_y=16)
+    u, v = conformal_map(w, water, strip_rows(16))
     x = grid_nodes(u.shape[1])
     surface = water.h + w.eval_at(x)
     assert np.max(np.abs(v[-1] - surface)) < 1e-12
@@ -180,7 +183,8 @@ def test_audit_operators_match_mode_sums(water, wave_point):
         cos_mat, sin_mat = _trig_matrices(n_x, n)
         vx = -(sinh_ratio(modes, y, water.strip_depth) * na) @ sin_mat
         vy = 1.0 / water.k + (cosh_ratio(modes, y, water.strip_depth) * na) @ cos_mat
-        assert np.array_equal(fields._map_gradient_sq(w, water, n_y, n_x), vx**2 + vy**2)
+        grad_sq = fields._map_gradient_sq(w, water, strip_rows(n_y), n_x)
+        assert np.array_equal(grad_sq, vx**2 + vy**2)
     tension, m, v_s, dnv = fields._correction_strength(w, water)
     cos_mat, sin_mat = _trig_matrices(m, n)
     quotient = tension.samples(m) / v_s
@@ -196,9 +200,11 @@ def test_validate_wave_solution(water, wave_point, wave_field):
     report = validate_solution(wave_field, wave_point, water)
     assert report.passed, report.failures
     assert report.failures == ()
-    assert 3.0 <= report.harmonic_ratio <= 5.0
-    assert report.harmonic_order >= 1.0
-    assert report.force_balance_order >= 1.0
+    # desk water is resolved on 16 Chebyshev rows, and both spectral
+    # defects sit near rounding, far inside their 1e-8 bounds
+    assert report.audit_rows == 16
+    assert report.harmonic_defect <= 1e-10
+    assert report.force_balance_fine <= 1e-9 * water.g
     assert report.residual_sup < 1e-9
     assert report.gauge_defect < 1e-9
     assert report.admissibility.passed
@@ -209,9 +215,10 @@ def test_validate_laminar_solution(water):
     field = reconstruct(state, water, n_y=16, n_x=64)
     report = validate_solution(field, state, water)
     assert report.passed, report.failures
-    # the laminar defects sit below the audit floor on every grid
-    assert math.isinf(report.harmonic_order)
-    assert math.isinf(report.force_balance_order)
+    # S is a quadratic in the linear height field: 16 rows hold it exactly
+    assert report.audit_rows == 16
+    assert report.harmonic_defect <= 1e-10
+    assert report.force_balance_fine <= 1e-10 * water.g
 
 
 def test_field_gauge_invariance(water, wave_point, wave_field):
@@ -234,10 +241,16 @@ def test_tampered_profile_fails_validation(water, wave_point):
     assert "surface equation residual above tolerance" in report.failures
 
 
-def test_validation_needs_vertical_resolution(water, wave_point):
-    field = reconstruct(wave_point, water, n_y=4)
-    with pytest.raises(ValueError):
-        validate_solution(field, wave_point, water)
+def test_validation_audits_on_its_own_rows(water, wave_point, wave_field):
+    # harmonicity and the force balance are read on the audit's Chebyshev
+    # rows, so an input field of two intervals gets the same defects; its
+    # rows feed only the trace and gauge audits
+    report = validate_solution(reconstruct(wave_point, water, n_y=2), wave_point, water)
+    assert report.passed, report.failures
+    fine = validate_solution(wave_field, wave_point, water)
+    assert report.harmonic_defect == fine.harmonic_defect
+    assert report.force_balance_fine == fine.force_balance_fine
+    assert report.audit_rows == fine.audit_rows
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -253,13 +266,13 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
-    # the caller's reconstruction inverts the base grid; validation inverts
-    # only the doubled grid and assembles two fields, the doubled-grid one
-    # and the gauge-shifted one on the input geometry, without calling
-    # reconstruct; its five harmonic extensions are the doubled grid's map
-    # and potential, the shifted potential and the two map gradients.  Its
-    # verdict on admissibility comes from the residual it evaluates, so the
-    # only check_admissibility call is the reconstruction's surface_curve
+    # the caller's reconstruction inverts the input grid; validation inverts
+    # only the 16-row Chebyshev grid and assembles two fields, the Chebyshev
+    # one and the gauge-shifted one on the input geometry, without calling
+    # reconstruct; its four harmonic extensions are the Chebyshev grid's map,
+    # potential and map gradient and the shifted potential.  Its verdict on
+    # admissibility comes from the residual it evaluates, so the only
+    # check_admissibility call is the reconstruction's surface_curve
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
     checks = _count_calls(monkeypatch, fields, "check_admissibility")
@@ -273,7 +286,7 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     assert len(rebuilds) == 1
     assert len(checks) == 1
     assert len(assemblies) == 2
-    assert len(extensions) == 5
+    assert len(extensions) == 4
 
 
 def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch):
@@ -316,7 +329,7 @@ def test_validated_point_evaluates_elevation_once_per_grid(
     validate_solution(field, wave_point, water)
     n_x = field.u.shape[1]
     rows = _TAYLOR_DEGREE + 1
-    assert shapes == [(rows, n_x // 2 + 1), (rows, n_x + 1)]
+    assert shapes == [(rows, n_x // 2 + 1)] * 2
     assert evaluations == []
 
 
@@ -338,12 +351,14 @@ def _audited_series(w, p):
 
 
 def test_node_expansion_agrees_with_summation(water, wave_point):
-    # on both grids of the fixture wave, the expansion path is taken and
-    # agrees with eval_at to 4 ulps of the coefficient sum
+    # on the fixture wave's uniform and Chebyshev grids, and on doubled
+    # columns, the expansion path is taken and agrees with eval_at to 4
+    # ulps of the coefficient sum
     w = wave_point.elevation
     curve = SurfaceCurve(w, water)
-    for n_y, n_x in ((16, None), (32, 2 * fields.collocation_size(w.n_modes))):
-        x_s = fields._geometry(curve, n_y, n_x)[2]
+    wide = 2 * fields.collocation_size(w.n_modes)
+    for rows, n_x in ((strip_rows(16), None), (chebyshev_rows(16), None), (strip_rows(32), wide)):
+        x_s = fields._geometry(curve, rows, n_x)[2]
         reach = _node_reach(x_s)
         for f in _audited_series(w, water):
             assert fields._taylor_fits(f, reach)
@@ -361,7 +376,7 @@ def test_node_expansion_falls_back_to_summation(water, wave_point):
     assert not fields._taylor_fits(w, 0.5)
     assert np.array_equal(fields._even_at(w, x_s), _half_values(w, x_s))
     steep = trace_branch(4e-3, 1, water, n_modes=128).points[-1].elevation
-    x_s = fields._geometry(SurfaceCurve(steep, water), 16, None)[2]
+    x_s = fields._geometry(SurfaceCurve(steep, water), strip_rows(16), None)[2]
     reach = _node_reach(x_s)
     _, tension, curvature = _audited_series(steep, water)
     for f in (tension, curvature):
@@ -376,7 +391,7 @@ def test_geometry_inverts_in_one_summation_pass(water, wave_point, monkeypatch):
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     transforms = _count_calls(monkeypatch, fields, "hilbert_strip")
     for n_y in (16, 64):
-        fields._geometry(curve, n_y, None)
+        fields._geometry(curve, strip_rows(n_y), None)
     assert len(passes) == 2
     assert transforms == []
 
@@ -390,7 +405,7 @@ def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     for n_y in (16, 64):
         passes.clear()
-        u, _, x_s, _ = fields._geometry(curve, n_y, None)
+        u, _, x_s, _ = fields._geometry(curve, strip_rows(n_y), None)
         assert len(passes) <= 20
         half = u.shape[1] // 2 + 1
         u, x_s = u[:, :half], x_s[:, :half]
@@ -426,7 +441,7 @@ def test_inversion_of_nan(water, wave_point):
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
     # p_atm != 0 costs no extra inversion: the fields reuse the input and
-    # doubled-grid geometries, and the audit sees the same gauge-free flow
+    # Chebyshev geometries, and the audit sees the same gauge-free flow
     # force, so the same balance as without pressure and no gauge defect
     pressured = water.replace(p_atm=101325.0)
     plain = validate_solution(
@@ -439,8 +454,8 @@ def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
     assert report.passed, report.failures
     assert len(inverts) == 2
     assert report.gauge_defect == 0.0
-    assert report.force_balance_coarse == plain.force_balance_coarse
     assert report.force_balance_fine == plain.force_balance_fine
+    assert report.audit_rows == plain.audit_rows
 
 
 @pytest.mark.parametrize("p_atm", [0.0, 101325.0])
@@ -451,7 +466,8 @@ def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     field = reconstruct(wave_point, p, n_y=16)
     gauge = p.replace(p_atm=p.p_atm + 101325.0)
     assembled = fields._assemble(
-        wave_point, gauge, field.u, field.v, field.surface_abscissa, field.surface_height
+        wave_point, gauge, strip_rows(16),
+        field.u, field.v, field.surface_abscissa, field.surface_height,
     )
     rebuilt = reconstruct(wave_point, gauge, n_y=16)
     for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
@@ -459,3 +475,61 @@ def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     assert np.array_equal(assembled.surface_abscissa, rebuilt.surface_abscissa)
     assert assembled.surface_value == rebuilt.surface_value
 
+
+
+_DESK = PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0)
+
+
+@pytest.mark.parametrize(
+    "p, s_max, steps, n_modes",
+    [
+        (_DESK.replace(h=2.0), 1e-3, 4, 32),
+        (_DESK.replace(sigma=0.0, h=0.3), 1e-2, 4, 64),
+        (_DESK.replace(g=0.0, h=2.0), 1e-2, 4, 64),
+        (_DESK.replace(h=0.5), 3e-2, 4, 64),
+        (_DESK, 5e-2, 8, 64),
+    ],
+    ids=["water-kh20", "gravity-kh3", "capillary-kh20", "water-kh5-ks0.3", "desk-ks0.5-N64"],
+)
+def test_resolved_waves_pass_the_audit(p, s_max, steps, n_modes):
+    # resolved waves whose Galerkin residuals sit at rounding; the stencil
+    # audit this one replaced rejected every case here at n_y = 64
+    branch = trace_branch(s_max, steps, p, n_modes=n_modes)
+    assert branch.failure is None and len(branch.points) == steps
+    for point in branch.points:
+        report = validate_solution(reconstruct(point, p), point, p)
+        assert report.passed, (point.amplitude, report.failures)
+        assert report.audit_rows <= 64
+
+
+def test_steep_desk_wave_fails_at_32_modes(water):
+    # at k s = 0.5, 32 modes leave a truncation error in S that the force
+    # balance reads at about 1.4e-7 g on every row count; 64 modes pass
+    point = trace_branch(5e-2, 8, water, n_modes=32).points[-1]
+    report = validate_solution(reconstruct(point, water), point, water)
+    assert report.failures == ("force balance defect above tolerance",)
+    assert report.force_balance_fine > 1e-8 * water.g
+
+
+def test_perturbed_tension_strength_fails_the_force_balance(water, monkeypatch):
+    # one cosine coefficient of the tension strength off by 1e-6 relative,
+    # in the boundary data and the pullback alike: the traces still hold
+    # exactly, and only the force balance, against the true correction
+    # curvature, sees the error (about 8e-8 g against 3e-10 g unperturbed)
+    point = trace_branch(3e-2, 4, water, n_modes=32).points[-1]
+    clean = validate_solution(reconstruct(point, water), point, water)
+    assert clean.passed, clean.failures
+    strength = fields._correction_strength
+    curvature = fields._correction_curvature(point.elevation, water)
+
+    def perturbed(w, p):
+        tension, *rest = strength(w, p)
+        coeffs = np.array(tension.cos_coeffs)
+        coeffs[1] *= 1.0 + 1e-6
+        return (PeriodicFunction.from_cosines(coeffs), *rest)
+
+    monkeypatch.setattr(fields, "_correction_strength", perturbed)
+    monkeypatch.setattr(fields, "_correction_curvature", lambda w, p: curvature)
+    report = validate_solution(reconstruct(point, water), point, water)
+    assert report.failures == ("force balance defect above tolerance",)
+    assert report.force_balance_fine > 50.0 * clean.force_balance_fine

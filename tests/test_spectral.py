@@ -32,11 +32,15 @@ from flowforce.spectral import (
     _synthesize,
     _taylor_fits,
     _trig_matrices,
+    chebyshev_coefficients,
+    chebyshev_matrix,
+    chebyshev_rows,
     collocation_size,
     cosh_ratio,
     eval_many,
     scaled_coth,
     sinh_ratio,
+    strip_rows,
 )
 
 DEPTHS = (0.1, 1.0, 10.0)
@@ -458,7 +462,7 @@ def _mixed_function(n_modes=6, seed=5):
 def test_extension_boundary_rows_exact():
     f = _mixed_function()
     for d in DEPTHS:
-        field = harmonic_extension(f, d, n_y=16)
+        field = harmonic_extension(f, d, strip_rows(16))
         np.testing.assert_allclose(
             field[-1], f.samples(field.shape[1]), atol=1e-13
         )
@@ -481,7 +485,7 @@ def test_extension_boundary_rows_exact():
 )
 @pytest.mark.parametrize("extension", [harmonic_extension, conjugate_extension])
 def test_extensions_return_read_only_grids(extension, f, n_x):
-    field = extension(f, 0.7, 12, n_x)
+    field = extension(f, 0.7, strip_rows(12), n_x)
     width = collocation_size(f.n_modes) if n_x is None else n_x
     assert type(field) is np.ndarray and field.dtype == np.float64
     assert field.shape == (13, width)
@@ -492,7 +496,8 @@ def test_extensions_return_read_only_grids(extension, f, n_x):
 @pytest.mark.parametrize("mean", [0.0, -0.0, 0.7])
 def test_harmonic_extension_mean_term_keeps_outer_product_bits(mean, n_modes):
     # a zero mean skips the product with the rows; -0.0 still gives -0.0
-    field = harmonic_extension(PeriodicFunction.constant(mean, n_modes), 0.5, n_y=10)
+    constant = PeriodicFunction.constant(mean, n_modes)
+    field = harmonic_extension(constant, 0.5, strip_rows(10))
     expect = np.outer(np.arange(11) / 10, np.full(field.shape[1], mean))
     assert np.array_equal(field, expect)
     assert np.array_equal(np.signbit(field), np.signbit(expect))
@@ -502,7 +507,7 @@ def test_conjugate_trace_is_hilbert_transform():
     f = _mixed_function()
     f = f - f.mean()
     d = 1.0
-    z = conjugate_extension(f, d, n_y=8)
+    z = conjugate_extension(f, d, strip_rows(8))
     trace = analyze(z[-1]).truncated(f.n_modes)
     expect = hilbert_strip(f, d)
     np.testing.assert_allclose(trace.cos_coeffs, expect.cos_coeffs, atol=1e-12)
@@ -517,8 +522,8 @@ def test_extensions_conjugate_through_sub_strip_transform():
     f = _mixed_function(8, seed=17)
     d = 1.0
     n_y = 16
-    w = harmonic_extension(f, d, n_y)
-    z = conjugate_extension(f, d, n_y)
+    w = harmonic_extension(f, d, strip_rows(n_y))
+    z = conjugate_extension(f, d, strip_rows(n_y))
     worst = 0.0
     y = strip_nodes(n_y, d)
     for row in range(1, n_y):
@@ -544,8 +549,8 @@ def test_cauchy_riemann_by_refinement():
     d = 1.0
 
     def defect(n_y):
-        w = harmonic_extension(f, d, n_y, n_x=64)
-        z = conjugate_extension(f, d, n_y, n_x=64)
+        w = harmonic_extension(f, d, strip_rows(n_y), n_x=64)
+        z = conjugate_extension(f, d, strip_rows(n_y), n_x=64)
         hy = d / n_y
         w_y = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * hy)
         zx_rows = [
@@ -563,7 +568,7 @@ def test_five_point_laplacian_refinement_ratio():
     d = 1.0
 
     def defect(n_x, n_y):
-        v = harmonic_extension(f, d, n_y, n_x=n_x)
+        v = harmonic_extension(f, d, strip_rows(n_y), n_x=n_x)
         hx = 2.0 * np.pi / n_x
         hy = d / n_y
         lap = (
@@ -575,7 +580,47 @@ def test_five_point_laplacian_refinement_ratio():
     assert 3.5 < ratio < 4.5
 
 
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_chebyshev_rows_and_coefficients(n):
+    # the rows are (1 - cos(pi j / n)) / 2, exact at the bed and the
+    # surface, and a Chebyshev series in x = 1 - 2t is recovered from them
+    t = chebyshev_rows(n)
+    assert t[0] == 0.0 and t[-1] == 1.0
+    assert np.all(np.diff(t) > 0.0)
+    np.testing.assert_allclose(t, (1.0 - np.cos(np.pi * np.arange(n + 1) / n)) / 2, atol=1e-16)
+    coeffs = np.random.default_rng(n).standard_normal((n + 1, 3))
+    values = np.polynomial.chebyshev.chebval(1.0 - 2.0 * t, coeffs)
+    np.testing.assert_allclose(chebyshev_coefficients(values.T), coeffs, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_chebyshev_matrix_differentiates_to_rounding(n):
+    # exp(3t) is resolved to rounding from 16 rows on; the first derivative's
+    # rounding grows like n^2 eps and the second's like n^4 eps
+    t = chebyshev_rows(n)
+    mat = chebyshev_matrix(n)
+    f = np.exp(3.0 * t)
+    eps = 2.0**-52 * f[-1]
+    assert np.max(np.abs(mat @ f - 3.0 * f)) <= 4.0 * n**2 * eps
+    assert np.max(np.abs(mat @ (mat @ f) - 9.0 * f)) <= 4.0 * n**4 * eps
+
+
+def test_cauchy_riemann_on_chebyshev_rows():
+    """On Chebyshev rows the extensions are differentiated to rounding: the
+    vertical derivative of the extension (chebyshev_matrix over the depth)
+    equals the horizontal derivative of its conjugate (by FFT)."""
+    f = _mixed_function(6, seed=31)
+    f = f - f.mean()
+    d, n = 1.0, 32
+    w = harmonic_extension(f, d, chebyshev_rows(n), n_x=64)
+    z = conjugate_extension(f, d, chebyshev_rows(n), n_x=64)
+    w_y = chebyshev_matrix(n) @ w / d
+    spec = np.fft.rfft(z, axis=1)
+    z_x = np.fft.irfft(spec * 1j * np.arange(spec.shape[1]), n=64, axis=1)
+    assert np.max(np.abs(w_y - z_x)) < 1e-11 * np.max(np.abs(w))
+
+
 def test_harmonic_extension_mean_is_linear_in_y():
-    field = harmonic_extension(PeriodicFunction.constant(2.0, 2), 0.5, n_y=10)
+    field = harmonic_extension(PeriodicFunction.constant(2.0, 2), 0.5, strip_rows(10))
     frac = np.arange(11) / 10
     np.testing.assert_allclose(field, np.outer(frac, np.full(8, 2.0)), atol=1e-15)
