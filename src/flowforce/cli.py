@@ -430,9 +430,16 @@ def cmd_reconstruct(config, branch_path, index):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors (exit 4)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowforce",
         description="Spectral toolkit for steady capillary-gravity water waves "
         "in the flow-force formulation.",
@@ -459,8 +466,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _apply_flags(load_config(args.config), args)
         _check_command(config, args)
         if args.command == "dispersion":

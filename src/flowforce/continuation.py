@@ -5,8 +5,8 @@ periodic even waves.  The branch is parametrized by the first cosine
 coefficient s of the elevation: s is frozen, and Newton's method solves
 the Galerkin system for the squared surface speed, the Bernoulli shift
 and the remaining coefficients a_2..a_N.  Successive amplitudes are
-warm-started from the previous corrected state.  At N > 64 each step
-is solved at 64 modes first and certified by the N-mode residual.
+warm-started from the previous corrected state.  At N > 32 each step
+is solved at 32 modes first and certified by the N-mode residual.
 """
 
 from dataclasses import dataclass
@@ -38,8 +38,9 @@ __all__ = [
 
 _COND_LIMIT = 1e14
 _STALL_STEP = np.sqrt(np.finfo(float).eps)
-# fewest modes of a Newton level; 64 resolve every measured branch to rounding
-_COARSEST_MODES = 64
+# fewest modes of a Newton level: runs at N <= 32 keep their one level,
+# and a 32-mode Jacobian costs about a third of a 64-mode one
+_COARSEST_MODES = 32
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     """Correct a predictor at frozen amplitude s = first cosine coefficient.
 
     Returns (corrected TrialState, iterations, residual norm).  At
-    N > 64 modes Newton visits the levels 64, 128, ... below N, then N,
-    each from the last one's result zero-padded; at N <= 64 the one
+    N > 32 modes Newton visits the levels 32, 64, ... below N, then N,
+    each from the last one's result zero-padded; at N <= 32 the one
     level is N.  Each level tests its residual (max-norm <= tol) before
     each Jacobian assembly, so a level that the last one resolves costs
     one residual and no linear solve: the N-mode test certifies the

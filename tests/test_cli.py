@@ -229,8 +229,8 @@ def test_profiles_match_surface_curve(tmp_path, text, flags):
     for rec, block in zip(payload["points"], profiles):
         a = rec["cos_coeffs"]
         if payload["n_modes"] == 128:
-            # the 64-mode Newton level leaves the tail exactly zero
-            assert not any(a[65:]) and any(a[2:65])
+            # the 32-mode Newton level leaves the tail exactly zero
+            assert not any(a[33:]) and any(a[2:33])
         assert np.all(block[:, 0] == rec["s"])
         assert np.array_equal(block[:, 1], x)
         curve = SurfaceCurve(PeriodicFunction.from_cosines(a), params)
@@ -258,7 +258,7 @@ def test_profile_abscissa_is_the_admissibility_abscissa(tmp_path, monkeypatch):
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     # the cached parser carries nothing from one main() call to the next:
-    # a command, an argv that exits 2 and another command give the files
+    # a command, an argv that exits 4 and another command give the files
     # and messages of runs that each build a fresh parser
     assert _build_parser() is _build_parser()
     cfg = _write(tmp_path / "c.ini", "[dispersion]\nk_count = 5\n")
@@ -273,17 +273,41 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
         ):
             if run == "fresh":
                 _build_parser.cache_clear()
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
             texts.append((code, *capsys.readouterr()))
         for name in ("one/kernel_check.json", "two/dispersion.csv"):
             texts.append((out / name).read_text(encoding="utf-8"))
         results[run] = texts
-    assert [text[0] for text in results["reused"][:3]] == [0, 2, 0]
+    assert [text[0] for text in results["reused"][:3]] == [0, 4, 0]
     assert "invalid int value" in results["reused"][1][2]
     assert results["reused"] == results["fresh"]
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["--n-modes", "abc", "branch"], "invalid int value: 'abc'"),
+        (["--bogus", "branch"], "unrecognized arguments: --bogus"),
+        (["validate"], "the following arguments are required: branch_file"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-branch-file", "unknown-command"],
+)
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv, detail):
+    # usage errors follow the exit-code contract: 4 with `config error:`,
+    # returned from main rather than raised as SystemExit
+    assert main(["--out", str(tmp_path), *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and detail in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["-h"])
+    assert info.value.code == 0
+    assert "usage: flowforce" in capsys.readouterr().out
 
 
 def _per_value_csv(header, columns):

@@ -225,26 +225,43 @@ def test_large_steps_run_out_max_iter(monkeypatch):
     [
         (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0), 4e-3),
         (PhysicalParams(g=9.81, sigma=0.0, h=0.1, k=10.0), 1e-2),
+        (PhysicalParams(g=0.0, sigma=0.073, h=0.1, k=10.0), 4e-3),
         (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0), 4e-3),
     ],
-    ids=["water", "pure-gravity", "p_atm"],
+    ids=["water", "pure-gravity", "pure-capillarity", "p_atm"],
 )
 def test_nested_newton_certifies_coarse_solution(monkeypatch, p, s_max):
-    # 64 modes resolve these waves to rounding, so every update happens at
-    # 64 modes and the 128-mode residual only certifies the padded result
-    coarse = trace_branch(s_max, 8, p, n_modes=64)
+    # 32 modes resolve these waves to rounding, so every update happens at
+    # 32 modes and the finer residuals only certify the padded result
+    coarse = trace_branch(s_max, 8, p, n_modes=32)
+    assert coarse.failure is None and len(coarse.points) == 8
     calls = _count_jacobians(monkeypatch)
-    fine = trace_branch(s_max, 8, p, n_modes=128)
-    assert fine.failure is None and coarse.failure is None
-    assert calls and set(calls) == {64}
-    assert len(fine.points) == len(coarse.points) == 8
-    for got, want in zip(fine.points, coarse.points):
-        a = got.elevation.cos_coeffs
-        assert got.speed_sq == want.speed_sq
-        assert got.bernoulli_shift == want.bernoulli_shift
-        assert np.array_equal(a[:65], want.elevation.cos_coeffs)
-        assert np.all(a[65:] == 0.0)
-        assert got.residual_norm <= 1e-11
+    for n_modes in (64, 128):
+        calls.clear()
+        fine = trace_branch(s_max, 8, p, n_modes=n_modes)
+        assert fine.failure is None
+        assert calls and set(calls) == {32}
+        assert len(fine.points) == 8
+        for got, want in zip(fine.points, coarse.points):
+            a = got.elevation.cos_coeffs
+            assert got.speed_sq == want.speed_sq
+            assert got.bernoulli_shift == want.bernoulli_shift
+            assert np.array_equal(a[:33], want.elevation.cos_coeffs)
+            assert np.all(a[33:] == 0.0)
+            assert got.residual_norm <= 1e-11
+
+
+def test_nested_newton_updates_levels_32_modes_miss(monkeypatch):
+    # pure gravity at kh = 3 to steepness 0.2625: 32 modes do not resolve
+    # the steepest points, so the 64- and 128-mode levels take updates too,
+    # and every point still meets tol at 128 modes
+    p = PhysicalParams(g=9.81, sigma=0.0, h=0.3, k=10.0)
+    calls = _count_jacobians(monkeypatch)
+    branch = trace_branch(0.02625, 8, p, n_modes=128)
+    assert branch.failure is None and len(branch.points) == 8
+    assert set(calls) == {32, 64, 128}
+    assert sum(pt.newton_iters for pt in branch.points) == len(calls)
+    assert all(pt.residual_norm <= 1e-11 for pt in branch.points)
 
 
 @pytest.mark.parametrize("n_modes", [32, 128])
