@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -92,9 +93,10 @@ _KEYS = {
 }
 
 
-def _reject(path, message, section, token):
-    """Raise a ConfigError naming the first line under [section] that starts
-    with token (the header itself when token is "[section]"), if any."""
+def _reject(path, message, section, key=None):
+    """Raise a ConfigError naming the first line under [section] that sets
+    key, read as configparser reads it (the text before the first = or :,
+    stripped and lowercased), or the [section] header when key is None."""
     where = str(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -103,7 +105,11 @@ def _reject(path, message, section, token):
                 stripped = line.strip()
                 if stripped.startswith("["):
                     inside = stripped == f"[{section}]"
-                if inside and stripped.startswith(token):
+                    found = inside and key is None
+                else:
+                    name = re.split("[=:]", stripped, maxsplit=1)[0]
+                    found = inside and name.strip().lower() == key
+                if found:
                     where = f"{path}:{lineno}"
                     break
     except OSError:
@@ -133,7 +139,7 @@ def load_config(path=None):
         sections = {section for section, _ in _KEYS}
         for section in parser.sections():
             if section not in sections:
-                _reject(path, f"unknown section [{section}]", section, f"[{section}]")
+                _reject(path, f"unknown section [{section}]", section)
             for key, raw in parser[section].items():
                 name = f"{section}.{key}"
                 if (section, key) not in _KEYS:
@@ -183,10 +189,10 @@ def _apply_flags(config, args):
 
 def _check_command(config, args):
     """Limits that only the chosen command imposes, as located config errors."""
-    if args.command in ("validate", "reconstruct") and config.vertical_points < 2:
+    if args.command == "reconstruct" and config.vertical_points < 2:
         _reject(
             args.config,
-            f"{args.command} needs discretization.vertical_points >= 2, "
+            "reconstruct needs discretization.vertical_points >= 2, "
             f"got {config.vertical_points}",
             "discretization", "vertical_points",
         )
@@ -368,7 +374,8 @@ def _load_branch(path):
 
 
 def _point_error(branch_path, index, s, exc):
-    """An input-file error for a stored point the toolkit cannot audit."""
+    """An input-file error for a stored point the toolkit cannot audit or
+    allocate for."""
     return InputFileError(f"{branch_path}: point {index} at s = {s!r}: {exc}")
 
 
@@ -378,9 +385,8 @@ def cmd_validate(config, branch_path):
     all_passed = True
     for index, (s, state) in enumerate(points):
         try:
-            field = reconstruct(state, params, n_y=config.vertical_points)
-            rep = validate_solution(field, state, params)
-        except FlowForceError as exc:
+            rep = validate_solution(state, params)
+        except (FlowForceError, MemoryError) as exc:
             raise _point_error(branch_path, index, s, exc) from exc
         all_passed = all_passed and rep.passed
         if not rep.passed:
@@ -409,7 +415,7 @@ def cmd_reconstruct(config, branch_path, index):
     s, state = points[index]
     try:
         field = reconstruct(state, params, n_y=config.vertical_points)
-    except FlowForceError as exc:
+    except (FlowForceError, MemoryError) as exc:
         raise _point_error(branch_path, index, s, exc) from exc
     n_rows, n_x = field.u.shape
     # one row per grid node, x fastest, from the bed up

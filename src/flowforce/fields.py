@@ -7,10 +7,10 @@ strip, the hydrostatic quadratic, and a surface-anchored correction
 that interpolates the capillary boundary strength linearly in physical
 height; the atmospheric pressure, an exact gauge, only adds p_atm*v to
 the potential.  The sum is constant along the free surface, vanishes on
-the bed, and satisfies a vertical force balance.  The validator checks
-that balance and the potential layer's harmonicity on the field rebuilt
-on Chebyshev-Lobatto rows, where y derivatives are spectral too, so the
-defects it reports are the wave's own truncation errors.
+the bed, and satisfies a vertical force balance.  The validator builds
+the field on Chebyshev-Lobatto rows, where y derivatives are spectral too,
+and reads every defect there, so the defects it reports are the wave's
+own truncation errors.
 
 The correction layer is pulled back at the surface parameters x_s, which
 lie close to the grid nodes: series are evaluated there by their Taylor
@@ -160,15 +160,12 @@ class FlowForceField:
 
     flow_force = harmonic_potential - (g/2) v^2 + correction pullback;
     its top trace is the constant surface_value and its bottom trace is
-    zero.  u and v are the conformal map components; surface_abscissa
-    holds, per grid node, the surface parameter x_s whose physical
-    abscissa equals u there (the inversion the correction pullback is
-    built on), and surface_height the height depth + w(x_s) there.  Both
-    are computed on columns 0..n_x//2 and mirrored across x = pi (see
-    _geometry).  The correction layer's boundary strength is
-    -p_atm*(depth + elevation) plus the tension strength of
-    _correction_strength; the bulk correction is this strength times
-    height/surface height.  Its atmospheric part pulls back to -p_atm*v,
+    zero.  u and v are the conformal map components.  The correction
+    layer's boundary strength is -p_atm*(depth + elevation) plus the
+    tension strength of _correction_strength; the bulk correction is this
+    strength times height/surface height, both pulled back at the surface
+    parameter x_s whose physical abscissa equals u (see _geometry).  Its
+    atmospheric part pulls back to -p_atm*v,
     cancelling the p_atm*v of harmonic_potential and raw_force; flow_force
     is built without either and is bitwise the same at any p_atm.
     """
@@ -179,8 +176,6 @@ class FlowForceField:
     raw_force: np.ndarray
     flow_force: np.ndarray
     surface_value: float
-    surface_abscissa: np.ndarray
-    surface_height: np.ndarray
 
 
 def _unfold(half, n_x, odd=False):
@@ -272,8 +267,6 @@ def _assemble(state, p: PhysicalParams, rows, u, v, x_s, heights):
         raw_force=xi,
         flow_force=force,
         surface_value=s0,
-        surface_abscissa=x_s,
-        surface_height=heights,
     )
 
 
@@ -334,27 +327,25 @@ def _correction_curvature(w, p: PhysicalParams):
 def _chebyshev_field(state, p: PhysicalParams, n_x):
     """The field of state on the fewest Chebyshev rows, 16, 32, 64 or at most
     128 intervals, whose last three Chebyshev coefficients of S in y are at
-    most 1e-14 max |S|; with its interval count and rows."""
+    most 1e-14 max |S|; with its interval count, rows and _geometry tuple."""
     curve = SurfaceCurve(state.elevation, p)
     n = 16
     while True:
         rows = chebyshev_rows(n)
-        field = _assemble(state, p, rows, *_geometry(curve, rows, n_x))
+        geometry = _geometry(curve, rows, n_x)
+        field = _assemble(state, p, rows, *geometry)
         force = field.flow_force
         tail = np.max(np.abs(chebyshev_coefficients(force)[-3:]))
         if n == 128 or tail <= 1e-14 * np.max(np.abs(force)):
-            return n, rows, field
+            return n, rows, geometry, field
         n *= 2
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Defect measurements of a reconstructed flow-force field.
-
-    harmonic_defect and force_balance_fine (the one force-balance defect)
-    are read on the field rebuilt on audit_rows Chebyshev intervals in y;
-    the trace and gauge defects on the input field.
-    """
+    """Defect measurements of a wave's flow-force field, all read on the
+    field built on audit_rows Chebyshev intervals in y; force_balance_fine
+    is the one force-balance defect."""
 
     harmonic_defect: float
     surface_trace_defect: float
@@ -368,52 +359,53 @@ class ValidationReport:
     passed: bool
 
 
-def validate_solution(field: FlowForceField, state, p: PhysicalParams):
-    """Audit a reconstructed field against its defining properties.
+def validate_solution(state, p: PhysicalParams):
+    """Audit the flow-force field of a wave against its defining properties.
 
     Checks, in order: harmonicity of the potential layer, the constant
     surface trace and zero bottom trace, the surface-equation residual of
-    the generating wave, gauge invariance under a shift of the atmospheric
-    pressure, and the physical force balance lap S / |grad V|^2 = -g +
-    correction curvature * v.  An inadmissible surface raises
-    InadmissibleIterate; the report keeps the admissibility margins.
+    the wave, gauge invariance under a shift of the atmospheric pressure,
+    and the physical force balance lap S / |grad V|^2 = -g + correction
+    curvature * v.  An inadmissible surface raises InadmissibleIterate; the
+    report keeps the admissibility margins.
 
     The residual is evaluated first: its samples of the elevation decide
     admissibility, so its gate precedes everything else and its report is
-    the one kept.  Harmonicity and the force balance are read on the wave
-    rebuilt on Chebyshev rows with the input's columns (_chebyshev_field),
-    on its interior rows (the traces audit the boundary rows, where the
-    rounding of the square of chebyshev_matrix peaks).  That Laplacian is
-    exact to rounding where S is resolved, so both bounds are absolute:
-    1e-8 of the layer scale and 1e-8 max(1, g).  The traces and the gauge
-    audit, assembled on the input geometry, read the input field.
+    the one kept.  The field is built once, on Chebyshev rows and the
+    collocation_size(N) columns (_chebyshev_field).  The traces are read on
+    its bed and surface rows, where the rounding of the square of
+    chebyshev_matrix peaks; harmonicity and the force balance on its
+    interior rows.  That Laplacian is exact to rounding where S is
+    resolved, so both bounds are absolute: 1e-8 of the layer scale and
+    1e-8 max(1, g).  The gauge-shifted field is assembled on the same
+    geometry.
     """
-    n_y, n_x = field.u.shape[0] - 1, field.u.shape[1]
     w = state.elevation
+    n_x = collocation_size(w.n_modes)
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     diag = {}  # receives the admissibility report of the residual's gate
     residual_sup = residual(trial, p, diag=diag).sup_norm()
-    audit_rows, rows, audit = _chebyshev_field(trial, p, n_x)
+    audit_rows, rows, geometry, field = _chebyshev_field(trial, p, n_x)
+    x_s = geometry[2]
     # d/dy is d/dt over the depth, t the rows' depth fraction
     d2 = np.linalg.matrix_power(chebyshev_matrix(audit_rows) / p.strip_depth, 2)
+    flow = field.flow_force
     scale = max(1.0, abs(field.surface_value))
 
     # the potential layer legitimately carries p_atm-sized values, so
     # its defect is judged against the layer's own magnitude
-    zeta = audit.harmonic_potential
+    zeta = field.harmonic_potential
     layer_scale = max(scale, float(np.max(np.abs(zeta))))
     harmonic = float(np.max(np.abs(_laplacian(zeta, d2)[1:-1])))
 
-    physical = (_laplacian(audit.flow_force, d2) / _map_gradient_sq(w, p, rows, n_x))[1:-1]
-    bend = _even_at(_correction_curvature(w, p), audit.surface_abscissa[1:-1])
-    balance = float(np.max(np.abs(physical - (-p.g + bend * audit.v[1:-1]))))
+    physical = (_laplacian(flow, d2) / _map_gradient_sq(w, p, rows, n_x))[1:-1]
+    bend = _even_at(_correction_curvature(w, p), x_s[1:-1])
+    balance = float(np.max(np.abs(physical - (-p.g + bend * field.v[1:-1]))))
 
-    surface_trace = float(np.max(np.abs(field.flow_force[-1] - field.surface_value)))
-    bottom_trace = float(np.max(np.abs(field.flow_force[0])))
+    surface_trace = float(np.max(np.abs(flow[-1] - field.surface_value)))
+    bottom_trace = float(np.max(np.abs(flow[0])))
 
-    geometry = (field.u, field.v, field.surface_abscissa, field.surface_height)
-    gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), strip_rows(n_y), *geometry)
-    flow = field.flow_force
+    gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), rows, *geometry)
     gauge = float(np.max(np.abs(gauged.flow_force - flow)))
     gauge /= max(1.0, float(np.max(np.abs(flow))))
 

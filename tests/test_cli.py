@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from flowforce import (
-    PhysicalParams, check_admissibility, dispersion_table, onset_speed_sq, reconstruct,
+    PhysicalParams, check_admissibility, cli, dispersion_table, onset_speed_sq, reconstruct,
     surface_equation,
 )
 from flowforce.cli import _KEYS, RunConfig, _build_parser, _csv_lines, load_config, main
@@ -492,6 +492,32 @@ def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
     assert "admissible" in err
 
 
+@pytest.mark.parametrize(
+    "command, callee, flags",
+    [("validate", "validate_solution", []), ("reconstruct", "reconstruct", ["--index", "0"])],
+    ids=["validate", "reconstruct"],
+)
+def test_point_too_large_to_allocate_is_an_input_error(
+    tmp_path, capsys, monkeypatch, command, callee, flags
+):
+    # a stored point too large to allocate for is named with its file, as an
+    # input error; the callee raises what numpy raises, without allocating
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array with shape (20001, 80004)")
+
+    monkeypatch.setattr(cli, callee, refuse)
+    branch_file = out / "branch.json"
+    code = main(["--config", cfg, "--out", str(out), command, str(branch_file), *flags])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {branch_file}: point 0 at s = 0.001: Unable to allocate")
+    assert "Traceback" not in err
+
+
 def _one_point_branch(**record):
     point = {"s": 1e-3, "lambda": 1.3, "mu": 0.0, "cos_coeffs": [0.0, 1e-4]}
     return {
@@ -638,6 +664,13 @@ def test_zero_steps_in_config_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "continuation.steps" in err
     assert f"{cfg}:2" in err
+    # configparser lowercases keys, so the line is found by its key as
+    # configparser reads it, whatever its case in the file
+    cfg = _write(tmp_path / "c.ini", "[continuation]\ntolerance = 1e-11\nSteps = 0\n")
+    assert main(["--config", cfg, "--out", str(tmp_path), "branch"]) == 4
+    err = capsys.readouterr().err
+    assert "continuation.steps" in err
+    assert f"{cfg}:3:" in err
 
 
 def test_zero_modes_in_config_rejected(tmp_path, capsys):
@@ -649,9 +682,7 @@ def test_zero_modes_in_config_rejected(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, artifact", [
-    ("reconstruct", "field.csv"), ("validate", "validation.json"),
-], ids=["reconstruct", "validate"])
+@pytest.mark.parametrize("command, artifact", [("reconstruct", "field.csv")], ids=["reconstruct"])
 def test_reconstruct_needs_two_vertical_points(tmp_path, capsys, command, artifact):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
@@ -664,10 +695,24 @@ def test_reconstruct_needs_two_vertical_points(tmp_path, capsys, command, artifa
     assert f"{flat}:2" in err
     assert "Traceback" not in err
     assert not (out / artifact).exists()
-    # two intervals are enough: the audit differentiates on its own rows
     coarse = _write(tmp_path / "coarse.ini", "[discretization]\nvertical_points = 2\n")
     assert main(["--config", coarse, "--out", str(out), command, str(out / "branch.json")]) == 0
     assert (out / artifact).exists()
+
+
+def test_validation_ignores_vertical_points(tmp_path):
+    # the audit builds its field on its own Chebyshev rows, so validate
+    # reads no vertical_points: 1 and 64 write the same validation.json
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    reports = []
+    for n_y in (1, 64):
+        vp = _write(tmp_path / "vp.ini", f"[discretization]\nvertical_points = {n_y}\n")
+        run = tmp_path / f"vp{n_y}"
+        assert main(["--config", vp, "--out", str(run), "validate", str(out / "branch.json")]) == 0
+        reports.append((run / "validation.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_nonpositive_k_min_rejected(tmp_path, capsys):

@@ -83,16 +83,23 @@ def test_laminar_surface_value_and_slope(water):
     assert slope == pytest.approx(lam, rel=1e-9)
 
 
-def test_wave_traces(water, wave_point, wave_field):
-    s0, _ = physical_constants(
-        wave_point.speed_sq, wave_point.bernoulli_shift, water
-    )
-    scale = max(1.0, abs(s0))
-    assert wave_field.surface_value == pytest.approx(s0, rel=1e-15)
-    top = wave_field.flow_force[-1]
-    assert np.max(np.abs(top - s0)) < 1e-10 * scale
-    assert np.max(np.abs(wave_field.flow_force[0])) < 1e-10 * scale
-    assert np.max(np.abs(wave_field.harmonic_potential[0])) < 1e-12
+def test_wave_traces(water, wave_point):
+    # the audit reads the traces on its own Chebyshev rows; reconstruct's
+    # uniform rows meet the same bounds, on desk water, kh = 20 water and
+    # under p_atm = 101325
+    deep = water.replace(h=2.0)
+    for p, point in (
+        (water, wave_point),
+        (deep, trace_branch(1e-3, 1, deep, n_modes=32).points[0]),
+        (water.replace(p_atm=101325.0), wave_point),
+    ):
+        field = reconstruct(point, p)
+        s0, _ = physical_constants(point.speed_sq, point.bernoulli_shift, p)
+        scale = max(1.0, abs(s0))
+        assert field.surface_value == pytest.approx(s0, rel=1e-15)
+        assert np.max(np.abs(field.flow_force[-1] - s0)) < 1e-10 * scale
+        assert np.max(np.abs(field.flow_force[0])) < 1e-10 * scale
+        assert np.max(np.abs(field.harmonic_potential[0])) < 1e-12
 
 
 def test_conformal_map_boundary_rows(water, wave_point):
@@ -134,15 +141,13 @@ def test_surface_curve_inversion_round_trip(water, wave_point):
 def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
     # the abscissa of an even elevation is odd about x = pi, so the inverted
     # half of the grid gives the other half; the mirror must still invert u
-    field = reconstruct(wave_point, water, n_y=16, n_x=n_x)
-    x_s, u = field.surface_abscissa, field.u
+    curve = surface_curve(wave_point.elevation, water)
+    u, _, x_s, heights = fields._geometry(curve, strip_rows(16), n_x)
     n_x = u.shape[1]
     j = np.arange(1, n_x - n_x // 2)
     assert np.array_equal(x_s[:, n_x - j], 2.0 * np.pi - x_s[:, j])
-    curve = surface_curve(wave_point.elevation, water)
     defect = np.abs(curve.profile(x_s)[0] - u)
     assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
-    heights = field.surface_height
     assert np.array_equal(heights[:, n_x - j], heights[:, j])
 
 
@@ -196,8 +201,8 @@ def test_audit_operators_match_mode_sums(water, wave_point):
     assert np.array_equal(fields._correction_curvature(w, water).cos_coeffs, expect.cos_coeffs)
 
 
-def test_validate_wave_solution(water, wave_point, wave_field):
-    report = validate_solution(wave_field, wave_point, water)
+def test_validate_wave_solution(water, wave_point):
+    report = validate_solution(wave_point, water)
     assert report.passed, report.failures
     assert report.failures == ()
     # desk water is resolved on 16 Chebyshev rows, and both spectral
@@ -212,8 +217,7 @@ def test_validate_wave_solution(water, wave_point, wave_field):
 
 def test_validate_laminar_solution(water):
     state = _laminar_state(water)
-    field = reconstruct(state, water, n_y=16, n_x=64)
-    report = validate_solution(field, state, water)
+    report = validate_solution(state, water)
     assert report.passed, report.failures
     # S is a quadratic in the linear height field: 16 rows hold it exactly
     assert report.audit_rows == 16
@@ -235,22 +239,25 @@ def test_tampered_profile_fails_validation(water, wave_point):
         wave_point.bernoulli_shift,
         PeriodicFunction.from_cosines(coeffs),
     )
-    field = reconstruct(bad, water)
-    report = validate_solution(field, bad, water)
+    report = validate_solution(bad, water)
     assert not report.passed
     assert "surface equation residual above tolerance" in report.failures
 
 
-def test_validation_audits_on_its_own_rows(water, wave_point, wave_field):
-    # harmonicity and the force balance are read on the audit's Chebyshev
-    # rows, so an input field of two intervals gets the same defects; its
-    # rows feed only the trace and gauge audits
-    report = validate_solution(reconstruct(wave_point, water, n_y=2), wave_point, water)
+def test_validation_audits_on_its_own_rows(water, wave_point):
+    # every defect is read on the one field the audit builds, on Chebyshev
+    # rows and collocation_size(N) columns: the traces on its bed and
+    # surface rows, at depth fractions exactly 0 and 1
+    n_x = collocation_size(wave_point.elevation.n_modes)
+    audit_rows, rows, _, field = fields._chebyshev_field(wave_point, water, n_x)
+    assert rows[0] == 0.0 and rows[-1] == 1.0
+    assert field.flow_force.shape == (audit_rows + 1, n_x)
+    report = validate_solution(wave_point, water)
     assert report.passed, report.failures
-    fine = validate_solution(wave_field, wave_point, water)
-    assert report.harmonic_defect == fine.harmonic_defect
-    assert report.force_balance_fine == fine.force_balance_fine
-    assert report.audit_rows == fine.audit_rows
+    assert report.audit_rows == audit_rows
+    top = np.max(np.abs(field.flow_force[-1] - field.surface_value))
+    assert report.surface_trace_defect == top
+    assert report.bottom_trace_defect == np.max(np.abs(field.flow_force[0]))
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -266,25 +273,24 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
-    # the caller's reconstruction inverts the input grid; validation inverts
-    # only the 16-row Chebyshev grid and assembles two fields, the Chebyshev
-    # one and the gauge-shifted one on the input geometry, without calling
-    # reconstruct; its four harmonic extensions are the Chebyshev grid's map,
-    # potential and map gradient and the shifted potential.  Its verdict on
-    # admissibility comes from the residual it evaluates, so the only
-    # check_admissibility call is the reconstruction's surface_curve
+    # validation inverts only the 16-row Chebyshev grid and assembles two
+    # fields on its geometry, the audited one and the gauge-shifted one,
+    # without calling reconstruct; its four harmonic extensions are that
+    # grid's map, potential and map gradient and the shifted potential.
+    # Its verdict on admissibility comes from the residual it evaluates, so
+    # it makes no check_admissibility call of its own
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
     checks = _count_calls(monkeypatch, fields, "check_admissibility")
-    field = fields.reconstruct(wave_point, water, n_y=16)
     assemblies = _count_calls(monkeypatch, fields, "_assemble")
     extensions = _count_calls(monkeypatch, fields, "harmonic_extension")
-    report = validate_solution(field, wave_point, water)
+    report = validate_solution(wave_point, water)
     assert report.passed, report.failures
     assert report.admissibility.passed
-    assert len(inverts) == 2
-    assert len(rebuilds) == 1
-    assert len(checks) == 1
+    assert report.audit_rows == 16
+    assert len(inverts) == 1
+    assert rebuilds == []
+    assert checks == []
     assert len(assemblies) == 2
     assert len(extensions) == 4
 
@@ -310,9 +316,9 @@ def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch)
 def test_validated_point_evaluates_elevation_once_per_grid(
     water, wave_point, monkeypatch
 ):
-    # depth + w(x_s) is free of p_atm and of the speed: each grid's geometry
-    # synthesizes w's node expansion once, for the inverted half of its
-    # columns, and every field assembled on that geometry reads it
+    # depth + w(x_s) is free of p_atm and of the speed: the audit's one
+    # geometry synthesizes w's node expansion once, for the inverted half
+    # of its columns, and both fields assembled on it read it
     w = wave_point.elevation
     shapes = []
     original = fields._node_taylor
@@ -325,11 +331,9 @@ def test_validated_point_evaluates_elevation_once_per_grid(
 
     monkeypatch.setattr(fields, "_node_taylor", counted)
     evaluations = _count_calls(monkeypatch, PeriodicFunction, "eval_at")
-    field = reconstruct(wave_point, water, n_y=16)
-    validate_solution(field, wave_point, water)
-    n_x = field.u.shape[1]
-    rows = _TAYLOR_DEGREE + 1
-    assert shapes == [(rows, n_x // 2 + 1)] * 2
+    validate_solution(wave_point, water)
+    n_x = collocation_size(w.n_modes)
+    assert shapes == [(_TAYLOR_DEGREE + 1, n_x // 2 + 1)]
     assert evaluations == []
 
 
@@ -416,13 +420,15 @@ def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
 
 
 def test_steep_branch_audit_inverts_in_one_pass(water, monkeypatch):
-    # every geometry of an N = 64 branch to ks = 0.1 starts from its node
+    # every geometry of an N = 64 branch to ks = 0.1, reconstruct's uniform
+    # rows and the audit's 16 Chebyshev rows, starts from its node
     # expansion's root, and that root passes the first convergence check
     branch = trace_branch(1e-2, 8, water, n_modes=64)
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     for point in branch.points:
-        validate_solution(reconstruct(point, water), point, water)
+        reconstruct(point, water)
+        assert validate_solution(point, water).audit_rows == 16
     assert len(inverts) == 16
     assert len(passes) == 16
 
@@ -440,19 +446,15 @@ def test_inversion_of_nan(water, wave_point):
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
-    # p_atm != 0 costs no extra inversion: the fields reuse the input and
-    # Chebyshev geometries, and the audit sees the same gauge-free flow
-    # force, so the same balance as without pressure and no gauge defect
+    # p_atm != 0 costs no extra inversion: both fields reuse the Chebyshev
+    # geometry, and the audit sees the same gauge-free flow force, so the
+    # same balance as without pressure and no gauge defect
     pressured = water.replace(p_atm=101325.0)
-    plain = validate_solution(
-        reconstruct(wave_point, water, n_y=16), wave_point, water
-    )
+    plain = validate_solution(wave_point, water)
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
-    report = validate_solution(
-        reconstruct(wave_point, pressured, n_y=16), wave_point, pressured
-    )
+    report = validate_solution(wave_point, pressured)
     assert report.passed, report.failures
-    assert len(inverts) == 2
+    assert len(inverts) == 1
     assert report.gauge_defect == 0.0
     assert report.force_balance_fine == plain.force_balance_fine
     assert report.audit_rows == plain.audit_rows
@@ -461,18 +463,16 @@ def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
 @pytest.mark.parametrize("p_atm", [0.0, 101325.0])
 def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     # the conformal map and the inverted surface abscissa are free of
-    # p_atm, so assembling on the input geometry is a full reconstruction
+    # p_atm, so assembling on a geometry built at any p_atm is a full
+    # reconstruction
     p = water.replace(p_atm=p_atm)
-    field = reconstruct(wave_point, p, n_y=16)
+    rows = strip_rows(16)
+    geometry = fields._geometry(SurfaceCurve(wave_point.elevation, p), rows, None)
     gauge = p.replace(p_atm=p.p_atm + 101325.0)
-    assembled = fields._assemble(
-        wave_point, gauge, strip_rows(16),
-        field.u, field.v, field.surface_abscissa, field.surface_height,
-    )
+    assembled = fields._assemble(wave_point, gauge, rows, *geometry)
     rebuilt = reconstruct(wave_point, gauge, n_y=16)
     for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
         assert np.array_equal(getattr(assembled, name), getattr(rebuilt, name)), name
-    assert np.array_equal(assembled.surface_abscissa, rebuilt.surface_abscissa)
     assert assembled.surface_value == rebuilt.surface_value
 
 
@@ -497,7 +497,7 @@ def test_resolved_waves_pass_the_audit(p, s_max, steps, n_modes):
     branch = trace_branch(s_max, steps, p, n_modes=n_modes)
     assert branch.failure is None and len(branch.points) == steps
     for point in branch.points:
-        report = validate_solution(reconstruct(point, p), point, p)
+        report = validate_solution(point, p)
         assert report.passed, (point.amplitude, report.failures)
         assert report.audit_rows <= 64
 
@@ -506,7 +506,7 @@ def test_steep_desk_wave_fails_at_32_modes(water):
     # at k s = 0.5, 32 modes leave a truncation error in S that the force
     # balance reads at about 1.4e-7 g on every row count; 64 modes pass
     point = trace_branch(5e-2, 8, water, n_modes=32).points[-1]
-    report = validate_solution(reconstruct(point, water), point, water)
+    report = validate_solution(point, water)
     assert report.failures == ("force balance defect above tolerance",)
     assert report.force_balance_fine > 1e-8 * water.g
 
@@ -517,7 +517,7 @@ def test_perturbed_tension_strength_fails_the_force_balance(water, monkeypatch):
     # exactly, and only the force balance, against the true correction
     # curvature, sees the error (about 8e-8 g against 3e-10 g unperturbed)
     point = trace_branch(3e-2, 4, water, n_modes=32).points[-1]
-    clean = validate_solution(reconstruct(point, water), point, water)
+    clean = validate_solution(point, water)
     assert clean.passed, clean.failures
     strength = fields._correction_strength
     curvature = fields._correction_curvature(point.elevation, water)
@@ -530,6 +530,6 @@ def test_perturbed_tension_strength_fails_the_force_balance(water, monkeypatch):
 
     monkeypatch.setattr(fields, "_correction_strength", perturbed)
     monkeypatch.setattr(fields, "_correction_curvature", lambda w, p: curvature)
-    report = validate_solution(reconstruct(point, water), point, water)
+    report = validate_solution(point, water)
     assert report.failures == ("force balance defect above tolerance",)
     assert report.force_balance_fine > 50.0 * clean.force_balance_fine
