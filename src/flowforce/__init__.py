@@ -31,7 +31,6 @@ from .dispersion import (
 )
 from .errors import (
     ConfigError,
-    DegenerateParameters,
     FlowForceError,
     InadmissibleIterate,
     InvalidSamples,
@@ -49,7 +48,6 @@ from .fields import (
     conformal_map,
     laminar_flow_force,
     reconstruct,
-    surface_curve,
     validate_solution,
 )
 from .params import PhysicalParams
@@ -81,7 +79,6 @@ __all__ = [
     "Branch",
     "BranchPoint",
     "ConfigError",
-    "DegenerateParameters",
     "DispersionRow",
     "FlowForceError",
     "FlowForceField",
@@ -124,7 +121,6 @@ __all__ = [
     "residual",
     "solver_parameters",
     "strip_nodes",
-    "surface_curve",
     "trace_branch",
     "transversality_value",
     "validate_solution",

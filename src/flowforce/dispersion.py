@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameters, KernelNotSimple
+from .errors import KernelNotSimple
 from .params import PhysicalParams
 
 __all__ = [
@@ -136,9 +136,8 @@ def _require_simple(report, k):
 
 
 def transversality_value(k, p: PhysicalParams):
-    """Crandall-Rabinowitz crossing value -pi (sigma + g/k^2); always negative."""
-    if p.g == 0.0 and p.sigma == 0.0:
-        raise DegenerateParameters("transversality undefined for g = sigma = 0")
+    """Crandall-Rabinowitz crossing value -pi (sigma + g/k^2); always negative,
+    since PhysicalParams requires g + sigma > 0."""
     return -math.pi * (p.sigma + p.g / (k * k))
 
 

@@ -25,10 +25,6 @@ class SingularExpression(FlowForceError):
         self.value = value
 
 
-class DegenerateParameters(FlowForceError):
-    """Parameter combination outside the admissible region (e.g. g = sigma = 0)."""
-
-
 class NoConvergence(FlowForceError):
     """Newton iteration stopped without meeting the tolerance.
 

@@ -7,10 +7,10 @@ strip, the hydrostatic quadratic, and a surface-anchored correction
 that interpolates the capillary boundary strength linearly in physical
 height; the atmospheric pressure, an exact gauge, only adds p_atm*v to
 the potential.  The sum is constant along the free surface, vanishes on
-the bed, and satisfies a vertical force balance.  The validator builds
-the field on Chebyshev-Lobatto rows, where y derivatives are spectral too,
-and reads every defect there, so the defects it reports are the wave's
-own truncation errors.
+the bed, and satisfies a vertical force balance.  A wave is sampled
+once, by its admissibility gate, and its layers derived once (_layers).
+The validator reads every defect on Chebyshev-Lobatto rows, where y
+derivatives are spectral too, so it reports the wave's truncation errors.
 
 The correction layer is pulled back at the surface parameters x_s, which
 lie close to the grid nodes: series are evaluated there by their Taylor
@@ -21,6 +21,7 @@ from the root of the expansion and raises SurfaceInversionFailed if it
 does not converge.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,13 @@ from .spectral import (
     hilbert_strip,
     strip_rows,
 )
-from .surface_equation import AdmissibilityReport, TrialState, check_admissibility, residual
-from .surface_equation import _admitted, _surface_rows
+from .surface_equation import AdmissibilityReport, TrialState, residual
+from .surface_equation import _admissibility, _admitted, _surface_rows
 
 __all__ = [
     "SurfaceCurve",
     "FlowForceField",
     "ValidationReport",
-    "surface_curve",
     "conformal_map",
     "reconstruct",
     "laminar_flow_force",
@@ -119,12 +119,6 @@ class SurfaceCurve:
         raise SurfaceInversionFailed(f"surface abscissa inversion stalled at defect {err:.3e}")
 
 
-def surface_curve(elevation, p: PhysicalParams):
-    """Admissibility-gated construction of the physical surface curve."""
-    _admitted(check_admissibility(elevation, p))
-    return SurfaceCurve(elevation, p)
-
-
 def conformal_map(elevation, p: PhysicalParams, rows, n_x=None):
     """Strip-to-domain map (u, v), read-only arrays laid out as harmonic_extension's.
 
@@ -139,35 +133,41 @@ def conformal_map(elevation, p: PhysicalParams, rows, n_x=None):
     return u, v
 
 
-def _correction_strength(w, p: PhysicalParams):
-    """The tension strength sigma*(1 - (1/k + C(w'))/metric^(1/2)) as a cosine
-    polynomial, with the grid size m and its samples of depth + w and 1/k + C(w')."""
-    m = collocation_size(w.n_modes)
-    w_s, _, _, _, _, dnv, metric = _surface_rows(w.cos_coeffs[None, :], p, m)
-    v_s, dnv = p.h + w_s[0], dnv[0]
-    e0 = p.sigma * (1.0 - dnv / np.sqrt(metric[0]))
-    return analyze(e0).truncated(w.n_modes), m, v_s, dnv
+_Layers = namedtuple("_Layers", "surface_value tension boundary heights slope")
+
+
+def _layers(state, p: PhysicalParams, samples):
+    """The layers of state under p, none holding p_atm, from its single-row
+    _surface_rows samples on collocation_size(N) nodes: S0, the tension strength
+    sigma*(1 - (1/k + C(w'))/metric^(1/2)) and the boundary data S0 - tension +
+    (g/2)(depth + w)^2 as N-mode cosines, and depth + w and 1/k + C(w') there."""
+    n = state.elevation.n_modes
+    w_s, _, _, _, _, dnv, metric = (a[0] for a in samples)
+    v_s = p.h + w_s
+    tension = analyze(p.sigma * (1.0 - dnv / np.sqrt(metric))).truncated(n)
+    s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
+    boundary = analyze(s0 - tension.samples(v_s.size) + 0.5 * p.g * v_s**2).truncated(n)
+    return _Layers(s0, tension, boundary, v_s, dnv)
 
 
 @dataclass(frozen=True)
 class FlowForceField:
     """Flow-force density and its ingredients on the reference strip grid.
 
-    The five grids u, v, harmonic_potential, raw_force and flow_force are
-    read-only (len(rows), n_x) float64 arrays: row m lies at the depth fraction
-    rows[m] (reconstruct's are strip_rows(n_y)), from the bed (row 0) up, and
-    column j at grid_nodes(n_x)[j].
+    The five grids u, v (the conformal map), harmonic_potential, raw_force
+    and flow_force are read-only (len(rows), n_x) float64 arrays: row m lies
+    at the depth fraction rows[m] (reconstruct's are strip_rows(n_y)), from
+    the bed (row 0) up, and column j at grid_nodes(n_x)[j].
 
     flow_force = harmonic_potential - (g/2) v^2 + correction pullback;
     its top trace is the constant surface_value and its bottom trace is
-    zero.  u and v are the conformal map components.  The correction
-    layer's boundary strength is -p_atm*(depth + elevation) plus the
-    tension strength of _correction_strength; the bulk correction is this
-    strength times height/surface height, both pulled back at the surface
-    parameter x_s whose physical abscissa equals u (see _geometry).  Its
-    atmospheric part pulls back to -p_atm*v,
-    cancelling the p_atm*v of harmonic_potential and raw_force; flow_force
-    is built without either and is bitwise the same at any p_atm.
+    zero.  The correction layer's boundary strength is
+    -p_atm*(depth + elevation) plus the tension strength of _layers; the
+    bulk correction is this strength times height/surface height, both
+    pulled back at the surface parameter x_s whose physical abscissa
+    equals u (see _geometry).  Its atmospheric part pulls back to
+    -p_atm*v, cancelling the p_atm*v of harmonic_potential and raw_force;
+    flow_force is built without either and is bitwise the same at any p_atm.
     """
 
     u: np.ndarray
@@ -248,15 +248,11 @@ def _geometry(curve, rows, n_x):
     return u, v, x_s, heights
 
 
-def _assemble(state, p: PhysicalParams, rows, u, v, x_s, heights):
-    """The FlowForceField of state under p on the geometry _geometry made on rows."""
-    w = state.elevation
-    tension, m, v_s, _ = _correction_strength(w, p)
-    s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
-    boundary = analyze(s0 - tension.samples(m) + 0.5 * p.g * v_s**2).truncated(w.n_modes)
-    zeta = harmonic_extension(boundary, p.strip_depth, rows, u.shape[1])
+def _assemble(layers, p: PhysicalParams, rows, u, v, x_s, heights):
+    """The FlowForceField of a wave's _layers under p on the _geometry of rows."""
+    zeta = harmonic_extension(layers.boundary, p.strip_depth, rows, u.shape[1])
     xi = zeta - 0.5 * p.g * v**2
-    force = xi + _even_at(tension, x_s) * v / heights
+    force = xi + _even_at(layers.tension, x_s) * v / heights
     pressure = p.p_atm * v
     zeta, xi = zeta + pressure, xi + pressure
     zeta.flags.writeable = xi.flags.writeable = force.flags.writeable = False
@@ -266,19 +262,25 @@ def _assemble(state, p: PhysicalParams, rows, u, v, x_s, heights):
         harmonic_potential=zeta,
         raw_force=xi,
         flow_force=force,
-        surface_value=s0,
+        surface_value=layers.surface_value,
     )
 
 
 def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None):
     """Rebuild the flow-force field of a corrected wave on the strip grid.
 
-    state needs speed_sq, bernoulli_shift and elevation attributes
-    (trial states and branch points both qualify).
+    state needs speed_sq, bernoulli_shift and an even elevation (trial
+    states and branch points qualify); the samples its layers come from
+    decide admissibility first, raising InadmissibleIterate.
     """
-    curve = surface_curve(state.elevation, p)
+    w = state.elevation
+    if not w.is_even:
+        raise ValueError("elevation must live in the even (cosine) space")
+    samples = _surface_rows(w.cos_coeffs[None, :], p, collocation_size(w.n_modes))
+    _admitted(_admissibility(w.cos_coeffs, samples, p))
     rows = strip_rows(n_y)
-    return _assemble(state, p, rows, *_geometry(curve, rows, n_x))
+    geometry = _geometry(SurfaceCurve(w, p), rows, n_x)
+    return _assemble(_layers(state, p, samples), p, rows, *geometry)
 
 
 def laminar_flow_force(height, speed_sq, p: PhysicalParams):
@@ -309,31 +311,29 @@ def _map_gradient_sq(w, p: PhysicalParams, rows, n_x):
     return vx**2 + vy**2
 
 
-def _correction_curvature(w, p: PhysicalParams):
+def _correction_curvature(layers):
     """d^2/dX^2 of strength/height along the surface (X the physical abscissa).
 
     The atmospheric part of that quotient is the constant -p_atm, so the
-    tension strength alone gives it.  d/dX = d/dx / (1/k + C(w')) acts on
-    the quotient's n-mode interpolant.
+    tension strength alone gives it, over the layers' surface heights.
+    d/dX = d/dx / (1/k + C(w')) acts on the quotient's N-mode interpolant.
     """
-    n = w.n_modes
-    tension, m, v_s, dnv = _correction_strength(w, p)
-    quotient = tension.samples(m) / v_s
+    n, m = layers.tension.n_modes, layers.heights.size
+    quotient = layers.tension.samples(m) / layers.heights
     for _ in range(2):
-        quotient = derivative(analyze(quotient).truncated(n)).samples(m) / dnv
+        quotient = derivative(analyze(quotient).truncated(n)).samples(m) / layers.slope
     return analyze(quotient).truncated(n)
 
 
-def _chebyshev_field(state, p: PhysicalParams, n_x):
-    """The field of state on the fewest Chebyshev rows, 16, 32, 64 or at most
-    128 intervals, whose last three Chebyshev coefficients of S in y are at
-    most 1e-14 max |S|; with its interval count, rows and _geometry tuple."""
-    curve = SurfaceCurve(state.elevation, p)
+def _chebyshev_field(curve, layers):
+    """A wave's field from its curve and layers on their nodes' columns and the
+    fewest Chebyshev rows, 16, 32, 64 or at most 128 intervals, whose last three
+    coefficients of S in y are at most 1e-14 max |S|; with n, rows, geometry."""
     n = 16
     while True:
         rows = chebyshev_rows(n)
-        geometry = _geometry(curve, rows, n_x)
-        field = _assemble(state, p, rows, *geometry)
+        geometry = _geometry(curve, rows, layers.heights.size)
+        field = _assemble(layers, curve.params, rows, *geometry)
         force = field.flow_force
         tail = np.max(np.abs(chebyshev_coefficients(force)[-3:]))
         if n == 128 or tail <= 1e-14 * np.max(np.abs(force)):
@@ -371,21 +371,21 @@ def validate_solution(state, p: PhysicalParams):
 
     The residual is evaluated first: its samples of the elevation decide
     admissibility, so its gate precedes everything else and its report is
-    the one kept.  The field is built once, on Chebyshev rows and the
-    collocation_size(N) columns (_chebyshev_field).  The traces are read on
-    its bed and surface rows, where the rounding of the square of
-    chebyshev_matrix peaks; harmonicity and the force balance on its
-    interior rows.  That Laplacian is exact to rounding where S is
+    the one kept.  They are its only samples: their _layers serve every field
+    it assembles and the correction curvature.  The field is built on
+    Chebyshev rows and their collocation_size(N) columns (_chebyshev_field).
+    The traces are read on its bed and surface rows, where the rounding of
+    the square of chebyshev_matrix peaks; harmonicity and the force balance
+    on its interior rows.  That Laplacian is exact to rounding where S is
     resolved, so both bounds are absolute: 1e-8 of the layer scale and
-    1e-8 max(1, g).  The gauge-shifted field is assembled on the same
-    geometry.
+    1e-8 max(1, g).  The gauge-shifted field is assembled on the same geometry.
     """
     w = state.elevation
-    n_x = collocation_size(w.n_modes)
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
-    diag = {}  # receives the admissibility report of the residual's gate
+    diag = {}  # receives the admissibility report and samples of the residual's gate
     residual_sup = residual(trial, p, diag=diag).sup_norm()
-    audit_rows, rows, geometry, field = _chebyshev_field(trial, p, n_x)
+    layers = _layers(trial, p, diag["samples"])
+    audit_rows, rows, geometry, field = _chebyshev_field(SurfaceCurve(w, p), layers)
     x_s = geometry[2]
     # d/dy is d/dt over the depth, t the rows' depth fraction
     d2 = np.linalg.matrix_power(chebyshev_matrix(audit_rows) / p.strip_depth, 2)
@@ -398,14 +398,14 @@ def validate_solution(state, p: PhysicalParams):
     layer_scale = max(scale, float(np.max(np.abs(zeta))))
     harmonic = float(np.max(np.abs(_laplacian(zeta, d2)[1:-1])))
 
-    physical = (_laplacian(flow, d2) / _map_gradient_sq(w, p, rows, n_x))[1:-1]
-    bend = _even_at(_correction_curvature(w, p), x_s[1:-1])
+    physical = (_laplacian(flow, d2) / _map_gradient_sq(w, p, rows, flow.shape[1]))[1:-1]
+    bend = _even_at(_correction_curvature(layers), x_s[1:-1])
     balance = float(np.max(np.abs(physical - (-p.g + bend * field.v[1:-1]))))
 
     surface_trace = float(np.max(np.abs(flow[-1] - field.surface_value)))
     bottom_trace = float(np.max(np.abs(flow[0])))
 
-    gauged = _assemble(trial, p.replace(p_atm=p.p_atm + 101325.0), rows, *geometry)
+    gauged = _assemble(layers, p.replace(p_atm=p.p_atm + 101325.0), rows, *geometry)
     gauge = float(np.max(np.abs(gauged.flow_force - flow)))
     gauge /= max(1.0, float(np.max(np.abs(flow))))
 

@@ -241,14 +241,15 @@ def residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
     equals -shift/k^2 for any constant shift.  The elevation is sampled
     once; those samples decide admissibility first, so an inadmissible
     surface raises InadmissibleIterate before any residual guard, and
-    diag, when given, records the report as diag["admissibility"].
+    diag, when given, records the report as diag["admissibility"] and the
+    _surface_rows samples as diag["samples"].
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     coeffs = state.elevation.cos_coeffs
     samples = _surface_rows(coeffs[None, :], p, collocation_size(n))
     report = _admitted(_admissibility(coeffs, samples, p))
     if diag is not None:
-        diag["admissibility"] = report
+        diag["admissibility"], diag["samples"] = report, samples
     speed_sq, shift = np.array([state.speed_sq]), np.array([state.bernoulli_shift])
     r = _residual_rows(speed_sq, shift, samples, p, n, diag)
     return PeriodicFunction.from_cosines(r[0])

@@ -500,8 +500,9 @@ def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
 def test_point_too_large_to_allocate_is_an_input_error(
     tmp_path, capsys, monkeypatch, command, callee, flags
 ):
-    # a stored point too large to allocate for is named with its file, as an
-    # input error; the callee raises what numpy raises, without allocating
+    # a stored point too large to allocate for, as with a vertical_points too
+    # large for its grid, is named with its file, as an input error; the
+    # callee raises what numpy raises, without allocating
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
     assert main(["--config", cfg, "--out", str(out), "branch"]) == 0

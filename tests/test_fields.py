@@ -6,6 +6,7 @@ trace conditions, the spectral audit's absolute bounds, and gauge
 invariance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,9 @@ from flowforce import (
     onset_speed_sq,
     physical_constants,
     reconstruct,
-    surface_curve,
+    residual,
+    spectral,
+    surface_equation,
     trace_branch,
     validate_solution,
 )
@@ -57,6 +60,14 @@ def wave_field(water, wave_point):
 def _laminar_state(p, n_modes=8):
     lam = onset_speed_sq(1, p.k, p)
     return TrialState(lam, 0.0, PeriodicFunction.zero(n_modes))
+
+
+def _layers_of(state, p):
+    """The layers the audit derives for state: _layers on the samples that
+    the residual's admissibility gate records."""
+    diag = {}
+    residual(TrialState(state.speed_sq, state.bernoulli_shift, state.elevation), p, diag=diag)
+    return fields._layers(state, p, diag["samples"])
 
 
 def test_laminar_field_matches_closed_form(water):
@@ -127,7 +138,7 @@ def test_field_grids_are_read_only_arrays(water, wave_point, n_x):
 
 
 def test_surface_curve_inversion_round_trip(water, wave_point):
-    curve = surface_curve(wave_point.elevation, water)
+    curve = SurfaceCurve(wave_point.elevation, water)
     x = grid_nodes(96)
     targets = curve.profile(x)[0]
     back = curve.invert(targets)
@@ -141,7 +152,7 @@ def test_surface_curve_inversion_round_trip(water, wave_point):
 def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
     # the abscissa of an even elevation is odd about x = pi, so the inverted
     # half of the grid gives the other half; the mirror must still invert u
-    curve = surface_curve(wave_point.elevation, water)
+    curve = SurfaceCurve(wave_point.elevation, water)
     u, _, x_s, heights = fields._geometry(curve, strip_rows(16), n_x)
     n_x = u.shape[1]
     j = np.arange(1, n_x - n_x // 2)
@@ -151,16 +162,23 @@ def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
     assert np.array_equal(heights[:, n_x - j], heights[:, j])
 
 
-def test_surface_curve_rejects_bed_contact(water):
+def test_reconstruct_rejects_bed_contact_and_odd_surfaces(water, wave_point):
+    # reconstruct gates admissibility on the samples its layers come from,
+    # which read only the cosines, so it refuses a sine part first
     w = PeriodicFunction.harmonic(1, 0.15, n_modes=8, kind="cos")
-    with pytest.raises(InadmissibleIterate):
-        surface_curve(w, water)
+    state = TrialState(onset_speed_sq(1, water.k, water), 0.0, w)
+    with pytest.raises(InadmissibleIterate, match="surface touches bed"):
+        reconstruct(state, water)
+    n = wave_point.elevation.n_modes
+    odd = wave_point.elevation + PeriodicFunction.harmonic(2, 1e-6, n_modes=n, kind="sin")
+    with pytest.raises(ValueError, match="even"):
+        reconstruct(dataclasses.replace(wave_point, elevation=odd), water)
 
 
 def test_correction_strength_laminar_under_pressure():
     # the tension strength holds no p_atm: flat water has none at any p_atm
     p = PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0)
-    tension = fields._correction_strength(_laminar_state(p).elevation, p)[0]
+    tension = _layers_of(_laminar_state(p), p).tension
     assert np.all(tension.eval_at(grid_nodes(32)) == 0.0)
 
 
@@ -171,7 +189,7 @@ def test_correction_strength_matches_surface_geometry(water, wave_point):
     abscissa_slope = 1.0 / p.k + hilbert_strip(derivative(w), p.strip_depth).eval_at(x)
     eta_slope = derivative(w).eval_at(x) / abscissa_slope
     direct = p.sigma - p.sigma / np.sqrt(1.0 + eta_slope**2)
-    got = fields._correction_strength(w, p)[0].eval_at(x)
+    got = _layers_of(wave_point, p).tension.eval_at(x)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(got - direct)) < 1e-10 * scale
 
@@ -190,15 +208,16 @@ def test_audit_operators_match_mode_sums(water, wave_point):
         vy = 1.0 / water.k + (cosh_ratio(modes, y, water.strip_depth) * na) @ cos_mat
         grad_sq = fields._map_gradient_sq(w, water, strip_rows(n_y), n_x)
         assert np.array_equal(grad_sq, vx**2 + vy**2)
-    tension, m, v_s, dnv = fields._correction_strength(w, water)
+    layers = _layers_of(wave_point, water)
+    m = layers.heights.size
     cos_mat, sin_mat = _trig_matrices(m, n)
-    quotient = tension.samples(m) / v_s
+    quotient = layers.tension.samples(m) / layers.heights
     for _ in range(2):
         a, b = _spectrum(quotient[None, :])
         slope = 0.0 + (modes * b[0, :n]) @ cos_mat - (modes * a[0, 1 : n + 1]) @ sin_mat
-        quotient = slope / dnv
+        quotient = slope / layers.slope
     expect = analyze(quotient).truncated(n)
-    assert np.array_equal(fields._correction_curvature(w, water).cos_coeffs, expect.cos_coeffs)
+    assert np.array_equal(fields._correction_curvature(layers).cos_coeffs, expect.cos_coeffs)
 
 
 def test_validate_wave_solution(water, wave_point):
@@ -249,7 +268,8 @@ def test_validation_audits_on_its_own_rows(water, wave_point):
     # rows and collocation_size(N) columns: the traces on its bed and
     # surface rows, at depth fractions exactly 0 and 1
     n_x = collocation_size(wave_point.elevation.n_modes)
-    audit_rows, rows, _, field = fields._chebyshev_field(wave_point, water, n_x)
+    curve = SurfaceCurve(wave_point.elevation, water)
+    audit_rows, rows, _, field = fields._chebyshev_field(curve, _layers_of(wave_point, water))
     assert rows[0] == 0.0 and rows[-1] == 1.0
     assert field.flow_force.shape == (audit_rows + 1, n_x)
     report = validate_solution(wave_point, water)
@@ -260,8 +280,8 @@ def test_validation_audits_on_its_own_rows(water, wave_point):
     assert report.bottom_trace_defect == np.max(np.abs(field.flow_force[0]))
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
+def _count_calls(monkeypatch, owner, name, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
@@ -278,10 +298,10 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     # without calling reconstruct; its four harmonic extensions are that
     # grid's map, potential and map gradient and the shifted potential.
     # Its verdict on admissibility comes from the residual it evaluates, so
-    # it makes no check_admissibility call of its own
+    # it makes no check_admissibility call
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     rebuilds = _count_calls(monkeypatch, fields, "reconstruct")
-    checks = _count_calls(monkeypatch, fields, "check_admissibility")
+    checks = _count_calls(monkeypatch, surface_equation, "check_admissibility")
     assemblies = _count_calls(monkeypatch, fields, "_assemble")
     extensions = _count_calls(monkeypatch, fields, "harmonic_extension")
     report = validate_solution(wave_point, water)
@@ -293,6 +313,29 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     assert checks == []
     assert len(assemblies) == 2
     assert len(extensions) == 4
+
+
+@pytest.mark.parametrize("depth, audit_rows", [(0.1, 16), (2.0, 32)], ids=["desk", "kh20"])
+def test_each_wave_is_sampled_once(water, depth, audit_rows, monkeypatch):
+    # a validated point is sampled once, by its residual's admissibility
+    # gate, on every row count the audit tries; its layers are analyzed
+    # once (tension strength and boundary data), and the curvature three
+    # times.  A reconstructed point is sampled once, by its own gate
+    p = water.replace(h=depth)
+    point = trace_branch(1e-3, 1, p, n_modes=32).points[0]
+    samplings, analyses = [], []
+    for module in (surface_equation, fields):
+        _count_calls(monkeypatch, module, "_surface_rows", samplings)
+    for module in (spectral, fields):
+        _count_calls(monkeypatch, module, "analyze", analyses)
+    report = validate_solution(point, p)
+    assert report.passed, report.failures
+    assert report.audit_rows == audit_rows
+    assert len(samplings) == 1
+    assert len(analyses) == 5
+    samplings.clear()
+    reconstruct(point, p)
+    assert len(samplings) == 1
 
 
 def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch):
@@ -348,10 +391,11 @@ def _node_reach(x_s):
     return float(np.max(np.abs(x_s[:, :half] - grid_nodes(x_s.shape[1])[:half])))
 
 
-def _audited_series(w, p):
+def _audited_series(state, p):
     """The even series the audit evaluates at x_s: the elevation, the
     tension strength and the curvature."""
-    return [w, fields._correction_strength(w, p)[0], fields._correction_curvature(w, p)]
+    layers = _layers_of(state, p)
+    return [state.elevation, layers.tension, fields._correction_curvature(layers)]
 
 
 def test_node_expansion_agrees_with_summation(water, wave_point):
@@ -364,7 +408,7 @@ def test_node_expansion_agrees_with_summation(water, wave_point):
     for rows, n_x in ((strip_rows(16), None), (chebyshev_rows(16), None), (strip_rows(32), wide)):
         x_s = fields._geometry(curve, rows, n_x)[2]
         reach = _node_reach(x_s)
-        for f in _audited_series(w, water):
+        for f in _audited_series(wave_point, water):
             assert fields._taylor_fits(f, reach)
             scale = abs(f.cos_coeffs[0]) + float(np.sum(np.abs(f.cos_coeffs[1:])))
             err = np.max(np.abs(fields._even_at(f, x_s) - _half_values(f, x_s)))
@@ -379,8 +423,8 @@ def test_node_expansion_falls_back_to_summation(water, wave_point):
     x_s = grid_nodes(64) + np.array([[0.5], [-0.5]])
     assert not fields._taylor_fits(w, 0.5)
     assert np.array_equal(fields._even_at(w, x_s), _half_values(w, x_s))
-    steep = trace_branch(4e-3, 1, water, n_modes=128).points[-1].elevation
-    x_s = fields._geometry(SurfaceCurve(steep, water), strip_rows(16), None)[2]
+    steep = trace_branch(4e-3, 1, water, n_modes=128).points[-1]
+    x_s = fields._geometry(SurfaceCurve(steep.elevation, water), strip_rows(16), None)[2]
     reach = _node_reach(x_s)
     _, tension, curvature = _audited_series(steep, water)
     for f in (tension, curvature):
@@ -405,7 +449,7 @@ def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
     # where undamped Newton cycles: the bracketed loop converges in a few
     # passes from the node expansion's root and from the default start k t
     w = PeriodicFunction(np.array([0.0, 0.045444, 0.045444]), np.zeros(2))
-    curve = surface_curve(w, water)
+    curve = SurfaceCurve(w, water)
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     for n_y in (16, 64):
         passes.clear()
@@ -436,7 +480,7 @@ def test_steep_branch_audit_inverts_in_one_pass(water, monkeypatch):
 def test_inversion_of_nan(water, wave_point):
     # a NaN target never converges and raises; a NaN start is replaced by
     # the bracket's midpoint on the first step
-    curve = surface_curve(wave_point.elevation, water)
+    curve = SurfaceCurve(wave_point.elevation, water)
     with pytest.raises(SurfaceInversionFailed):
         curve.invert([0.1, math.nan])
     t = curve.profile(np.array([0.0, 1.5, 3.0, 4.5, 6.0]))[0]
@@ -462,14 +506,14 @@ def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
 
 @pytest.mark.parametrize("p_atm", [0.0, 101325.0])
 def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
-    # the conformal map and the inverted surface abscissa are free of
-    # p_atm, so assembling on a geometry built at any p_atm is a full
+    # the conformal map, the inverted surface abscissa and the layers are
+    # free of p_atm, so assembling them, built at any p_atm, is a full
     # reconstruction
     p = water.replace(p_atm=p_atm)
     rows = strip_rows(16)
     geometry = fields._geometry(SurfaceCurve(wave_point.elevation, p), rows, None)
     gauge = p.replace(p_atm=p.p_atm + 101325.0)
-    assembled = fields._assemble(wave_point, gauge, rows, *geometry)
+    assembled = fields._assemble(_layers_of(wave_point, p), gauge, rows, *geometry)
     rebuilt = reconstruct(wave_point, gauge, n_y=16)
     for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
         assert np.array_equal(getattr(assembled, name), getattr(rebuilt, name)), name
@@ -513,23 +557,30 @@ def test_steep_desk_wave_fails_at_32_modes(water):
 
 def test_perturbed_tension_strength_fails_the_force_balance(water, monkeypatch):
     # one cosine coefficient of the tension strength off by 1e-6 relative,
-    # in the boundary data and the pullback alike: the traces still hold
-    # exactly, and only the force balance, against the true correction
-    # curvature, sees the error (about 8e-8 g against 3e-10 g unperturbed)
+    # in the boundary data (S0 - tension + (g/2)(depth + w)^2) and the
+    # pullback alike: the traces still hold exactly, and only the force
+    # balance, against the true correction curvature, sees the error
+    # (about 8e-8 g against 3e-10 g unperturbed)
     point = trace_branch(3e-2, 4, water, n_modes=32).points[-1]
     clean = validate_solution(point, water)
     assert clean.passed, clean.failures
-    strength = fields._correction_strength
-    curvature = fields._correction_curvature(point.elevation, water)
+    clean_layers = fields._layers
+    curvature = fields._correction_curvature(_layers_of(point, water))
 
-    def perturbed(w, p):
-        tension, *rest = strength(w, p)
-        coeffs = np.array(tension.cos_coeffs)
-        coeffs[1] *= 1.0 + 1e-6
-        return (PeriodicFunction.from_cosines(coeffs), *rest)
+    def perturbed(state, p, samples):
+        layers = clean_layers(state, p, samples)
+        tension = np.array(layers.tension.cos_coeffs)
+        boundary = np.array(layers.boundary.cos_coeffs)
+        shift = 1e-6 * tension[1]
+        tension[1] += shift
+        boundary[1] -= shift
+        return layers._replace(
+            tension=PeriodicFunction.from_cosines(tension),
+            boundary=PeriodicFunction.from_cosines(boundary),
+        )
 
-    monkeypatch.setattr(fields, "_correction_strength", perturbed)
-    monkeypatch.setattr(fields, "_correction_curvature", lambda w, p: curvature)
+    monkeypatch.setattr(fields, "_layers", perturbed)
+    monkeypatch.setattr(fields, "_correction_curvature", lambda layers: curvature)
     report = validate_solution(point, water)
     assert report.failures == ("force balance defect above tolerance",)
     assert report.force_balance_fine > 50.0 * clean.force_balance_fine

@@ -27,7 +27,7 @@ from flowforce import (
     onset_speed_sq,
     residual,
 )
-from flowforce import continuation, fields, surface_equation
+from flowforce import continuation, surface_equation
 from flowforce.continuation import trace_branch
 from flowforce.surface_equation import _BLOCK_SAMPLES
 
@@ -273,7 +273,7 @@ def test_traced_branch_samples_each_residual_state_once(water, monkeypatch):
 
     count(surface_equation, "_surface_rows", "rows")
     count(surface_equation, "residual", "residual")
-    for module in (surface_equation, continuation, fields):
+    for module in (surface_equation, continuation):
         count(module, "check_admissibility", "check")
     branch = trace_branch(4e-3, 4, water, n_modes=16)
     assert branch.failure is None
