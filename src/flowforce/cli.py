@@ -6,7 +6,9 @@ key is validated against the key table below and unknown entries are
 rejected with their line number.  All numeric output is serialized with
 full round-trip precision and no timestamps, so identical configs give
 byte-identical artifacts.  A CSV number is the repr of its float64, run
-once per distinct bit pattern of its column and gathered back per cell.
+once per distinct bit pattern of its block and gathered back per cell; the
+writer formats and writes one block at a time, a grid row of field.csv or
+a branch point of profiles.csv.
 
 Exit codes: 0 success, 2 validation failure (including a non-simple
 kernel), 3 convergence failure (partial branch written), 4 config or
@@ -21,12 +23,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
 from .continuation import small_amplitude_limit, trace_branch
-from .dispersion import _require_simple, dispersion_table, kernel_is_simple
+from .dispersion import DispersionRow, _require_simple, dispersion_table, kernel_is_simple
 from .errors import (
     ConfigError, FlowForceError, InputFileError, InvalidSamples, KernelNotSimple,
 )
@@ -226,33 +229,41 @@ def _jsonable(value):
     return value
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path, payload):
-    _write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _column_text(column):
-    """Cell texts of a 1-D column: true/false for bools, else the repr of each
-    float64, run once per distinct int64 view (bits, so -0.0 keeps its sign)
-    and gathered back through np.unique's inverse."""
-    column = np.asarray(column)
-    if column.dtype == bool:
-        return np.where(column, "true", "false").tolist()
-    bits = np.asarray(column, dtype=float).view(np.int64)
+def _cell_texts(values):
+    """The repr of each float64 of an array, as nested lists in its shape: run
+    once per distinct int64 view (bits, so -0.0 keeps its sign) and gathered
+    back through np.unique's inverse, reshaped since numpy 1.x returns it flat."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-    return text[inverse].tolist()
+    return text[inverse.reshape(bits.shape)].tolist()
 
 
-def _csv_lines(header, columns):
-    """A header line and one line per row of equal-length 1-D columns; cell
-    texts come from _column_text, one repr per distinct bit pattern."""
-    rows = map(",".join, zip(*map(_column_text, columns)))
-    return "\n".join([header, *rows, ""])
+def _write_csv(path, header, blocks):
+    """Write a header line, then each block's lines in one write per block.
+
+    A block is a list of equal-length columns: bool arrays, written as
+    true/false; float arrays, formatted by one _cell_texts pass over all of
+    the block's float cells; or cell texts, such as an axis column formatted
+    once for the whole file.  Only formatting happens here, so the caller
+    computes every number first."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            arrays = [c for c in block if isinstance(c, np.ndarray)]
+            texts = iter(_cell_texts([c for c in arrays if c.dtype != bool]))
+            columns = [
+                c if not isinstance(c, np.ndarray)
+                else np.where(c, "true", "false").tolist() if c.dtype == bool
+                else next(texts)
+                for c in block
+            ]
+            fh.write("\n".join([*map(",".join, zip(*columns)), ""]))
 
 
 def _out_path(config, name):
@@ -269,10 +280,8 @@ _DISPERSION_HEADER = (
 def cmd_dispersion(config):
     k_grid = np.linspace(config.k_min, config.k_max, config.k_count)
     rows = dispersion_table(k_grid, config.physical, tol=config.scan_tol)
-    columns = zip(*map(astuple, rows))
-    _write_text(
-        _out_path(config, "dispersion.csv"), _csv_lines(_DISPERSION_HEADER, columns)
-    )
+    columns = [np.array([getattr(r, f.name) for r in rows]) for f in fields(DispersionRow)]
+    _write_csv(_out_path(config, "dispersion.csv"), _DISPERSION_HEADER, [columns])
     return 0
 
 
@@ -306,17 +315,19 @@ def _branch_payload(branch):
     }
 
 
-def _profiles_lines(branch):
+def _write_profiles(path, branch):
     """Each point's (X, Y) = (x/k + C(w), depth + w), sampled as the solver samples
-    it; unchecked: each point passed the admissibility gate when it converged."""
+    it, one block per point; unchecked: each point passed the admissibility gate
+    when it converged."""
     p, m = branch.params, collocation_size(branch.n_modes)
-    s = [pt.amplitude for pt in branch.points]
     stacked = [pt.elevation.cos_coeffs for pt in branch.points]
     coeffs = np.reshape(stacked, (-1, branch.n_modes + 1))  # (0, N + 1) with no points
     height = p.h + _surface_rows(coeffs, p, m)[0]
     abscissa = _surface_abscissa(coeffs, p, m)
-    columns = (np.repeat(s, m), np.tile(grid_nodes(m), len(s)), abscissa.ravel(), height.ravel())
-    return _csv_lines("s [m],x [rad],X [m],Y [m]", columns)
+    s = _cell_texts([pt.amplitude for pt in branch.points])
+    x = _cell_texts(grid_nodes(m))
+    blocks = ([repeat(s[i], m), x, abscissa[i], height[i]] for i in range(len(s)))
+    _write_csv(path, "s [m],x [rad],X [m],Y [m]", blocks)
 
 
 def cmd_branch(config):
@@ -326,7 +337,7 @@ def cmd_branch(config):
         tol=config.tolerance, max_iter=config.max_iterations, scan_tol=config.scan_tol,
     )
     _write_json(_out_path(config, "branch.json"), _branch_payload(branch))
-    _write_text(_out_path(config, "profiles.csv"), _profiles_lines(branch))
+    _write_profiles(_out_path(config, "profiles.csv"), branch)
     if branch.failure is not None:
         print(f"branch truncated: {branch.failure}", file=sys.stderr)
         return 3
@@ -418,13 +429,13 @@ def cmd_reconstruct(config, branch_path, index):
     except (FlowForceError, MemoryError) as exc:
         raise _point_error(branch_path, index, s, exc) from exc
     n_rows, n_x = field.u.shape
-    # one row per grid node, x fastest, from the bed up
+    # one line per grid node, x fastest, from the bed up: one block per row
     grids = (field.u, field.v, field.harmonic_potential, field.raw_force, field.flow_force)
-    y = strip_nodes(n_rows - 1, params.strip_depth)
-    columns = [np.tile(grid_nodes(n_x), n_rows), np.repeat(y, n_x)]
-    columns += [grid.ravel() for grid in grids]
+    x = _cell_texts(grid_nodes(n_x))
+    y = _cell_texts(strip_nodes(n_rows - 1, params.strip_depth))
+    blocks = ([x, repeat(y[j], n_x), *(grid[j] for grid in grids)] for j in range(n_rows))
     header = "x [rad],y [-],X [m],Y [m],zeta [m^3/s^2],xi [m^3/s^2],S [m^3/s^2]"
-    _write_text(_out_path(config, "field.csv"), _csv_lines(header, columns))
+    _write_csv(_out_path(config, "field.csv"), header, blocks)
     summary = {
         "schema": "flowforce/field-v1",
         "s": s,

@@ -15,14 +15,15 @@ derivatives are spectral too, so it reports the wave's truncation errors.
 The correction layer is pulled back at the surface parameters x_s, which
 lie close to the grid nodes: series are evaluated there by their Taylor
 expansions about the nodes where a remainder bound makes them exact to
-rounding (_even_at).  The inversion (SurfaceCurve.invert) is one
-safeguarded Newton loop on a bracket that holds every root; it starts
-from the root of the expansion and raises SurfaceInversionFailed if it
-does not converge.
+rounding (_even_at), each series' expansion built once per audited
+point.  The inversion (SurfaceCurve.invert) is one safeguarded Newton
+loop on a bracket that holds every root; it starts from the root of the
+expansion and raises SurfaceInversionFailed if it does not converge.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .spectral import (
     chebyshev_rows,
     collocation_size,
     derivative,
-    eval_many,
     grid_nodes,
     harmonic_extension,
     conjugate_extension,
@@ -68,8 +68,7 @@ class SurfaceCurve:
 
     The physical abscissa X(x) = x/k + C(w)(x), C(w) the strip conjugate
     of the elevation w, is strictly increasing for admissible waves;
-    profile(x) gives it with the height depth + w(x), and invert solves
-    X(x) = target.
+    invert solves X(x) = target.
     """
 
     elevation: PeriodicFunction
@@ -78,12 +77,6 @@ class SurfaceCurve:
     def __post_init__(self):
         conj = hilbert_strip(self.elevation, self.params.strip_depth)
         object.__setattr__(self, "_conjugate", conj)
-
-    def profile(self, x):
-        """(x/k + C(w)(x), depth + w(x)) from one shared evaluation pass."""
-        x = np.asarray(x, dtype=float)
-        conj, w = eval_many((self._conjugate, self.elevation), x)
-        return x / self.params.k + conj, self.params.h + w
 
     def invert(self, targets, x0=None):
         """Solve x/k + C(w)(x) = target elementwise (safeguarded Newton).
@@ -195,29 +188,30 @@ def _horner(coeffs, d):
     return out
 
 
-def _even_at(f, x_s):
+def _even_at(f, x_s, expand):
     """An even polynomial at x_s, evaluated on columns 0..n_x//2 and unfolded.
 
-    Column j is summed as f's Taylor expansion about its node x_j
-    (_node_taylor) in d = x_s - x_j, when the remainder bound holds at
-    max |d| (_taylor_fits); otherwise by f.eval_at.
+    Column j is summed as f's Taylor expansion about its node x_j,
+    expand(f, n_x) (_node_taylor, or a point's cache of it), in
+    d = x_s - x_j, when the remainder bound holds at max |d| (_taylor_fits);
+    otherwise by f.eval_at.
     """
     n_x = x_s.shape[1]
     half = n_x // 2 + 1
     d = x_s[:, :half] - grid_nodes(n_x)[:half]
     if _taylor_fits(f, float(np.max(np.abs(d)))):
-        return _unfold(_horner(_node_taylor(f, n_x), d), n_x)
+        return _unfold(_horner(expand(f, n_x), d), n_x)
     return _unfold(f.eval_at(x_s[:, :half]), n_x)
 
 
-def _inversion_start(curve, targets, n_x):
+def _inversion_start(curve, targets, n_x, expand):
     """Start for inverting X = x/k + C(w) at targets on columns 0..n_x//2:
     the root of X's Taylor polynomial about each node, from a linear guess
     and two Newton steps on the polynomial.  Where the expansion is exact
     to rounding the root is X's root; elsewhere it is a close start, and
     invert's bracket keeps any start safe."""
     nodes = grid_nodes(n_x)[: n_x // 2 + 1]
-    coeffs = _node_taylor(curve._conjugate, n_x)
+    coeffs = expand(curve._conjugate, n_x).copy()  # a point's cache shares the table
     coeffs[0] += nodes / curve.params.k
     coeffs[1] += 1.0 / curve.params.k
     d = (targets - coeffs[0]) / coeffs[1]
@@ -227,7 +221,7 @@ def _inversion_start(curve, targets, n_x):
     return nodes + d
 
 
-def _geometry(curve, rows, n_x):
+def _geometry(curve, rows, n_x, expand):
     """Conformal map (u, v), inverted surface abscissa x_s and heights
     depth + w(x_s) of the curve, all free of p_atm and of the speed.
 
@@ -241,18 +235,18 @@ def _geometry(curve, rows, n_x):
     u, v = conformal_map(curve.elevation, curve.params, rows, n_x)
     n_x = u.shape[1]
     targets = u[:, : n_x // 2 + 1]
-    x0 = _inversion_start(curve, targets, n_x)
+    x0 = _inversion_start(curve, targets, n_x, expand)
     x_s = _unfold(curve.invert(targets, x0=x0), n_x, odd=True)
-    heights = curve.params.h + _even_at(curve.elevation, x_s)
+    heights = curve.params.h + _even_at(curve.elevation, x_s, expand)
     x_s.flags.writeable = heights.flags.writeable = False
     return u, v, x_s, heights
 
 
-def _assemble(layers, p: PhysicalParams, rows, u, v, x_s, heights):
+def _assemble(layers, p: PhysicalParams, rows, u, v, x_s, heights, expand):
     """The FlowForceField of a wave's _layers under p on the _geometry of rows."""
     zeta = harmonic_extension(layers.boundary, p.strip_depth, rows, u.shape[1])
     xi = zeta - 0.5 * p.g * v**2
-    force = xi + _even_at(layers.tension, x_s) * v / heights
+    force = xi + _even_at(layers.tension, x_s, expand) * v / heights
     pressure = p.p_atm * v
     zeta, xi = zeta + pressure, xi + pressure
     zeta.flags.writeable = xi.flags.writeable = force.flags.writeable = False
@@ -279,8 +273,8 @@ def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None):
     samples = _surface_rows(w.cos_coeffs[None, :], p, collocation_size(w.n_modes))
     _admitted(_admissibility(w.cos_coeffs, samples, p))
     rows = strip_rows(n_y)
-    geometry = _geometry(SurfaceCurve(w, p), rows, n_x)
-    return _assemble(_layers(state, p, samples), p, rows, *geometry)
+    geometry = _geometry(SurfaceCurve(w, p), rows, n_x, _node_taylor)
+    return _assemble(_layers(state, p, samples), p, rows, *geometry, _node_taylor)
 
 
 def laminar_flow_force(height, speed_sq, p: PhysicalParams):
@@ -325,15 +319,15 @@ def _correction_curvature(layers):
     return analyze(quotient).truncated(n)
 
 
-def _chebyshev_field(curve, layers):
+def _chebyshev_field(curve, layers, expand):
     """A wave's field from its curve and layers on their nodes' columns and the
     fewest Chebyshev rows, 16, 32, 64 or at most 128 intervals, whose last three
     coefficients of S in y are at most 1e-14 max |S|; with n, rows, geometry."""
     n = 16
     while True:
         rows = chebyshev_rows(n)
-        geometry = _geometry(curve, rows, layers.heights.size)
-        field = _assemble(layers, curve.params, rows, *geometry)
+        geometry = _geometry(curve, rows, layers.heights.size, expand)
+        field = _assemble(layers, curve.params, rows, *geometry, expand)
         force = field.flow_force
         tail = np.max(np.abs(chebyshev_coefficients(force)[-3:]))
         if n == 128 or tail <= 1e-14 * np.max(np.abs(force)):
@@ -378,14 +372,16 @@ def validate_solution(state, p: PhysicalParams):
     the square of chebyshev_matrix peaks; harmonicity and the force balance
     on its interior rows.  That Laplacian is exact to rounding where S is
     resolved, so both bounds are absolute: 1e-8 of the layer scale and
-    1e-8 max(1, g).  The gauge-shifted field is assembled on the same geometry.
+    1e-8 max(1, g).  The gauge-shifted field is assembled on the same geometry,
+    and every field and the curvature share the point's node expansions.
     """
     w = state.elevation
     trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     diag = {}  # receives the admissibility report and samples of the residual's gate
     residual_sup = residual(trial, p, diag=diag).sup_norm()
     layers = _layers(trial, p, diag["samples"])
-    audit_rows, rows, geometry, field = _chebyshev_field(SurfaceCurve(w, p), layers)
+    expand = cache(_node_taylor)  # each series' node expansion, built once for the point
+    audit_rows, rows, geometry, field = _chebyshev_field(SurfaceCurve(w, p), layers, expand)
     x_s = geometry[2]
     # d/dy is d/dt over the depth, t the rows' depth fraction
     d2 = np.linalg.matrix_power(chebyshev_matrix(audit_rows) / p.strip_depth, 2)
@@ -399,13 +395,13 @@ def validate_solution(state, p: PhysicalParams):
     harmonic = float(np.max(np.abs(_laplacian(zeta, d2)[1:-1])))
 
     physical = (_laplacian(flow, d2) / _map_gradient_sq(w, p, rows, flow.shape[1]))[1:-1]
-    bend = _even_at(_correction_curvature(layers), x_s[1:-1])
+    bend = _even_at(_correction_curvature(layers), x_s[1:-1], expand)
     balance = float(np.max(np.abs(physical - (-p.g + bend * field.v[1:-1]))))
 
     surface_trace = float(np.max(np.abs(flow[-1] - field.surface_value)))
     bottom_trace = float(np.max(np.abs(flow[0])))
 
-    gauged = _assemble(layers, p.replace(p_atm=p.p_atm + 101325.0), rows, *geometry)
+    gauged = _assemble(layers, p.replace(p_atm=p.p_atm + 101325.0), rows, *geometry, expand)
     gauge = float(np.max(np.abs(gauged.flow_force - flow)))
     gauge /= max(1.0, float(np.max(np.abs(flow))))
 

@@ -8,6 +8,7 @@ import filecmp
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,9 +18,11 @@ from flowforce import (
     PhysicalParams, check_admissibility, cli, dispersion_table, onset_speed_sq, reconstruct,
     surface_equation,
 )
-from flowforce.cli import _KEYS, RunConfig, _build_parser, _csv_lines, load_config, main
+from flowforce.cli import _KEYS, RunConfig, _build_parser, _write_csv, load_config, main
 from flowforce.fields import SurfaceCurve
-from flowforce.spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
+from flowforce.spectral import (
+    PeriodicFunction, collocation_size, eval_many, grid_nodes, strip_nodes,
+)
 from flowforce.surface_equation import TrialState, _surface_abscissa
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -194,6 +197,13 @@ def test_branch_profiles_have_one_crest(tmp_path):
         assert int(np.sum((~up) & (~down))) == 1
 
 
+def _profile(curve, x):
+    """(x/k + C(w)(x), depth + w(x)) of a curve by one eval_many pass: the
+    oracle of its abscissa, independent of _surface_abscissa."""
+    conj, w = eval_many((curve._conjugate, curve.elevation), x)
+    return x / curve.params.k + conj, curve.params.h + w
+
+
 def _branch_and_profiles(tmp_path, text, *flags):
     """Run branch on a config; its branch.json payload and profiles.csv
     reshaped to (points, nodes, 4)."""
@@ -218,8 +228,8 @@ def _branch_and_profiles(tmp_path, text, *flags):
 )
 def test_profiles_match_surface_curve(tmp_path, text, flags):
     # profiles.csv is synthesized from the stacked points as the solver
-    # samples them; at the nodes it agrees with SurfaceCurve.profile
-    # (Reinsch's recurrence) to 4 eps of each column's scale
+    # samples them; at the nodes it agrees with the curve's summed series
+    # (_profile, Reinsch's recurrence) to 4 eps of each column's scale
     payload, profiles = _branch_and_profiles(
         tmp_path, text + "[continuation]\nsteps = 2\n", *flags
     )
@@ -234,7 +244,7 @@ def test_profiles_match_surface_curve(tmp_path, text, flags):
         assert np.all(block[:, 0] == rec["s"])
         assert np.array_equal(block[:, 1], x)
         curve = SurfaceCurve(PeriodicFunction.from_cosines(a), params)
-        for column, ref in zip(block[:, 2:].T, curve.profile(x)):
+        for column, ref in zip(block[:, 2:].T, _profile(curve, x)):
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(column - ref)) <= 4 * np.finfo(float).eps * scale
 
@@ -322,22 +332,47 @@ def _per_value_csv(header, columns):
 
 
 @pytest.mark.parametrize(
-    "columns",
+    "columns, sizes",
     [
-        [[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]],
-        [[math.nan, math.inf, -math.inf, 5e-324], [-5e-324, math.nan, 1.0, math.inf]],
-        [[1e16, 1e-5, 9999999999999998.0, 9.999999999999999e-06],
-         [1e-5, 1e16, 1e-5, -1e16]],
-        [[True, False, False, True], np.array([0.5, 0.5, 0.1 + 0.2, 0.3])],
-        [np.array([], dtype=float), np.array([], dtype=bool)],
+        ([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]], (2, 2)),
+        ([[math.nan, math.inf, -math.inf, 5e-324], [-5e-324, math.nan, 1.0, math.inf]], (1, 3)),
+        ([[1e16, 1e-5, 9999999999999998.0, 9.999999999999999e-06],
+          [1e-5, 1e16, 1e-5, -1e16]], (4,)),
+        ([[True, False, False, True], [0.5, 0.5, 0.1 + 0.2, 0.3]], (3, 1)),
+        ([np.array([], dtype=float), np.array([], dtype=bool)], ()),
     ],
     ids=["signed_zero", "non_finite_and_subnormal", "exponent_switch", "bool", "no_rows"],
 )
-def test_csv_writer_matches_per_value_repr(columns):
-    # the writer formats each distinct bit pattern once; the text must be
-    # that of repr on every cell, -0.0 and nan included.  No rows give the
-    # header line alone, as a branch that fails at step 1 writes it
-    assert _csv_lines("a,b", columns) == _per_value_csv("a,b", columns)
+def test_csv_writer_matches_per_value_repr(tmp_path, columns, sizes):
+    # the writer formats each distinct bit pattern once per block; the text
+    # must be that of repr on every cell, -0.0 and nan included, for a value
+    # repeated in two blocks (signed_zero) and in a one-row block.  No
+    # blocks give the header line alone, as a branch that fails at step 1
+    # writes it
+    bounds = np.cumsum((0, *sizes))
+    blocks = [[np.asarray(c)[lo:hi] for c in columns] for lo, hi in zip(bounds, bounds[1:])]
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b", blocks)
+    assert path.read_text(encoding="utf-8") == _per_value_csv("a,b", columns)
+
+
+def test_field_writer_holds_less_than_the_file(tmp_path):
+    # field.csv is formatted and written one grid row at a time, so the
+    # memory reconstruct allocates stays below the size of the file; the
+    # N = 64 point with 256 vertical points writes about 8 MB
+    out = tmp_path / "out"
+    text = "[continuation]\nsteps = 1\n[discretization]\nmodes = 64\nvertical_points = 256\n"
+    cfg = _write(tmp_path / "c.ini", text)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(out), "reconstruct", str(out / "branch.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((out / "field.json").read_text())["n_y"] == 256
+    assert peak < (out / "field.csv").stat().st_size
 
 
 def test_branch_outputs_are_byte_deterministic(tmp_path):

@@ -42,6 +42,7 @@ from flowforce.spectral import (
     chebyshev_rows,
     collocation_size,
     cosh_ratio,
+    eval_many,
     sinh_ratio,
     strip_rows,
 )
@@ -60,6 +61,14 @@ def wave_field(water, wave_point):
 def _laminar_state(p, n_modes=8):
     lam = onset_speed_sq(1, p.k, p)
     return TrialState(lam, 0.0, PeriodicFunction.zero(n_modes))
+
+
+def _profile(curve, x):
+    """(x/k + C(w)(x), depth + w(x)) of a curve by one eval_many pass: the
+    oracle of its abscissa, independent of _surface_abscissa."""
+    x = np.asarray(x, dtype=float)
+    conj, w = eval_many((curve._conjugate, curve.elevation), x)
+    return x / curve.params.k + conj, curve.params.h + w
 
 
 def _layers_of(state, p):
@@ -140,7 +149,7 @@ def test_field_grids_are_read_only_arrays(water, wave_point, n_x):
 def test_surface_curve_inversion_round_trip(water, wave_point):
     curve = SurfaceCurve(wave_point.elevation, water)
     x = grid_nodes(96)
-    targets = curve.profile(x)[0]
+    targets = _profile(curve, x)[0]
     back = curve.invert(targets)
     assert back.shape == x.shape
     assert np.max(np.abs(back - x)) < 1e-11
@@ -153,11 +162,11 @@ def test_surface_abscissa_mirrors_across_pi(water, wave_point, n_x):
     # the abscissa of an even elevation is odd about x = pi, so the inverted
     # half of the grid gives the other half; the mirror must still invert u
     curve = SurfaceCurve(wave_point.elevation, water)
-    u, _, x_s, heights = fields._geometry(curve, strip_rows(16), n_x)
+    u, _, x_s, heights = fields._geometry(curve, strip_rows(16), n_x, fields._node_taylor)
     n_x = u.shape[1]
     j = np.arange(1, n_x - n_x // 2)
     assert np.array_equal(x_s[:, n_x - j], 2.0 * np.pi - x_s[:, j])
-    defect = np.abs(curve.profile(x_s)[0] - u)
+    defect = np.abs(_profile(curve, x_s)[0] - u)
     assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
     assert np.array_equal(heights[:, n_x - j], heights[:, j])
 
@@ -269,7 +278,8 @@ def test_validation_audits_on_its_own_rows(water, wave_point):
     # surface rows, at depth fractions exactly 0 and 1
     n_x = collocation_size(wave_point.elevation.n_modes)
     curve = SurfaceCurve(wave_point.elevation, water)
-    audit_rows, rows, _, field = fields._chebyshev_field(curve, _layers_of(wave_point, water))
+    layers = _layers_of(wave_point, water)
+    audit_rows, rows, _, field = fields._chebyshev_field(curve, layers, fields._node_taylor)
     assert rows[0] == 0.0 and rows[-1] == 1.0
     assert field.flow_force.shape == (audit_rows + 1, n_x)
     report = validate_solution(wave_point, water)
@@ -341,15 +351,15 @@ def test_each_wave_is_sampled_once(water, depth, audit_rows, monkeypatch):
 def test_inversion_sums_slope_only_before_a_step(water, wave_point, monkeypatch):
     # each Newton pass sums the conjugate on one point setup; the slope
     # conjugate only when a step follows, so not on the converged pass.
-    # A curve that never inverts (the profile writer's) never builds it
+    # A curve that is only evaluated, never inverted, never builds it
     transforms = _count_calls(monkeypatch, fields, "hilbert_strip")
     curve = SurfaceCurve(wave_point.elevation, water)
-    curve.profile(grid_nodes(16))
+    _profile(curve, grid_nodes(16))
     assert len(transforms) == 1
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     sums = _count_calls(monkeypatch, fields, "_eval_sums")
     x = np.linspace(-1.0, 7.0, 41)
-    x_s = curve.invert(curve.profile(x)[0], x0=x + 0.1)
+    x_s = curve.invert(_profile(curve, x)[0], x0=x + 0.1)
     assert np.max(np.abs(x_s - x)) < 1e-12
     assert len(transforms) == 2
     assert len(passes) >= 2
@@ -380,6 +390,20 @@ def test_validated_point_evaluates_elevation_once_per_grid(
     assert evaluations == []
 
 
+@pytest.mark.parametrize("depth, audit_rows", [(0.1, 16), (2.0, 32)], ids=["desk", "kh20"])
+def test_each_series_is_expanded_once(water, depth, audit_rows, monkeypatch):
+    # an audited point builds the node expansions of C(w), w, the tension
+    # strength and the curvature once each, whatever the number of row
+    # counts it tries, and its gauge-shifted field reuses the tension's
+    p = water.replace(h=depth)
+    point = trace_branch(1e-3, 1, p, n_modes=32).points[0]
+    expansions = _count_calls(monkeypatch, fields, "_node_taylor")
+    report = validate_solution(point, p)
+    assert report.passed, report.failures
+    assert report.audit_rows == audit_rows
+    assert len(expansions) == 4
+
+
 def _half_values(f, x_s):
     """f.eval_at on columns 0..n_x//2 of x_s, unfolded: the summation path."""
     return fields._unfold(f.eval_at(x_s[:, : x_s.shape[1] // 2 + 1]), x_s.shape[1])
@@ -406,12 +430,13 @@ def test_node_expansion_agrees_with_summation(water, wave_point):
     curve = SurfaceCurve(w, water)
     wide = 2 * fields.collocation_size(w.n_modes)
     for rows, n_x in ((strip_rows(16), None), (chebyshev_rows(16), None), (strip_rows(32), wide)):
-        x_s = fields._geometry(curve, rows, n_x)[2]
+        x_s = fields._geometry(curve, rows, n_x, fields._node_taylor)[2]
         reach = _node_reach(x_s)
         for f in _audited_series(wave_point, water):
             assert fields._taylor_fits(f, reach)
             scale = abs(f.cos_coeffs[0]) + float(np.sum(np.abs(f.cos_coeffs[1:])))
-            err = np.max(np.abs(fields._even_at(f, x_s) - _half_values(f, x_s)))
+            expanded = fields._even_at(f, x_s, fields._node_taylor)
+            err = np.max(np.abs(expanded - _half_values(f, x_s)))
             assert err <= 4.0 * 2.0**-52 * scale
 
 
@@ -422,14 +447,15 @@ def test_node_expansion_falls_back_to_summation(water, wave_point):
     w = wave_point.elevation
     x_s = grid_nodes(64) + np.array([[0.5], [-0.5]])
     assert not fields._taylor_fits(w, 0.5)
-    assert np.array_equal(fields._even_at(w, x_s), _half_values(w, x_s))
+    assert np.array_equal(fields._even_at(w, x_s, fields._node_taylor), _half_values(w, x_s))
     steep = trace_branch(4e-3, 1, water, n_modes=128).points[-1]
-    x_s = fields._geometry(SurfaceCurve(steep.elevation, water), strip_rows(16), None)[2]
+    steep_curve = SurfaceCurve(steep.elevation, water)
+    x_s = fields._geometry(steep_curve, strip_rows(16), None, fields._node_taylor)[2]
     reach = _node_reach(x_s)
     _, tension, curvature = _audited_series(steep, water)
     for f in (tension, curvature):
         assert not fields._taylor_fits(f, reach)
-        assert np.array_equal(fields._even_at(f, x_s), _half_values(f, x_s))
+        assert np.array_equal(fields._even_at(f, x_s, fields._node_taylor), _half_values(f, x_s))
 
 
 def test_geometry_inverts_in_one_summation_pass(water, wave_point, monkeypatch):
@@ -439,7 +465,7 @@ def test_geometry_inverts_in_one_summation_pass(water, wave_point, monkeypatch):
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     transforms = _count_calls(monkeypatch, fields, "hilbert_strip")
     for n_y in (16, 64):
-        fields._geometry(curve, strip_rows(n_y), None)
+        fields._geometry(curve, strip_rows(n_y), None, fields._node_taylor)
     assert len(passes) == 2
     assert transforms == []
 
@@ -453,14 +479,14 @@ def test_inversion_converges_on_a_steep_wave(water, monkeypatch):
     passes = _count_calls(monkeypatch, fields, "_eval_points")
     for n_y in (16, 64):
         passes.clear()
-        u, _, x_s, _ = fields._geometry(curve, strip_rows(n_y), None)
+        u, _, x_s, _ = fields._geometry(curve, strip_rows(n_y), None, fields._node_taylor)
         assert len(passes) <= 20
         half = u.shape[1] // 2 + 1
         u, x_s = u[:, :half], x_s[:, :half]
-        defect = np.abs(curve.profile(x_s)[0] - u)
+        defect = np.abs(_profile(curve, x_s)[0] - u)
         assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(u)))
     x = np.linspace(-1.0, 7.0, 2001)
-    assert np.max(np.abs(curve.invert(curve.profile(x)[0]) - x)) < 1e-12
+    assert np.max(np.abs(curve.invert(_profile(curve, x)[0]) - x)) < 1e-12
 
 
 def test_steep_branch_audit_inverts_in_one_pass(water, monkeypatch):
@@ -483,7 +509,7 @@ def test_inversion_of_nan(water, wave_point):
     curve = SurfaceCurve(wave_point.elevation, water)
     with pytest.raises(SurfaceInversionFailed):
         curve.invert([0.1, math.nan])
-    t = curve.profile(np.array([0.0, 1.5, 3.0, 4.5, 6.0]))[0]
+    t = _profile(curve, np.array([0.0, 1.5, 3.0, 4.5, 6.0]))[0]
     expect = curve.invert(t)
     x_s = curve.invert(t, x0=[0.0, math.nan, 3.0, 4.5, 6.0])
     assert np.max(np.abs(x_s - expect)) < 1e-12
@@ -511,9 +537,11 @@ def test_gauge_shifted_field_on_input_geometry(water, wave_point, p_atm):
     # reconstruction
     p = water.replace(p_atm=p_atm)
     rows = strip_rows(16)
-    geometry = fields._geometry(SurfaceCurve(wave_point.elevation, p), rows, None)
+    curve = SurfaceCurve(wave_point.elevation, p)
+    geometry = fields._geometry(curve, rows, None, fields._node_taylor)
     gauge = p.replace(p_atm=p.p_atm + 101325.0)
-    assembled = fields._assemble(_layers_of(wave_point, p), gauge, rows, *geometry)
+    layers = _layers_of(wave_point, p)
+    assembled = fields._assemble(layers, gauge, rows, *geometry, fields._node_taylor)
     rebuilt = reconstruct(wave_point, gauge, n_y=16)
     for name in ("u", "v", "harmonic_potential", "raw_force", "flow_force"):
         assert np.array_equal(getattr(assembled, name), getattr(rebuilt, name)), name
