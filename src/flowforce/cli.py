@@ -344,6 +344,13 @@ def cmd_branch(config):
     return 0
 
 
+def _number(value):
+    """A JSON number as a float; a string or a boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _load_branch(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -360,19 +367,19 @@ def _load_branch(path):
     if payload.get("schema") != "flowforce/branch-v1":
         raise InputFileError(f"{path}: unrecognized branch schema {payload.get('schema')!r}")
     try:
-        params = PhysicalParams(**payload["params"])
+        params = PhysicalParams(**{k: _number(v) for k, v in payload["params"].items()})
         points = [
             (
-                float(rec["s"]),
+                _number(rec["s"]),
                 TrialState(
-                    float(rec["lambda"]),
-                    float(rec["mu"]),
-                    PeriodicFunction.from_cosines(rec["cos_coeffs"]),
+                    _number(rec["lambda"]),
+                    _number(rec["mu"]),
+                    PeriodicFunction.from_cosines([_number(a) for a in rec["cos_coeffs"]]),
                 ),
             )
             for rec in payload["points"]
         ]
-    except (KeyError, TypeError, ValueError, InvalidSamples) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, InvalidSamples) as exc:
         raise InputFileError(f"{path}: malformed branch record ({exc})") from exc
     if not points:
         raise InputFileError(f"{path}: branch file holds no points")
@@ -393,26 +400,21 @@ def _point_error(branch_path, index, s, exc):
 def cmd_validate(config, branch_path):
     params, points = _load_branch(branch_path)
     reports = []
-    all_passed = True
     for index, (s, state) in enumerate(points):
         try:
             rep = validate_solution(state, params)
         except (FlowForceError, MemoryError) as exc:
             raise _point_error(branch_path, index, s, exc) from exc
-        all_passed = all_passed and rep.passed
         if not rep.passed:
             failures = "; ".join(rep.failures)
             print(f"validation failed: point {index} at s = {s!r}: {failures}", file=sys.stderr)
-        record = {"s": s, **asdict(rep)}
-        record["admissible"] = record.pop("admissibility")["passed"]
-        reports.append(record)
-    payload = {
-        "schema": "flowforce/validation-v2",
-        "passed": all_passed,
-        "points": reports,
-    }
+        # a report's admissibility always passed: the gate raises otherwise
+        values = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "admissibility"}
+        reports.append({"s": s, **values})
+    passed = all(record["passed"] for record in reports)
+    payload = {"schema": "flowforce/validation-v3", "passed": passed, "points": reports}
     _write_json(_out_path(config, "validation.json"), payload)
-    return 0 if all_passed else 2
+    return 0 if passed else 2
 
 
 def cmd_reconstruct(config, branch_path, index):

@@ -246,8 +246,8 @@ def residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     coeffs = state.elevation.cos_coeffs
-    samples = _surface_rows(coeffs[None, :], p, collocation_size(n))
-    report = _admitted(_admissibility(coeffs, samples, p))
+    samples, report = _admissibility(coeffs, p, collocation_size(n))
+    _admitted(report)
     if diag is not None:
         diag["admissibility"], diag["samples"] = report, samples
     speed_sq, shift = np.array([state.speed_sq]), np.array([state.bernoulli_shift])
@@ -344,12 +344,15 @@ def _surface_abscissa(cos_coeffs, p: PhysicalParams, m):
     return grid_nodes(m) / p.k + conj
 
 
-def _admissibility(cos_coeffs, samples, p: PhysicalParams):
-    """The AdmissibilityReport of one elevation, cosines a_0..a_N, from its
-    single-row _surface_rows samples; only the abscissa of the
-    monotone-graph test (_surface_abscissa) is synthesized here."""
+# an overflowing sample reads inf or nan, not a warning; a nan fails each margin it enters
+@np.errstate(over="ignore", invalid="ignore")
+def _admissibility(cos_coeffs, p: PhysicalParams, m):
+    """The single-row _surface_rows samples of one elevation, cosines
+    a_0..a_N, on m nodes, and their AdmissibilityReport; besides them only
+    the abscissa of the monotone-graph test (_surface_abscissa) is synthesized."""
+    samples = _surface_rows(cos_coeffs[None, :], p, m)
     w_s, _, _, _, _, dnv, metric = samples
-    surface_x = _surface_abscissa(cos_coeffs[None, :], p, w_s.shape[1])[0]
+    surface_x = _surface_abscissa(cos_coeffs[None, :], p, m)[0]
     period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
     monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
     min_height = float(np.min(w_s) + p.h)
@@ -365,7 +368,7 @@ def _admissibility(cos_coeffs, samples, p: PhysicalParams):
         )
         if not ok
     )
-    return AdmissibilityReport(
+    return samples, AdmissibilityReport(
         min_height, min_slope, min_metric, monotone, failures, not failures
     )
 
@@ -386,5 +389,4 @@ def check_admissibility(w, p: PhysicalParams):
     """
     if not w.is_even:
         raise ValueError("elevation must live in the even (cosine) space")
-    samples = _surface_rows(w.cos_coeffs[None, :], p, collocation_size(w.n_modes))
-    return _admissibility(w.cos_coeffs, samples, p)
+    return _admissibility(w.cos_coeffs, p, collocation_size(w.n_modes))[1]

@@ -228,8 +228,6 @@ def test_criterion_09_pressure_gauge_invariance(water, timed_branch):
     pairs = (
         (rep0.residual_sup, rep1.residual_sup),
         (rep0.surface_trace_defect, rep1.surface_trace_defect),
-        (rep0.bottom_trace_defect, rep1.bottom_trace_defect),
-        (rep0.gauge_defect, rep1.gauge_defect),
         (rep0.force_balance_fine, rep1.force_balance_fine),
     )
     for d0, d1 in pairs:

@@ -434,14 +434,13 @@ def test_validate_traced_branch(tmp_path):
         ["--config", cfg, "--out", str(out), "validate", str(out / "branch.json")]
     ) == 0
     payload = json.loads((out / "validation.json").read_text())
-    assert payload["schema"] == "flowforce/validation-v2"
+    assert payload["schema"] == "flowforce/validation-v3"
     assert payload["passed"] is True
     assert len(payload["points"]) == 1
     point = payload["points"][0]
     assert sorted(point) == [
-        "admissible", "audit_rows", "bottom_trace_defect", "failures",
-        "force_balance_fine", "gauge_defect", "harmonic_defect", "passed",
-        "residual_sup", "s", "surface_trace_defect",
+        "audit_rows", "failures", "force_balance_fine", "harmonic_defect",
+        "passed", "residual_sup", "s", "surface_trace_defect",
     ]
     assert point["passed"] is True
     assert point["failures"] == []
@@ -506,17 +505,26 @@ def test_reconstruct_outputs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, flags", [("validate", []), ("reconstruct", ["--index", "0"])]
+    "command, flags, coefficient",
+    [
+        ("validate", [], 0.15),
+        ("reconstruct", ["--index", "0"], 0.15),
+        ("validate", [], 1e160),
+        ("reconstruct", ["--index", "0"], 1e160),
+    ],
+    ids=["validate-flags0", "reconstruct-flags1", "validate-overflow", "reconstruct-overflow"],
 )
-def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
+def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags, coefficient):
     # a first coefficient of 0.15 over depth 0.1 pushes the trough through
-    # the bed, so the stored point is no admissible surface
+    # the bed, so the stored point is no admissible surface; at 1e160 its
+    # squared slope overflows too, and the gate still rejects it, with no
+    # warning (an error under pytest)
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
     assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
     branch_file = out / "branch.json"
     payload = json.loads(branch_file.read_text())
-    payload["points"][0]["cos_coeffs"][1] = 0.15
+    payload["points"][0]["cos_coeffs"][1] = coefficient
     branch_file.write_text(json.dumps(payload))
     code = main(
         ["--config", cfg, "--out", str(out), command, str(branch_file), *flags]
@@ -525,6 +533,7 @@ def test_inadmissible_branch_point_rejected(tmp_path, capsys, command, flags):
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {branch_file}: point 0 at s = 0.001:")
     assert "admissible" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -575,10 +584,21 @@ def _one_point_branch(**record):
         (_one_point_branch(mu=math.nan), "point 0: non-finite mu = nan"),
         (_one_point_branch(**{"lambda": math.inf}), "point 0: non-finite lambda = inf"),
         ({**_one_point_branch(), "points": []}, "branch file holds no points"),
+        (_one_point_branch(s="1e-3"), "malformed branch record ('1e-3' is not a number)"),
+        (_one_point_branch(cos_coeffs=["0.0", "1e-4"]), "malformed branch record"),
+        (_one_point_branch(cos_coeffs=[False, 1e-4]), "malformed branch record"),
+        (_one_point_branch(mu=True), "malformed branch record (True is not a number)"),
+        (
+            {**_one_point_branch(), "params": {"g": True, "sigma": 0.073, "h": 0.1, "k": 10.0}},
+            "malformed branch record (True is not a number)",
+        ),
+        ({**_one_point_branch(), "params": [9.81]}, "malformed branch record"),
     ],
     ids=[
         "not_an_object", "nan_coefficient", "infinite_s", "nan_s",
         "infinite_mu", "nan_mu", "infinite_lambda", "no_points",
+        "string_s", "string_coefficients", "boolean_coefficient", "boolean_mu",
+        "boolean_param", "params_not_an_object",
     ],
 )
 def test_malformed_branch_file_rejected(tmp_path, capsys, payload, detail, command):

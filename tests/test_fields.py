@@ -104,9 +104,11 @@ def test_laminar_surface_value_and_slope(water):
 
 
 def test_wave_traces(water, wave_point):
-    # the audit reads the traces on its own Chebyshev rows; reconstruct's
-    # uniform rows meet the same bounds, on desk water, kh = 20 water and
-    # under p_atm = 101325
+    # the audit reads the surface trace on its own Chebyshev rows;
+    # reconstruct's uniform rows meet the same bound, on desk water, kh = 20
+    # water and under p_atm = 101325.  The bed row, at depth fraction
+    # exactly 0, is exactly zero on both grids, so the audit does not
+    # measure it
     deep = water.replace(h=2.0)
     for p, point in (
         (water, wave_point),
@@ -118,8 +120,11 @@ def test_wave_traces(water, wave_point):
         scale = max(1.0, abs(s0))
         assert field.surface_value == pytest.approx(s0, rel=1e-15)
         assert np.max(np.abs(field.flow_force[-1] - s0)) < 1e-10 * scale
-        assert np.max(np.abs(field.flow_force[0])) < 1e-10 * scale
-        assert np.max(np.abs(field.harmonic_potential[0])) < 1e-12
+        curve, layers = SurfaceCurve(point.elevation, p), _layers_of(point, p)
+        audited = fields._chebyshev_field(curve, layers, fields._node_taylor)[3]
+        for bed in (field, audited):
+            assert not np.any(bed.flow_force[0])
+            assert not np.any(bed.harmonic_potential[0])
 
 
 def test_conformal_map_boundary_rows(water, wave_point):
@@ -239,7 +244,6 @@ def test_validate_wave_solution(water, wave_point):
     assert report.harmonic_defect <= 1e-10
     assert report.force_balance_fine <= 1e-9 * water.g
     assert report.residual_sup < 1e-9
-    assert report.gauge_defect < 1e-9
     assert report.admissibility.passed
 
 
@@ -274,8 +278,8 @@ def test_tampered_profile_fails_validation(water, wave_point):
 
 def test_validation_audits_on_its_own_rows(water, wave_point):
     # every defect is read on the one field the audit builds, on Chebyshev
-    # rows and collocation_size(N) columns: the traces on its bed and
-    # surface rows, at depth fractions exactly 0 and 1
+    # rows and collocation_size(N) columns: the surface trace on its top row,
+    # at depth fraction exactly 1; its bed row, at exactly 0, is exactly zero
     n_x = collocation_size(wave_point.elevation.n_modes)
     curve = SurfaceCurve(wave_point.elevation, water)
     layers = _layers_of(wave_point, water)
@@ -287,7 +291,7 @@ def test_validation_audits_on_its_own_rows(water, wave_point):
     assert report.audit_rows == audit_rows
     top = np.max(np.abs(field.flow_force[-1] - field.surface_value))
     assert report.surface_trace_defect == top
-    assert report.bottom_trace_defect == np.max(np.abs(field.flow_force[0]))
+    assert not np.any(field.flow_force[0])
 
 
 def _count_calls(monkeypatch, owner, name, calls=None):
@@ -303,10 +307,9 @@ def _count_calls(monkeypatch, owner, name, calls=None):
 
 
 def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
-    # validation inverts only the 16-row Chebyshev grid and assembles two
-    # fields on its geometry, the audited one and the gauge-shifted one,
-    # without calling reconstruct; its four harmonic extensions are that
-    # grid's map, potential and map gradient and the shifted potential.
+    # validation inverts only the 16-row Chebyshev grid and assembles one
+    # field on its geometry, without calling reconstruct; its three
+    # harmonic extensions are that grid's map, potential and map gradient.
     # Its verdict on admissibility comes from the residual it evaluates, so
     # it makes no check_admissibility call
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
@@ -321,8 +324,8 @@ def test_validated_point_inverts_each_grid_once(water, wave_point, monkeypatch):
     assert len(inverts) == 1
     assert rebuilds == []
     assert checks == []
-    assert len(assemblies) == 2
-    assert len(extensions) == 4
+    assert len(assemblies) == 1
+    assert len(extensions) == 3
 
 
 @pytest.mark.parametrize("depth, audit_rows", [(0.1, 16), (2.0, 32)], ids=["desk", "kh20"])
@@ -334,8 +337,8 @@ def test_each_wave_is_sampled_once(water, depth, audit_rows, monkeypatch):
     p = water.replace(h=depth)
     point = trace_branch(1e-3, 1, p, n_modes=32).points[0]
     samplings, analyses = [], []
-    for module in (surface_equation, fields):
-        _count_calls(monkeypatch, module, "_surface_rows", samplings)
+    # every gate samples through surface_equation._admissibility
+    _count_calls(monkeypatch, surface_equation, "_surface_rows", samplings)
     for module in (spectral, fields):
         _count_calls(monkeypatch, module, "analyze", analyses)
     report = validate_solution(point, p)
@@ -371,7 +374,7 @@ def test_validated_point_evaluates_elevation_once_per_grid(
 ):
     # depth + w(x_s) is free of p_atm and of the speed: the audit's one
     # geometry synthesizes w's node expansion once, for the inverted half
-    # of its columns, and both fields assembled on it read it
+    # of its columns, and the field assembled on it reads it
     w = wave_point.elevation
     shapes = []
     original = fields._node_taylor
@@ -394,7 +397,7 @@ def test_validated_point_evaluates_elevation_once_per_grid(
 def test_each_series_is_expanded_once(water, depth, audit_rows, monkeypatch):
     # an audited point builds the node expansions of C(w), w, the tension
     # strength and the curvature once each, whatever the number of row
-    # counts it tries, and its gauge-shifted field reuses the tension's
+    # counts it tries (one field each: 1 on desk water, 2 at kh = 20)
     p = water.replace(h=depth)
     point = trace_branch(1e-3, 1, p, n_modes=32).points[0]
     expansions = _count_calls(monkeypatch, fields, "_node_taylor")
@@ -516,16 +519,17 @@ def test_inversion_of_nan(water, wave_point):
 
 
 def test_validate_under_atmospheric_pressure(water, wave_point, monkeypatch):
-    # p_atm != 0 costs no extra inversion: both fields reuse the Chebyshev
-    # geometry, and the audit sees the same gauge-free flow force, so the
-    # same balance as without pressure and no gauge defect
+    # p_atm != 0 costs no extra inversion, and the audit sees the same
+    # gauge-free flow force and residual: every defect but the potential
+    # layer's, which carries p_atm*v, is bitwise the one without pressure
     pressured = water.replace(p_atm=101325.0)
     plain = validate_solution(wave_point, water)
     inverts = _count_calls(monkeypatch, SurfaceCurve, "invert")
     report = validate_solution(wave_point, pressured)
     assert report.passed, report.failures
     assert len(inverts) == 1
-    assert report.gauge_defect == 0.0
+    assert report.surface_trace_defect == plain.surface_trace_defect
+    assert report.residual_sup == plain.residual_sup
     assert report.force_balance_fine == plain.force_balance_fine
     assert report.audit_rows == plain.audit_rows
 
