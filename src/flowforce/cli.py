@@ -344,11 +344,20 @@ def cmd_branch(config):
     return 0
 
 
-def _number(value):
-    """A JSON number as a float; a string or a boolean is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
+def _entry(container, key, kind):
+    """container[key] as a JSON object (dict), array (list) or finite number
+    (float; a string or a boolean is none); a ValueError naming the key otherwise."""
+    nouns = {dict: "an object", list: "an array", float: "a finite number"}
+    label = f"key {key!r}" if isinstance(key, str) else f"entry {key}"
+    if isinstance(key, str) and key not in container:
+        raise ValueError(f"missing {label}")
+    value = container[key]
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # not NaN, not inf, not an int too large for a float
+    if kind is not float and isinstance(value, kind):
+        return value
+    got = nouns[type(value)] if isinstance(value, (dict, list)) else json.dumps(value)
+    raise ValueError(f"{label}: expected {nouns[kind]}, got {got}")
 
 
 def _load_branch(path):
@@ -366,28 +375,24 @@ def _load_branch(path):
         raise InputFileError(f"{path}: branch file does not hold a JSON object")
     if payload.get("schema") != "flowforce/branch-v1":
         raise InputFileError(f"{path}: unrecognized branch schema {payload.get('schema')!r}")
+    where, points = "", []  # where: the record being read, named by any error
     try:
-        params = PhysicalParams(**{k: _number(v) for k, v in payload["params"].items()})
-        points = [
-            (
-                _number(rec["s"]),
-                TrialState(
-                    _number(rec["lambda"]),
-                    _number(rec["mu"]),
-                    PeriodicFunction.from_cosines([_number(a) for a in rec["cos_coeffs"]]),
-                ),
-            )
-            for rec in payload["points"]
-        ]
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, InvalidSamples) as exc:
-        raise InputFileError(f"{path}: malformed branch record ({exc})") from exc
+        values, records = _entry(payload, "params", dict), _entry(payload, "points", list)
+        where = "params: "
+        params = PhysicalParams(**{key: _entry(values, key, float) for key in values})
+        for index in range(len(records)):
+            where = "key 'points': "
+            record = _entry(records, index, dict)
+            where = f"point {index}: "
+            s, lam, mu = (_entry(record, key, float) for key in ("s", "lambda", "mu"))
+            coeffs = _entry(record, "cos_coeffs", list)
+            where += "key 'cos_coeffs': "
+            coeffs = [_entry(coeffs, j, float) for j in range(len(coeffs))]
+            points.append((s, TrialState(lam, mu, PeriodicFunction.from_cosines(coeffs))))
+    except (TypeError, ValueError, InvalidSamples) as exc:
+        raise InputFileError(f"{path}: malformed branch record: {where}{exc}") from exc
     if not points:
         raise InputFileError(f"{path}: branch file holds no points")
-    for index, (s, state) in enumerate(points):
-        named = {"amplitude s": s, "lambda": state.speed_sq, "mu": state.bernoulli_shift}
-        for name, value in named.items():
-            if not math.isfinite(value):
-                raise InputFileError(f"{path}: point {index}: non-finite {name} = {value!r}")
     return params, points
 
 

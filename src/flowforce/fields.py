@@ -311,13 +311,16 @@ def _correction_curvature(layers):
 
     The atmospheric part of that quotient is the constant -p_atm, so the
     tension strength alone gives it, over the layers' surface heights.
-    d/dX = d/dx / (1/k + C(w')) acts on the quotient's N-mode interpolant.
+    d/dX = d/dx / (1/k + C(w')) acts on the quotient's interpolant on the
+    collocation grid with every mode it resolves (2N - 1): the field pulls
+    the quotient's modes above N back too, and d^2 weights them by n^2, so
+    cutting them at N would leave a bend that the field does not have.
     """
-    n, m = layers.tension.n_modes, layers.heights.size
+    m = layers.heights.size
     quotient = layers.tension.samples(m) / layers.heights
     for _ in range(2):
-        quotient = derivative(analyze(quotient).truncated(n)).samples(m) / layers.slope
-    return analyze(quotient).truncated(n)
+        quotient = derivative(analyze(quotient)).samples(m) / layers.slope
+    return analyze(quotient)
 
 
 def _chebyshev_field(curve, layers, expand):

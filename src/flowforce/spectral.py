@@ -23,7 +23,6 @@ from .errors import InvalidSamples, MeanNotZero
 __all__ = [
     "PeriodicFunction",
     "analyze",
-    "eval_many",
     "collocation_size",
     "derivative",
     "hilbert_strip",
@@ -331,8 +330,17 @@ class PeriodicFunction:
         return out
 
     def eval_at(self, x):
-        """Values at points of any shape (a scalar gives a scalar); see eval_many."""
-        return eval_many((self,), x)[0]
+        """Values at points of any shape (a scalar gives a scalar).
+
+        Clenshaw's recurrence in Reinsch's stable form (_reinsch_recurrence),
+        O(points * N) with no (points x N) temporary, after one point setup
+        (_eval_points).  An all-zero cosine or sine block is skipped, so an
+        even series never runs the sine sums.  Points with cos(x) < 0 are
+        summed as x = y + pi, which flips the sign of the odd modes:
+        lam = -4 cos^2(x/2) and sin(y) = -sin(x).
+        """
+        x = np.asarray(x, dtype=float)
+        return _eval_sums(self, _eval_points(x), x.shape)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.samples())))
@@ -380,9 +388,9 @@ class PeriodicFunction:
 
 
 def _eval_points(x):
-    """The point setup that every series summed at x shares (see eval_many):
-    per nonempty half of the circle, its selector, whether it is summed as
-    y = x - pi, and its lam = -4 sin^2(y/2) and sin(y)."""
+    """The point setup of x, shared by every series summed there (eval_at,
+    SurfaceCurve.invert): per nonempty half of the circle, its selector,
+    whether it is summed as y = x - pi, and its lam = -4 sin^2(y/2) and sin(y)."""
     half = 0.5 * x.reshape(-1)
     s, c = np.sin(half), np.cos(half)
     near_pi = np.abs(s) > np.abs(c)
@@ -408,23 +416,6 @@ def _eval_sums(f, points, shape):
             c_1, d_1 = _reinsch_recurrence(lam, flipped_coeffs if flipped else coeffs)
             flat[sel] += c_1 * sin_y if is_sin else 0.5 * lam * c_1 + d_1
     return out[()]
-
-
-def eval_many(functions, x):
-    """Values of several series at the same points (a scalar x gives scalars).
-
-    Clenshaw's recurrence in Reinsch's stable form (_reinsch_recurrence),
-    cost O(points * N) per series with a few point-sized work arrays and
-    no (points x N) temporary.  The point setup (_eval_points) is shared;
-    each series runs its own sums (_eval_sums), so its values are those
-    of its own eval_at bit for bit.  An all-zero cosine or sine block is
-    skipped, so an even series never runs the sine sums.  Points with
-    cos(x) < 0 are summed as x = y + pi, which flips the sign of the odd
-    modes: lam = -4 cos^2(x/2) and sin(y) = -sin(x).
-    """
-    x = np.asarray(x, dtype=float)
-    points = _eval_points(x)
-    return [_eval_sums(f, points, x.shape) for f in functions]
 
 
 def analyze(samples):
@@ -501,7 +492,7 @@ def harmonic_extension(f, d, rows, n_x=None):
     rows are depth fractions t in [0, 1] (strip_rows or chebyshev_rows),
     row t at y = d (t - 1).  Returns a read-only (len(rows), n_x) array,
     row 0 the bed, on the columns grid_nodes(n_x).  An all-zero cosine or
-    sine block is skipped, as in eval_many, and so is a zero mean's linear
+    sine block is skipped, as in eval_at, and so is a zero mean's linear
     part, which would only repeat the mean's signed zero.
     """
     dv = _depth_value(d)

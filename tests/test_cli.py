@@ -21,7 +21,7 @@ from flowforce import (
 from flowforce.cli import _KEYS, RunConfig, _build_parser, _write_csv, load_config, main
 from flowforce.fields import SurfaceCurve
 from flowforce.spectral import (
-    PeriodicFunction, collocation_size, eval_many, grid_nodes, strip_nodes,
+    PeriodicFunction, collocation_size, grid_nodes, strip_nodes,
 )
 from flowforce.surface_equation import TrialState, _surface_abscissa
 
@@ -198,9 +198,9 @@ def test_branch_profiles_have_one_crest(tmp_path):
 
 
 def _profile(curve, x):
-    """(x/k + C(w)(x), depth + w(x)) of a curve by one eval_many pass: the
+    """(x/k + C(w)(x), depth + w(x)) of a curve by direct summation: the
     oracle of its abscissa, independent of _surface_abscissa."""
-    conj, w = eval_many((curve._conjugate, curve.elevation), x)
+    conj, w = curve._conjugate.eval_at(x), curve.elevation.eval_at(x)
     return x / curve.params.k + conj, curve.params.h + w
 
 
@@ -572,33 +572,81 @@ def _one_point_branch(**record):
     }
 
 
+def _third_point_branch(**record):
+    payload = _one_point_branch()
+    good = payload["points"][0]
+    return {**payload, "points": [good, good, {**good, **record}]}
+
+
+_NUMBER = "expected a finite number, got"
+
+
 @pytest.mark.parametrize("command", ["validate", "reconstruct"])
 @pytest.mark.parametrize(
     "payload, detail",
     [
         ([], "JSON object"),
-        (_one_point_branch(cos_coeffs=[0.0, math.nan]), "malformed branch record"),
-        (_one_point_branch(s=math.inf), "point 0: non-finite amplitude s = inf"),
-        (_one_point_branch(s=math.nan), "point 0: non-finite amplitude s = nan"),
-        (_one_point_branch(mu=math.inf), "point 0: non-finite mu = inf"),
-        (_one_point_branch(mu=math.nan), "point 0: non-finite mu = nan"),
-        (_one_point_branch(**{"lambda": math.inf}), "point 0: non-finite lambda = inf"),
+        (
+            _one_point_branch(cos_coeffs=[0.0, math.nan]),
+            f"point 0: key 'cos_coeffs': entry 1: {_NUMBER} NaN",
+        ),
+        (_one_point_branch(s=math.inf), f"point 0: key 's': {_NUMBER} Infinity"),
+        (_one_point_branch(s=math.nan), f"point 0: key 's': {_NUMBER} NaN"),
+        (_one_point_branch(mu=math.inf), f"point 0: key 'mu': {_NUMBER} Infinity"),
+        (_one_point_branch(mu=math.nan), f"point 0: key 'mu': {_NUMBER} NaN"),
+        (
+            _one_point_branch(**{"lambda": math.inf}),
+            f"point 0: key 'lambda': {_NUMBER} Infinity",
+        ),
         ({**_one_point_branch(), "points": []}, "branch file holds no points"),
-        (_one_point_branch(s="1e-3"), "malformed branch record ('1e-3' is not a number)"),
-        (_one_point_branch(cos_coeffs=["0.0", "1e-4"]), "malformed branch record"),
-        (_one_point_branch(cos_coeffs=[False, 1e-4]), "malformed branch record"),
-        (_one_point_branch(mu=True), "malformed branch record (True is not a number)"),
+        (_one_point_branch(s="1e-3"), f"point 0: key 's': {_NUMBER} \"1e-3\""),
+        (
+            _one_point_branch(cos_coeffs=["0.0", "1e-4"]),
+            f"point 0: key 'cos_coeffs': entry 0: {_NUMBER} \"0.0\"",
+        ),
+        (
+            _one_point_branch(cos_coeffs=[False, 1e-4]),
+            f"point 0: key 'cos_coeffs': entry 0: {_NUMBER} false",
+        ),
+        (_one_point_branch(mu=True), f"point 0: key 'mu': {_NUMBER} true"),
         (
             {**_one_point_branch(), "params": {"g": True, "sigma": 0.073, "h": 0.1, "k": 10.0}},
-            "malformed branch record (True is not a number)",
+            f"params: key 'g': {_NUMBER} true",
         ),
-        ({**_one_point_branch(), "params": [9.81]}, "malformed branch record"),
+        (
+            {**_one_point_branch(), "params": [9.81]},
+            "key 'params': expected an object, got an array",
+        ),
+        (_third_point_branch(s="1e-3"), f"point 2: key 's': {_NUMBER} \"1e-3\""),
+        (
+            _one_point_branch(cos_coeffs="0.5"),
+            "point 0: key 'cos_coeffs': expected an array, got \"0.5\"",
+        ),
+        (
+            {**_one_point_branch(), "points": [{"s": 1e-3, "lambda": 1.3, "cos_coeffs": [0.0]}]},
+            "point 0: missing key 'mu'",
+        ),
+        (
+            {**_one_point_branch(), "points": {"0": _one_point_branch()["points"][0]}},
+            "key 'points': expected an array, got an object",
+        ),
+        (
+            {**_one_point_branch(), "points": [5]},
+            "key 'points': entry 0: expected an object, got 5",
+        ),
+        (_third_point_branch(s=10**400), f"point 2: key 's': {_NUMBER} {10**400}"),
+        (
+            _third_point_branch(cos_coeffs=[0.5, 1e-4]),
+            "point 2: key 'cos_coeffs': elevation must have zero mean",
+        ),
     ],
     ids=[
         "not_an_object", "nan_coefficient", "infinite_s", "nan_s",
         "infinite_mu", "nan_mu", "infinite_lambda", "no_points",
         "string_s", "string_coefficients", "boolean_coefficient", "boolean_mu",
-        "boolean_param", "params_not_an_object",
+        "boolean_param", "params_not_an_object", "string_s_in_point_2",
+        "string_coefficient_list", "missing_mu", "points_not_a_list",
+        "point_not_an_object", "integer_s_too_large", "nonzero_mean_in_point_2",
     ],
 )
 def test_malformed_branch_file_rejected(tmp_path, capsys, payload, detail, command):
@@ -609,7 +657,10 @@ def test_malformed_branch_file_rejected(tmp_path, capsys, payload, detail, comma
     assert main(["--out", str(tmp_path), command, str(branch_file)]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {branch_file}: ")
+    # a bad record is named by its point (or params) and its key
     assert detail in err
+    if detail.startswith(("point", "params", "key")):
+        assert err == f"input error: {branch_file}: malformed branch record: {detail}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["branch.json"]  # no artifact
 
 

@@ -42,7 +42,6 @@ from flowforce.spectral import (
     chebyshev_rows,
     collocation_size,
     cosh_ratio,
-    eval_many,
     sinh_ratio,
     strip_rows,
 )
@@ -64,10 +63,10 @@ def _laminar_state(p, n_modes=8):
 
 
 def _profile(curve, x):
-    """(x/k + C(w)(x), depth + w(x)) of a curve by one eval_many pass: the
+    """(x/k + C(w)(x), depth + w(x)) of a curve by direct summation: the
     oracle of its abscissa, independent of _surface_abscissa."""
     x = np.asarray(x, dtype=float)
-    conj, w = eval_many((curve._conjugate, curve.elevation), x)
+    conj, w = curve._conjugate.eval_at(x), curve.elevation.eval_at(x)
     return x / curve.params.k + conj, curve.params.h + w
 
 
@@ -222,15 +221,19 @@ def test_audit_operators_match_mode_sums(water, wave_point):
         vy = 1.0 / water.k + (cosh_ratio(modes, y, water.strip_depth) * na) @ cos_mat
         grad_sq = fields._map_gradient_sq(w, water, strip_rows(n_y), n_x)
         assert np.array_equal(grad_sq, vx**2 + vy**2)
+    # the curvature keeps every mode the collocation grid resolves, 2N - 1
     layers = _layers_of(wave_point, water)
     m = layers.heights.size
-    cos_mat, sin_mat = _trig_matrices(m, n)
+    top = (m - 1) // 2
+    modes = np.arange(1, top + 1)
+    cos_mat, sin_mat = _trig_matrices(m, top)
     quotient = layers.tension.samples(m) / layers.heights
     for _ in range(2):
         a, b = _spectrum(quotient[None, :])
-        slope = 0.0 + (modes * b[0, :n]) @ cos_mat - (modes * a[0, 1 : n + 1]) @ sin_mat
+        slope = 0.0 + (modes * b[0]) @ cos_mat - (modes * a[0, 1:]) @ sin_mat
         quotient = slope / layers.slope
-    expect = analyze(quotient).truncated(n)
+    expect = analyze(quotient)
+    assert expect.n_modes == 2 * n - 1
     assert np.array_equal(fields._correction_curvature(layers).cos_coeffs, expect.cos_coeffs)
 
 
@@ -564,27 +567,25 @@ _DESK = PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0)
         (_DESK.replace(g=0.0, h=2.0), 1e-2, 4, 64),
         (_DESK.replace(h=0.5), 3e-2, 4, 64),
         (_DESK, 5e-2, 8, 64),
+        (_DESK, 1e-2, 4, 8),
+        (_DESK, 5e-2, 8, 32),
     ],
-    ids=["water-kh20", "gravity-kh3", "capillary-kh20", "water-kh5-ks0.3", "desk-ks0.5-N64"],
+    ids=[
+        "water-kh20", "gravity-kh3", "capillary-kh20", "water-kh5-ks0.3", "desk-ks0.5-N64",
+        "desk-ks0.1-N8", "desk-ks0.5-N32",
+    ],
 )
 def test_resolved_waves_pass_the_audit(p, s_max, steps, n_modes):
     # resolved waves whose Galerkin residuals sit at rounding; the stencil
-    # audit this one replaced rejected every case here at n_y = 64
+    # audit this one replaced rejected the first five at n_y = 64; the
+    # points of the last two lie within 1.6e-10 of the converged waves
+    # (N = 64 and 128, tol = 1e-13)
     branch = trace_branch(s_max, steps, p, n_modes=n_modes)
     assert branch.failure is None and len(branch.points) == steps
     for point in branch.points:
         report = validate_solution(point, p)
         assert report.passed, (point.amplitude, report.failures)
         assert report.audit_rows <= 64
-
-
-def test_steep_desk_wave_fails_at_32_modes(water):
-    # at k s = 0.5, 32 modes leave a truncation error in S that the force
-    # balance reads at about 1.4e-7 g on every row count; 64 modes pass
-    point = trace_branch(5e-2, 8, water, n_modes=32).points[-1]
-    report = validate_solution(point, water)
-    assert report.failures == ("force balance defect above tolerance",)
-    assert report.force_balance_fine > 1e-8 * water.g
 
 
 def test_perturbed_tension_strength_fails_the_force_balance(water, monkeypatch):

@@ -37,7 +37,6 @@ from flowforce.spectral import (
     chebyshev_rows,
     collocation_size,
     cosh_ratio,
-    eval_many,
     scaled_coth,
     sinh_ratio,
     strip_rows,
@@ -151,22 +150,6 @@ def _series_kinds(n_modes, rng):
         PeriodicFunction(a, b),
         PeriodicFunction.zero(n_modes),
     ]
-
-
-def test_eval_many_equals_separate_eval_at():
-    # the shared point setup must not change any series' bits, whatever
-    # sits beside it in the call; points within 1e-9 of 0 and +-pi
-    rng = np.random.default_rng(11)
-    near = np.linspace(-1e-9, 1e-9, 21)
-    x = np.concatenate([near, np.pi + near, -np.pi + near, np.linspace(-30.0, 30.0, 601)])
-    groups = [_series_kinds(n, rng) for n in (0, 1, 8, 64)]
-    for series in groups + [[f for group in groups for f in group]]:
-        for points in (x, x[:660].reshape(33, 20), 1e-10):
-            shared = eval_many(series, points)
-            assert len(shared) == len(series)
-            for f, got in zip(series, shared):
-                assert np.array_equal(got, f.eval_at(points))
-                assert np.shape(got) == np.shape(points)
 
 
 @pytest.mark.parametrize("m", [8, 33, 256])
