@@ -36,7 +36,7 @@ from .errors import (
 from .fields import reconstruct, validate_solution
 from .params import PhysicalParams
 from .spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
-from .surface_equation import TrialState, _surface_abscissa, _surface_rows
+from .surface_equation import TrialState, _surface_abscissa
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -322,11 +322,11 @@ def _write_profiles(path, branch):
     p, m = branch.params, collocation_size(branch.n_modes)
     stacked = [pt.elevation.cos_coeffs for pt in branch.points]
     coeffs = np.reshape(stacked, (-1, branch.n_modes + 1))  # (0, N + 1) with no points
-    height = p.h + _surface_rows(coeffs, p, m)[0]
+    heights = [p.h + pt.elevation.samples(m) for pt in branch.points]
     abscissa = _surface_abscissa(coeffs, p, m)
     s = _cell_texts([pt.amplitude for pt in branch.points])
     x = _cell_texts(grid_nodes(m))
-    blocks = ([repeat(s[i], m), x, abscissa[i], height[i]] for i in range(len(s)))
+    blocks = ([repeat(s[i], m), x, abscissa[i], heights[i]] for i in range(len(s)))
     _write_csv(path, "s [m],x [rad],X [m],Y [m]", blocks)
 
 

@@ -114,15 +114,17 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     N > 32 modes Newton visits the levels 32, 64, ... below N, then N,
     each from the last one's result zero-padded; at N <= 32 the one
     level is N.  Each level tests its residual (max-norm <= tol) before
-    each Jacobian assembly, so a level that the last one resolves costs
-    one residual and no linear solve: the N-mode test certifies the
-    truncation, and the tail above the last level that took an update is
-    exactly zero.  max_iter caps the updates of all levels together, and
-    the iterations reported count them all.  A level stops early on the
-    residual's rounding floor: once an update moves theta by at most
-    sqrt(eps) * max|theta|, quadratic contraction predicts a next step
-    below rounding, so a residual that then fails to fall can never
-    reach tol.  Raises SingularJacobian past condition 1e14,
+    each Jacobian assembly.  The first level's result, and each later
+    one's after an update, is tested at N modes zero-padded, the
+    truncation certificate: a passing state is returned, its tail above
+    the last level that took an update exactly zero; a failing one goes
+    up the ladder, and its N-mode residual is the N level's first, so no
+    state is tested at N twice.  max_iter caps the updates of all levels
+    together, and the iterations reported count them all.  A level stops
+    early on the residual's rounding floor: once an update moves theta
+    by at most sqrt(eps) * max|theta|, quadratic contraction predicts a
+    next step below rounding, so a residual that then fails to fall can
+    never reach tol.  Raises SingularJacobian past condition 1e14,
     NoConvergence on such a stall or after max_iter updates, and
     InadmissibleIterate when an iterate leaves the physical regime: the
     gate sits in the residual, which samples each iterate (the
@@ -130,25 +132,30 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     else is evaluated on it.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
-    level, done = min(n, _COARSEST_MODES), 0
+    level, done, tested = min(n, _COARSEST_MODES), 0, None
     while True:
-        state, done, norm = _newton_level(state, s, p, level, tol, done, max_iter)
+        start, first = done, tested if level == n else None
+        state, done, norm = _newton_level(state, s, p, level, tol, done, max_iter, first)
         if level == n:
             return state, done, norm
+        if tested is None or done > start:
+            state = _trial_state(*_unknowns(state, n))
+            tested = galerkin_residual(state, p, n_modes=n)
+            if (norm := float(np.max(np.abs(tested)))) <= tol:
+                return state, done, norm
         level = min(2 * level, n)
 
 
-def _newton_level(state, s, p, n, tol, done, max_iter):
-    """Newton at n modes, counting iterations on from `done` to max_iter."""
+def _newton_level(state, s, p, n, tol, done, max_iter, r=None):
+    """Newton at n modes, iterations `done` to max_iter; r: state's n-mode residual."""
     theta, a0 = _unknowns(state, n)
     theta[2] = s
     # every unknown but a_1 (theta[2]), which is the frozen amplitude
     active = np.r_[0, 1, 3 : n + 2]
     current = _trial_state(theta, a0)
-    norm = float("inf")
-    small_step = False
+    norm, small_step = float("inf"), False
     for it in range(done, max_iter + 1):
-        r = galerkin_residual(current, p, n_modes=n)
+        r = galerkin_residual(current, p, n_modes=n) if r is None or it > done else r
         previous, norm = norm, float(np.max(np.abs(r)))
         if norm <= tol:
             return current, it, norm

@@ -173,7 +173,7 @@ def _spectrum(values):
     Nyquist mode of an even-length grid is dropped).  A row's sines are
     zeroed when none exceeds _PARITY_TOL * max(1, largest coefficient).
     """
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InvalidSamples("non-finite sample values")
     m = values.shape[1]
     top = (m - 1) // 2
@@ -182,8 +182,8 @@ def _spectrum(values):
     a[:, 0] = spec[:, 0].real / m
     a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
     b = -2.0 * spec[:, 1 : top + 1].imag / m
-    b_max = np.max(np.abs(b), axis=1, initial=0.0)
-    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), b_max))
+    b_max = np.abs(b).max(axis=1, initial=0.0)
+    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=1), b_max))
     b[b_max <= _PARITY_TOL * scale] = 0.0
     return a, b
 
@@ -216,6 +216,14 @@ def scaled_coth(z):
     zc = np.minimum(z, 19.0)
     out = 1.0 + 2.0 / np.expm1(2.0 * zc)
     return np.where(z >= 19.0, 1.0, out)
+
+
+@lru_cache(maxsize=64)
+def _coth_table(n_modes, d):
+    """Cached read-only scaled_coth(n d), n = 1..n_modes."""
+    table = scaled_coth(np.arange(1, n_modes + 1) * d)
+    table.flags.writeable = False
+    return table
 
 
 def sinh_ratio(modes, y, d):
@@ -261,7 +269,7 @@ class PeriodicFunction:
             raise InvalidSamples(
                 "coefficient arrays must be 1-D with len(sin) = len(cos) - 1"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidSamples("non-finite coefficients")
         a.flags.writeable = False
         b.flags.writeable = False
@@ -299,6 +307,8 @@ class PeriodicFunction:
     @classmethod
     def from_cosines(cls, cos_coeffs):
         a = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
+        if not a.size:
+            raise InvalidSamples("no coefficients")
         return cls(a, np.zeros(a.size - 1))
 
     # -- basic queries ------------------------------------------------
@@ -310,7 +320,7 @@ class PeriodicFunction:
     @property
     def is_even(self):
         """Whether the series is even: its sine block is all zero."""
-        return not np.any(self.sin_coeffs)
+        return not self.sin_coeffs.any()
 
     def mean(self):
         return float(self.cos_coeffs[0])
@@ -455,12 +465,10 @@ def hilbert_strip(f, d):
     b_n sin nx -> -b_n coth(nd) cos nx.  Defined on zero-mean data only.
     """
     dv = _depth_value(d)
-    scale = max(1.0, float(np.max(np.abs(f.cos_coeffs))),
-                float(np.max(np.abs(f.sin_coeffs))) if f.n_modes else 0.0)
+    scale = max(1.0, np.abs(f.cos_coeffs).max(), np.abs(f.sin_coeffs).max(initial=0.0))
     if abs(f.mean()) > 1e-12 * scale:
         raise MeanNotZero(f"hilbert_strip needs zero-mean input, mean = {f.mean():.3e}")
-    n = np.arange(1, f.n_modes + 1)
-    coth = scaled_coth(n * dv)
+    coth = _coth_table(f.n_modes, dv)
     a = np.zeros(f.n_modes + 1)
     a[1:] = -coth * f.sin_coeffs
     b = coth * f.cos_coeffs[1:]
@@ -470,8 +478,7 @@ def hilbert_strip(f, d):
 def dirichlet_neumann(f, d):
     """Dirichlet-Neumann map of the strip: mean/d plus n coth(nd) per mode."""
     dv = _depth_value(d)
-    n = np.arange(1, f.n_modes + 1)
-    mult = n * scaled_coth(n * dv)
+    mult = np.arange(1, f.n_modes + 1) * _coth_table(f.n_modes, dv)
     a = np.empty(f.n_modes + 1)
     a[0] = f.cos_coeffs[0] / dv
     a[1:] = mult * f.cos_coeffs[1:]

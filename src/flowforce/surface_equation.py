@@ -38,6 +38,7 @@ from .errors import FlowForceError, InadmissibleIterate, MeanNotZero, SingularEx
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
+    _coth_table,
     _spectrum,
     _synthesize,
     _trig_matrices,
@@ -80,7 +81,7 @@ class TrialState:
         w = self.elevation
         if not w.is_even:
             raise ValueError("elevation must live in the even (cosine) space")
-        scale = max(1.0, float(np.max(np.abs(w.cos_coeffs))))
+        scale = max(1.0, float(np.abs(w.cos_coeffs).max()))
         if abs(w.mean()) > 1e-12 * scale:
             raise ValueError("elevation must have zero mean")
 
@@ -102,8 +103,8 @@ def _trial_state(theta, a0):
 
 def _guard(values, floor, describe):
     """Raise SingularExpression for the first row whose minimum is below floor."""
-    low = np.min(values, axis=1)
-    bad = np.flatnonzero(low < floor)
+    low = values.min(axis=1)
+    bad = (low < floor).nonzero()[0]
     if bad.size:
         row = values[bad[0]]
         j = int(np.argmin(row))
@@ -124,8 +125,8 @@ def _strip_transform(values, n, coth, label, diag):
     """
     a, b = _spectrum(values)
     mean = a[:, 0]
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
-    bad = np.flatnonzero(np.abs(mean) > _MEAN_TOL * scale)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    bad = (np.abs(mean) > _MEAN_TOL * scale).nonzero()[0]
     if bad.size:
         raise MeanNotZero(
             f"inner transform argument {label!r} has mean {float(mean[bad[0]]):.3e}"
@@ -147,7 +148,7 @@ def _surface_rows(cos_coeffs, p: PhysicalParams, m):
     metric w'^2 + (1/k + C(w'))^2, with C the strip Hilbert transform.
     """
     modes = np.arange(1, cos_coeffs.shape[1])
-    coth = scaled_coth(modes * p.strip_depth)
+    coth = _coth_table(modes.size, p.strip_depth)
     cos_mat, sin_mat = _trig_matrices(m, modes.size)
     a = cos_coeffs[:, 1:]
     wp_sin = -modes * a
@@ -188,14 +189,14 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
         lambda low: f"bracket denominator {low:.3e} below floor",
     )
     wp2 = wp**2
-    bracket = np.mean(wp2 / den, axis=1)
-    n_coth = scaled_coth(np.arange(1, n + 1) * p.strip_depth)
+    bracket = (wp2 / den).mean(axis=1)
+    n_coth = _coth_table(n, p.strip_depth)
     g_inner = _strip_transform(w * wp, n, n_coth, "w*w'", diag)
     flux = (cwpp * wp2 - dnv * wpp * wp) / metric32
     flux_t = _strip_transform(flux, n, n_coth, "curvature flux", diag)
     kh = p.k * p.h
     g_part = (
-        (np.mean(w**2, axis=1) / (2.0 * kh))[:, None]
+        ((w**2).mean(axis=1) / (2.0 * kh))[:, None]
         - w / p.k
         + g_inner
         - w * cwp
@@ -245,14 +246,12 @@ def residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
     _surface_rows samples as diag["samples"].
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
-    coeffs = state.elevation.cos_coeffs
-    samples, report = _admissibility(coeffs, p, collocation_size(n))
+    samples, report = _admissibility(state.elevation.cos_coeffs, p, collocation_size(n))
     _admitted(report)
     if diag is not None:
         diag["admissibility"], diag["samples"] = report, samples
     speed_sq, shift = np.array([state.speed_sq]), np.array([state.bernoulli_shift])
-    r = _residual_rows(speed_sq, shift, samples, p, n, diag)
-    return PeriodicFunction.from_cosines(r[0])
+    return PeriodicFunction.from_cosines(_residual_rows(speed_sq, shift, samples, p, n, diag)[0])
 
 
 def galerkin_residual(state: TrialState, p: PhysicalParams, n_modes=None, diag=None):
@@ -339,7 +338,7 @@ class AdmissibilityReport:
 def _surface_abscissa(cos_coeffs, p: PhysicalParams, m):
     """The physical abscissae x/k + C(w) of B even elevations, cos_coeffs of
     shape (B, N + 1), on m nodes; C(w) is the sine series coth(n d) a_n sin(nx)."""
-    coth = scaled_coth(np.arange(1, cos_coeffs.shape[1]) * p.strip_depth)
+    coth = _coth_table(cos_coeffs.shape[1] - 1, p.strip_depth)
     conj = _synthesize(coth * cos_coeffs[:, 1:], _trig_matrices(m, coth.size)[1])
     return grid_nodes(m) / p.k + conj
 
@@ -351,13 +350,11 @@ def _admissibility(cos_coeffs, p: PhysicalParams, m):
     a_0..a_N, on m nodes, and their AdmissibilityReport; besides them only
     the abscissa of the monotone-graph test (_surface_abscissa) is synthesized."""
     samples = _surface_rows(cos_coeffs[None, :], p, m)
-    w_s, _, _, _, _, dnv, metric = samples
+    w, _, _, _, _, dnv, metric = samples
     surface_x = _surface_abscissa(cos_coeffs[None, :], p, m)[0]
     period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
-    monotone = bool(np.all(np.diff(surface_x, append=period_end) > 0.0))
-    min_height = float(np.min(w_s) + p.h)
-    min_slope = float(np.min(dnv))
-    min_metric = float(np.min(metric))
+    monotone = bool((np.diff(surface_x, append=period_end) > 0.0).all())
+    min_height, min_slope, min_metric = float(w.min()) + p.h, float(dnv.min()), float(metric.min())
     failures = tuple(
         failure
         for ok, failure in (
@@ -374,12 +371,11 @@ def _admissibility(cos_coeffs, p: PhysicalParams, m):
 
 
 def _admitted(report):
-    """The toolkit's one admissibility gate: report, or InadmissibleIterate."""
+    """The toolkit's one admissibility gate: InadmissibleIterate unless report passed."""
     if not report.passed:
         raise InadmissibleIterate(
             "surface is not an admissible graph: " + "; ".join(report.failures)
         )
-    return report
 
 
 def check_admissibility(w, p: PhysicalParams):

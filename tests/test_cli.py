@@ -639,6 +639,7 @@ _NUMBER = "expected a finite number, got"
             _third_point_branch(cos_coeffs=[0.5, 1e-4]),
             "point 2: key 'cos_coeffs': elevation must have zero mean",
         ),
+        (_third_point_branch(cos_coeffs=[]), "point 2: key 'cos_coeffs': no coefficients"),
     ],
     ids=[
         "not_an_object", "nan_coefficient", "infinite_s", "nan_s",
@@ -647,6 +648,7 @@ _NUMBER = "expected a finite number, got"
         "boolean_param", "params_not_an_object", "string_s_in_point_2",
         "string_coefficient_list", "missing_mu", "points_not_a_list",
         "point_not_an_object", "integer_s_too_large", "nonzero_mean_in_point_2",
+        "empty_coefficients",
     ],
 )
 def test_malformed_branch_file_rejected(tmp_path, capsys, payload, detail, command):

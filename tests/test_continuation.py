@@ -197,6 +197,21 @@ def _count_jacobians(monkeypatch):
     return calls
 
 
+def _count_residuals(monkeypatch):
+    """Record (n_modes, state) of every galerkin_residual call Newton makes;
+    the state is its speed, shift and coefficient bytes."""
+    calls = []
+    original = continuation.galerkin_residual
+
+    def counting(state, *args, **kwargs):
+        key = (state.speed_sq, state.bernoulli_shift, state.elevation.cos_coeffs.tobytes())
+        calls.append((kwargs.get("n_modes"), key))
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "galerkin_residual", counting)
+    return calls
+
+
 def test_ocean_stall_stops_early(monkeypatch):
     # ocean scale: the residual floor (about 1e-9) lies above tol = 1e-11
     calls = _count_jacobians(monkeypatch)
@@ -251,6 +266,17 @@ def test_nested_newton_certifies_coarse_solution(monkeypatch, p, s_max):
             assert got.residual_norm <= 1e-11
 
 
+def test_resolved_wave_is_certified_once_at_n(monkeypatch, water):
+    # desk water at N = 128 is resolved at 32 modes: each step's 32-mode
+    # result passes its first 128-mode test, so no 64-mode residual runs
+    tests = _count_residuals(monkeypatch)
+    branch = trace_branch(1e-3, 4, water, n_modes=128)
+    assert branch.failure is None and len(branch.points) == 4
+    modes = [n for n, _ in tests]
+    assert 64 not in modes
+    assert modes.count(128) == len(branch.points)
+
+
 def test_nested_newton_updates_levels_32_modes_miss(monkeypatch):
     # pure gravity at kh = 3 to steepness 0.2625: 32 modes do not resolve
     # the steepest points, so the 64- and 128-mode levels take updates too,
@@ -301,13 +327,19 @@ def test_nested_newton_refines_unresolved_levels(monkeypatch, water):
 
 def test_nested_newton_shares_one_iteration_budget(monkeypatch, water):
     # from the linear predictor at steepness 0.05 the 4-mode level takes
-    # three updates and the 8- and 16-mode levels one each
+    # three updates and the 8- and 16-mode levels one each.  The 4- and
+    # 8-mode results each fail one 16-mode test, whose residual is the
+    # 16-mode level's first; its update passes the third
     monkeypatch.setattr(continuation, "_COARSEST_MODES", 4)
     calls = _count_jacobians(monkeypatch)
+    tests = _count_residuals(monkeypatch)
     state = initial_guess(5e-3, water, n_modes=16)
     _, iters, _ = newton_correct(state, 5e-3, water, tol=1e-15, max_iter=5)
     assert iters == 5
     assert calls == [4, 4, 4, 8, 16]
+    assert [n for n, _ in tests] == [4, 4, 4, 4, 16, 8, 8, 16, 16]
+    at_n = [key for n, key in tests if n == 16]
+    assert len(set(at_n)) == len(at_n)  # no state tested at N twice
     calls.clear()
     with pytest.raises(NoConvergence, match="after 4 iterations") as info:
         newton_correct(state, 5e-3, water, tol=1e-15, max_iter=4)

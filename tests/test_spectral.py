@@ -28,6 +28,7 @@ from flowforce import (
 from flowforce import spectral
 from flowforce.spectral import (
     _TAYLOR_DEGREE,
+    _coth_table,
     _node_taylor,
     _synthesize,
     _taylor_fits,
@@ -308,6 +309,15 @@ def test_scaled_coth_frozen_values():
         1.004969823313689, rel=1e-15
     )
     assert scaled_coth(np.array([25.0]))[0] == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 32, 128])
+def test_coth_table_is_cached_read_only_scaled_coth(n):
+    for d in DEPTHS:
+        table = _coth_table(n, d)
+        assert table is _coth_table(n, d)
+        assert not table.flags.writeable
+        assert table.tobytes() == scaled_coth(np.arange(1, n + 1) * d).tobytes()
 
 
 def test_ratio_boundary_values():
