@@ -170,8 +170,9 @@ def _spectrum(values):
     """Interpolation coefficients of every row of uniform grid samples.
 
     Returns cosines a_0..a_K and sines b_1..b_K, K = (m-1)//2 (the
-    Nyquist mode of an even-length grid is dropped).  A row's sines are
-    zeroed when none exceeds _PARITY_TOL * max(1, largest coefficient).
+    Nyquist mode of an even-length grid is dropped).  Parity is left to
+    the caller: solver fields have it by construction, and analyze
+    decides it from samples.
     """
     if not np.isfinite(values).all():
         raise InvalidSamples("non-finite sample values")
@@ -182,9 +183,6 @@ def _spectrum(values):
     a[:, 0] = spec[:, 0].real / m
     a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
     b = -2.0 * spec[:, 1 : top + 1].imag / m
-    b_max = np.abs(b).max(axis=1, initial=0.0)
-    scale = np.maximum(1.0, np.maximum(np.abs(a).max(axis=1), b_max))
-    b[b_max <= _PARITY_TOL * scale] = 0.0
     return a, b
 
 
@@ -256,7 +254,7 @@ class PeriodicFunction:
 
     cos_coeffs holds a_0..a_N, sin_coeffs holds b_1..b_N.  The series is
     even (is_even) exactly when its sine block is all zero; analyze zeros
-    a sine block that is rounding noise (see _spectrum).
+    a sine block that is rounding noise.
     """
 
     cos_coeffs: np.ndarray
@@ -432,14 +430,18 @@ def analyze(samples):
     """Trigonometric interpolation coefficients of uniform grid samples.
 
     Modes up to (M-1)//2 are kept (the Nyquist mode of an even-length
-    grid is dropped).  Sines all below 1e-12 of the largest coefficient
-    are zeroed, so samples of an even function give an even series.
+    grid is dropped).  Sines all at most _PARITY_TOL * max(1, largest
+    coefficient) are zeroed, so samples of an even function give an even
+    series.
     """
     vals = np.asarray(samples, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise InvalidSamples("need a 1-D sample array of length >= 2")
-    a, b = _spectrum(vals[None, :])
-    return PeriodicFunction(a[0], b[0])
+    (a,), (b,) = _spectrum(vals[None, :])
+    b_max = np.abs(b).max(initial=0.0)
+    if b_max <= _PARITY_TOL * max(1.0, np.abs(a).max(), b_max):
+        b[:] = 0.0
+    return PeriodicFunction(a, b)
 
 
 def derivative(f):

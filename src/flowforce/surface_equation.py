@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import onset_speed_sq
-from .errors import FlowForceError, InadmissibleIterate, MeanNotZero, SingularExpression
+from .errors import FlowForceError, InadmissibleIterate, SingularExpression
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _METRIC_FLOOR = 1e-10
-_MEAN_TOL = 1e-10
 # grid values (rows x nodes) per jacobian_fd block; bounds its work arrays
 _BLOCK_SAMPLES = 2**14
 
@@ -117,22 +116,15 @@ def _guard(values, floor, describe):
 
 
 def _strip_transform(values, n, coth, label, diag):
-    """Apply the strip Hilbert transform to grid values, mean-corrected.
+    """Apply the strip Hilbert transform to grid values, mean dropped.
 
-    The analytic arguments are exact x-derivatives (zero mean); the
-    collocation mean picks up only aliasing dust.  It is subtracted,
-    recorded, and trips MeanNotZero when it is genuinely large.
+    The analytic arguments are exact x-derivatives, odd and of zero mean;
+    the collocation mean picks up only aliasing dust.  The transform has
+    no mean mode, so it is dropped; diag records it.
     """
     a, b = _spectrum(values)
-    mean = a[:, 0]
-    scale = np.maximum(1.0, np.abs(values).max(axis=1))
-    bad = (np.abs(mean) > _MEAN_TOL * scale).nonzero()[0]
-    if bad.size:
-        raise MeanNotZero(
-            f"inner transform argument {label!r} has mean {float(mean[bad[0]]):.3e}"
-        )
     if diag is not None:
-        diag.setdefault("subtracted_means", {})[label] = float(mean[0])
+        diag.setdefault("subtracted_means", {})[label] = float(a[0, 0])
     cos_mat, sin_mat = _trig_matrices(values.shape[1], n)
     return (
         0.0
@@ -224,12 +216,8 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
         + tm
         - ((speed_sq + shift)[:, None] + 2.0 * p.sigma * t_s - 2.0 * p.g * w) * metric
     )
-    full, sines = _spectrum(res)
+    full = _spectrum(res)[0]
     if diag is not None:
-        osc = float(full[0, 1:] @ full[0, 1:])
-        sin = float(sines[0] @ sines[0])
-        total = osc + sin
-        diag["sine_energy_fraction"] = 0.0 if total == 0.0 else sin / total
         diag["min_quotient_denominator"] = float(low_d[0])
         diag["min_metric"] = float(low_metric[0])
     return full[:, : n + 1]

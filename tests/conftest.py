@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from flowforce import PhysicalParams
+from flowforce import PhysicalParams, continuation
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,17 @@ def gravity_collision():
     """Pure-gravity parameters whose kernel scan at tol 1e-8 finds mode 2."""
     kh = gravity_collision_depth(1e-8)
     return PhysicalParams(g=9.81, sigma=0.0, h=1.0, k=0.5 * kh), 1e-8
+
+
+@pytest.fixture
+def rank_deficient_jacobian(monkeypatch):
+    """Newton's Jacobians with the first column replaced by the second, so
+    their condition number is far above the SingularJacobian limit."""
+    jacobian = continuation.jacobian_fd
+
+    def patched(*args, **kwargs):
+        jac = jacobian(*args, **kwargs)
+        jac[:, 0] = jac[:, 1]
+        return jac
+
+    monkeypatch.setattr(continuation, "jacobian_fd", patched)

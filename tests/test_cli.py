@@ -9,7 +9,7 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from flowforce import (
     PhysicalParams, check_admissibility, cli, dispersion_table, onset_speed_sq, reconstruct,
     surface_equation,
 )
+from flowforce import fields as field_module
 from flowforce.cli import _KEYS, RunConfig, _build_parser, _write_csv, load_config, main
 from flowforce.fields import SurfaceCurve
 from flowforce.spectral import (
@@ -765,6 +766,44 @@ def test_branch_singular_quotient_exit_code(tmp_path, capsys):
     assert payload["failure"].startswith("step 1 ")
     assert payload["points"] == []
     assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
+
+
+def test_branch_singular_jacobian_exit_code(tmp_path, capsys, rank_deficient_jacobian):
+    # a Jacobian with two equal columns stops the first Newton step on its
+    # condition number; the branch truncates with exit code 3
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 3
+    assert "Galerkin Jacobian condition" in capsys.readouterr().err
+    payload = json.loads((out / "branch.json").read_text())
+    assert payload["failure"].startswith("step 1 ")
+    assert payload["points"] == []
+    assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
+
+
+def test_validate_non_harmonic_potential(tmp_path, capsys, monkeypatch):
+    # v^2 is not harmonic (its Laplacian is 2 |grad v|^2), so adding a small
+    # multiple of it to zeta fails only the harmonicity audit: exit 2
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    assemble = field_module._assemble
+
+    def non_harmonic(*args, **kwargs):
+        field = assemble(*args, **kwargs)
+        zeta = field.harmonic_potential + 1e-3 * field.v**2
+        return replace(field, harmonic_potential=zeta)
+
+    monkeypatch.setattr(field_module, "_assemble", non_harmonic)
+    capsys.readouterr()
+    code = main(["--config", cfg, "--out", str(out), "validate", str(out / "branch.json")])
+    assert code == 2
+    point = json.loads((out / "validation.json").read_text())["points"][0]
+    assert point["failures"] == ["potential layer fails the harmonicity audit"]
+    assert capsys.readouterr().err == (
+        f"validation failed: point 0 at s = {point['s']!r}: "
+        "potential layer fails the harmonicity audit\n"
+    )
 
 
 def test_zero_steps_in_config_rejected(tmp_path, capsys):

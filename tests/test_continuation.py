@@ -161,6 +161,17 @@ def test_singular_expression_yields_partial_branch():
     assert branch.points == ()
 
 
+def test_singular_jacobian_yields_partial_branch(water, rank_deficient_jacobian):
+    # a real collision does not reach the condition limit: at the Wilton
+    # wavenumber (h = 1, k = 8.19705741293291, relative gap 1.2e-16), which
+    # trace_branch refuses, newton_correct at N = 32 from s = 1e-5 to 0.0125
+    # sees conditions 1.5e12 to 1.1e6 and leaves the admissible set instead
+    branch = trace_branch(1e-3, 4, water, n_modes=16)
+    assert branch.points == ()
+    assert branch.failure.startswith("step 1 at amplitude 2.500000e-04: Galerkin Jacobian condition ")
+    assert branch.failure.endswith(" exceeds 1e+14")
+
+
 def test_partial_branch_keeps_earlier_points(water):
     # at N = 16 the step to s = 0.07 leaves the admissible set, after six
     # corrected points; the residual's admissibility gate names the guard

@@ -36,7 +36,6 @@ from flowforce import (
 )
 from flowforce.spectral import (
     _TAYLOR_DEGREE,
-    _spectrum,
     _trig_matrices,
     analyze,
     chebyshev_rows,
@@ -229,8 +228,9 @@ def test_audit_operators_match_mode_sums(water, wave_point):
     cos_mat, sin_mat = _trig_matrices(m, top)
     quotient = layers.tension.samples(m) / layers.heights
     for _ in range(2):
-        a, b = _spectrum(quotient[None, :])
-        slope = 0.0 + (modes * b[0]) @ cos_mat - (modes * a[0, 1:]) @ sin_mat
+        f = analyze(quotient)
+        a, b = f.cos_coeffs, f.sin_coeffs
+        slope = 0.0 + (modes * b) @ cos_mat - (modes * a[1:]) @ sin_mat
         quotient = slope / layers.slope
     expect = analyze(quotient)
     assert expect.n_modes == 2 * n - 1

@@ -27,8 +27,9 @@ from flowforce import (
     onset_speed_sq,
     residual,
 )
-from flowforce import continuation, surface_equation
+from flowforce import continuation, spectral, surface_equation
 from flowforce.continuation import trace_branch
+from flowforce.spectral import _coth_table, collocation_size, grid_nodes
 from flowforce.surface_equation import _BLOCK_SAMPLES
 
 
@@ -116,15 +117,41 @@ def test_jacobian_speed_column_at_onset(water):
     assert jac[1, 0] == pytest.approx(expect, rel=1e-3)
 
 
-def test_residual_is_even_and_records_diagnostics(water):
-    w = PeriodicFunction.harmonic(1, 1e-3, n_modes=16, kind="cos")
+def test_residual_is_even_and_records_diagnostics(water, monkeypatch):
+    """The residual of an even state is even by construction: no parity
+    rule runs, and the sine block of its own samples is rounding noise
+    (4.2e-15 of its largest cosine on this 5-mode wave)."""
+    w = PeriodicFunction.from_cosines([0.0] + [1e-3 * 0.2**j for j in range(5)]).truncated(16)
+    spectra = []
+
+    def recording(values):
+        spectra.append(spectral._spectrum(values))
+        return spectra[-1]
+
+    monkeypatch.setattr(surface_equation, "_spectrum", recording)
     diag = {}
     r = residual(TrialState(1.3, 0.0, w), water, diag=diag)
     assert r.is_even
-    assert diag["sine_energy_fraction"] < 1e-20
+    # two strip transforms, then the residual's own samples
+    assert len(spectra) == 3
+    cosines, sines = spectra[-1]
+    assert np.abs(sines).max() <= 1e-13 * np.abs(cosines).max()
     assert diag["min_metric"] > 0.0
     assert diag["min_quotient_denominator"] > 0.0
     assert all(abs(v) < 1e-12 for v in diag["subtracted_means"].values())
+
+
+def test_strip_transform_keeps_a_tiny_odd_argument(water):
+    """w w' of w = s cos x is -(s^2/2) sin 2x, whose strip transform is
+    (s^2/2) coth(2kh) cos 2x however small s is: no parity rule zeros it."""
+    s, n = 1e-8, 8
+    w = PeriodicFunction.harmonic(1, s, n_modes=n)
+    m = collocation_size(n)
+    w_s, wp = surface_equation._surface_rows(w.cos_coeffs[None, :], water, m)[:2]
+    coth = _coth_table(n, water.strip_depth)
+    got = surface_equation._strip_transform(w_s * wp, n, coth, "w*w'", None)[0]
+    expect = 0.5 * s**2 * coth[1] * np.cos(2.0 * grid_nodes(m))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_atmospheric_pressure_cancels(water):
