@@ -22,8 +22,8 @@ from .surface_equation import (
     _trial_state,
     _unknowns,
     check_admissibility,
-    galerkin_residual,
     jacobian_fd,
+    residual,
 )
 
 __all__ = [
@@ -44,18 +44,13 @@ _COARSEST_MODES = 32
 
 
 @dataclass(frozen=True)
-class BranchPoint:
-    """One corrected point of a bifurcating branch."""
+class BranchPoint(TrialState):
+    """One corrected point of a bifurcating branch: the corrected TrialState,
+    its frozen amplitude s, its residual max-norm and its Newton updates."""
 
     amplitude: float
-    speed_sq: float
-    bernoulli_shift: float
-    elevation: PeriodicFunction
     residual_norm: float
     newton_iters: int
-
-    def state(self):
-        return TrialState(self.speed_sq, self.bernoulli_shift, self.elevation)
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
                    tol=1e-11, max_iter=25):
     """Correct a predictor at frozen amplitude s = first cosine coefficient.
 
-    Returns (corrected TrialState, iterations, residual norm).  At
+    Returns the corrected wave, a BranchPoint of amplitude s.  At
     N > 32 modes Newton visits the levels 32, 64, ... below N, then N,
     each from the last one's result zero-padded; at N <= 32 the one
     level is N.  Each level tests its residual (max-norm <= tol) before
@@ -120,7 +115,7 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     the last level that took an update exactly zero; a failing one goes
     up the ladder, and its N-mode residual is the N level's first, so no
     state is tested at N twice.  max_iter caps the updates of all levels
-    together, and the iterations reported count them all.  A level stops
+    together, and newton_iters counts them all.  A level stops
     early on the residual's rounding floor: once an update moves theta
     by at most sqrt(eps) * max|theta|, quadratic contraction predicts a
     next step below rounding, so a residual that then fails to fall can
@@ -137,13 +132,14 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
         start, first = done, tested if level == n else None
         state, done, norm = _newton_level(state, s, p, level, tol, done, max_iter, first)
         if level == n:
-            return state, done, norm
+            break
         if tested is None or done > start:
             state = _trial_state(*_unknowns(state, n))
-            tested = galerkin_residual(state, p, n_modes=n)
+            tested = residual(state, p, n_modes=n).cos_coeffs
             if (norm := float(np.max(np.abs(tested)))) <= tol:
-                return state, done, norm
+                break
         level = min(2 * level, n)
+    return BranchPoint(state.speed_sq, state.bernoulli_shift, state.elevation, s, norm, done)
 
 
 def _newton_level(state, s, p, n, tol, done, max_iter, r=None):
@@ -155,7 +151,7 @@ def _newton_level(state, s, p, n, tol, done, max_iter, r=None):
     current = _trial_state(theta, a0)
     norm, small_step = float("inf"), False
     for it in range(done, max_iter + 1):
-        r = galerkin_residual(current, p, n_modes=n) if r is None or it > done else r
+        r = residual(current, p, n_modes=n).cos_coeffs if r is None or it > done else r
         previous, norm = norm, float(np.max(np.abs(r)))
         if norm <= tol:
             return current, it, norm
@@ -194,8 +190,8 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
     at scan_tol); otherwise KernelNotSimple is raised.  A step that
     fails to converge truncates the branch and records the failure
     instead of raising; any toolkit error raised inside a step counts
-    as such a failure.  Each step is one newton_correct call; a point's
-    newton_iters counts the updates of all its Newton levels.
+    as such a failure.  Each step stores newton_correct's BranchPoint,
+    which predicts the next; its newton_iters counts every level's updates.
     """
     steps = int(steps)
     if steps < 1:
@@ -209,23 +205,13 @@ def trace_branch(s_max, steps, p: PhysicalParams, n_modes=32, tol=1e-11,
     for j in range(1, steps + 1):
         s_j = s_max * j / steps
         try:
-            corrected, iters, norm = newton_correct(
+            predictor = newton_correct(
                 predictor, s_j, p, n_modes=n_modes, tol=tol, max_iter=max_iter
             )
         except FlowForceError as exc:
             failure = f"step {j} at amplitude {s_j:.6e}: {exc}"
             break
-        points.append(
-            BranchPoint(
-                amplitude=s_j,
-                speed_sq=corrected.speed_sq,
-                bernoulli_shift=corrected.bernoulli_shift,
-                elevation=corrected.elevation,
-                residual_norm=norm,
-                newton_iters=iters,
-            )
-        )
-        predictor = corrected
+        points.append(predictor)
     return Branch(
         params=p,
         onset_speed_sq=onset,
@@ -253,7 +239,7 @@ def branch_diagnostics(branch: Branch):
     strictly from crest to trough on (0, pi) (signed by the amplitude),
     admissibility, spectral tail content, the distance of the speed
     parameter from its onset value, and the deviation from the linear
-    predictor normalized by amplitude.
+    predictor normalized by amplitude (nan at zero amplitude).
     """
     p = branch.params
     out = []
@@ -280,7 +266,8 @@ def branch_diagnostics(branch: Branch):
                 "admissible": admiss.passed,
                 "tail_energy_fraction": w.tail_energy_fraction(),
                 "onset_distance": abs(pt.speed_sq - branch.onset_speed_sq),
-                "predictor_defect": secant.sup_norm() / abs(pt.amplitude),
+                "predictor_defect": secant.sup_norm() / abs(pt.amplitude)
+                if pt.amplitude else float("nan"),
                 "newton_iters": pt.newton_iters,
                 "residual_norm": pt.residual_norm,
             }

@@ -49,7 +49,7 @@ from .spectral import (
     hilbert_strip,
     strip_rows,
 )
-from .surface_equation import AdmissibilityReport, TrialState, residual
+from .surface_equation import AdmissibilityReport, residual
 from .surface_equation import _admissibility, _admitted
 
 __all__ = [
@@ -127,21 +127,22 @@ def conformal_map(elevation, p: PhysicalParams, rows, n_x=None):
     return u, v
 
 
-_Layers = namedtuple("_Layers", "surface_value tension boundary heights slope")
+_Layers = namedtuple("_Layers", "surface_value tension tension_samples boundary heights slope")
 
 
 def _layers(state, p: PhysicalParams, samples):
     """The layers of state under p, none holding p_atm, from its single-row
     _surface_rows samples on collocation_size(N) nodes: S0, the tension strength
     sigma*(1 - (1/k + C(w'))/metric^(1/2)) and the boundary data S0 - tension +
-    (g/2)(depth + w)^2 as N-mode cosines, and depth + w and 1/k + C(w') there."""
+    (g/2)(depth + w)^2 as N-mode cosines; tension, depth + w, 1/k + C(w') there."""
     n = state.elevation.n_modes
     w_s, _, _, _, _, dnv, metric = (a[0] for a in samples)
     v_s = p.h + w_s
     tension = analyze(p.sigma * (1.0 - dnv / np.sqrt(metric))).truncated(n)
+    tension_s = tension.samples(v_s.size)
     s0, _ = physical_constants(state.speed_sq, state.bernoulli_shift, p)
-    boundary = analyze(s0 - tension.samples(v_s.size) + 0.5 * p.g * v_s**2).truncated(n)
-    return _Layers(s0, tension, boundary, v_s, dnv)
+    boundary = analyze(s0 - tension_s + 0.5 * p.g * v_s**2).truncated(n)
+    return _Layers(s0, tension, tension_s, boundary, v_s, dnv)
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,8 @@ def _assemble(layers, p: PhysicalParams, rows, u, v, x_s, heights, expand):
 def reconstruct(state, p: PhysicalParams, n_y=64, n_x=None):
     """Rebuild the flow-force field of a corrected wave on the strip grid.
 
-    state needs speed_sq, bernoulli_shift and an even elevation (trial
-    states and branch points qualify); the samples its layers come from
+    state needs speed_sq, bernoulli_shift and an even elevation (any
+    TrialState, a BranchPoint too); the samples its layers come from
     decide admissibility first, raising InadmissibleIterate.
     """
     w = state.elevation
@@ -317,7 +318,7 @@ def _correction_curvature(layers):
     cutting them at N would leave a bend that the field does not have.
     """
     m = layers.heights.size
-    quotient = layers.tension.samples(m) / layers.heights
+    quotient = layers.tension_samples / layers.heights
     for _ in range(2):
         quotient = derivative(analyze(quotient)).samples(m) / layers.slope
     return analyze(quotient)
@@ -357,7 +358,7 @@ class ValidationReport:
 
 
 def validate_solution(state, p: PhysicalParams):
-    """Audit the flow-force field of a wave against its defining properties.
+    """Audit the flow-force field of a TrialState against its defining properties.
 
     Checks, in order: harmonicity of the potential layer, the constant
     surface trace, the surface-equation residual of the wave, and the
@@ -382,10 +383,9 @@ def validate_solution(state, p: PhysicalParams):
     node expansions.
     """
     w = state.elevation
-    trial = TrialState(state.speed_sq, state.bernoulli_shift, w)
     diag = {}  # receives the admissibility report and samples of the residual's gate
-    residual_sup = residual(trial, p, diag=diag).sup_norm()
-    layers = _layers(trial, p, diag["samples"])
+    residual_sup = residual(state, p, diag=diag).sup_norm()
+    layers = _layers(state, p, diag["samples"])
     expand = cache(_node_taylor)  # each series' node expansion, built once for the point
     audit_rows, rows, x_s, field = _chebyshev_field(SurfaceCurve(w, p), layers, expand)
     # d/dy is d/dt over the depth, t the rows' depth fraction

@@ -90,8 +90,10 @@ def _unknowns(state, n):
 
     The elevation is padded or truncated to N modes.
     """
-    a = state.elevation.truncated(n).cos_coeffs
-    return np.concatenate(([state.speed_sq, state.bernoulli_shift], a[1:])), a[0]
+    a = state.elevation.cos_coeffs[: n + 1]
+    theta = np.zeros(n + 2)
+    theta[0], theta[1], theta[2 : a.size + 1] = state.speed_sq, state.bernoulli_shift, a[1:]
+    return theta, a[0]
 
 
 def _trial_state(theta, a0):

@@ -13,9 +13,11 @@ import pytest
 
 from flowforce import (
     Branch,
+    BranchPoint,
     KernelNotSimple,
     NoConvergence,
     PhysicalParams,
+    TrialState,
     branch_diagnostics,
     initial_guess,
     newton_correct,
@@ -48,9 +50,9 @@ def test_initial_guess_rejects_large_amplitude(water):
 
 def test_newton_zero_amplitude_converges_immediately(water):
     state = initial_guess(0.0, water, n_modes=8)
-    corrected, iters, norm = newton_correct(state, 0.0, water)
-    assert iters == 0
-    assert norm < 1e-13
+    corrected = newton_correct(state, 0.0, water)
+    assert corrected.newton_iters == 0
+    assert corrected.residual_norm < 1e-13
     assert corrected.speed_sq == state.speed_sq
 
 
@@ -77,9 +79,26 @@ def test_branch_small_amplitude(water, water_branch):
 
 def test_branch_point_state_round_trip(water):
     branch = trace_branch(1e-3, 1, water, n_modes=16)
-    state = branch.points[0].state()
-    assert state.speed_sq == branch.points[0].speed_sq
-    assert state.elevation is branch.points[0].elevation
+    pt = branch.points[0]
+    state = TrialState(pt.speed_sq, pt.bernoulli_shift, pt.elevation)
+    assert (state.speed_sq, state.bernoulli_shift) == (pt.speed_sq, pt.bernoulli_shift)
+    assert state.elevation is pt.elevation
+
+
+def test_newton_correct_returns_the_stored_branch_point(water):
+    # each step's BranchPoint is stored as it is and predicts the next
+    branch = trace_branch(3e-3, 3, water, n_modes=16)
+    assert branch.failure is None
+    predictors = [initial_guess(1e-3, water, n_modes=16), *branch.points[:-1]]
+    for predictor, stored in zip(predictors, branch.points):
+        got = newton_correct(predictor, stored.amplitude, water)
+        assert type(got) is BranchPoint
+        assert got.amplitude == stored.amplitude
+        assert got.speed_sq == stored.speed_sq
+        assert got.bernoulli_shift == stored.bernoulli_shift
+        assert got.elevation.cos_coeffs.tobytes() == stored.elevation.cos_coeffs.tobytes()
+        assert got.residual_norm == stored.residual_norm
+        assert got.newton_iters == stored.newton_iters
 
 
 def test_predictor_defect_small_and_decreasing(water_branch):
@@ -90,6 +109,16 @@ def test_predictor_defect_small_and_decreasing(water_branch):
     assert defects[1e-3] < 1e-2
     ordered = [defects[s] for s in (1e-3, 2e-3, 3e-3, 4e-3)]
     assert all(a < b for a, b in zip(ordered, ordered[1:]))
+
+
+def test_zero_amplitude_predictor_defect_is_nan(water):
+    # amplitude_max = 0 traces one point at s = 0, where the predictor
+    # defect sup|w - s cos x| / |s| is 0/0
+    branch = trace_branch(0.0, 1, water)
+    assert branch.failure is None and len(branch.points) == 1
+    (row,) = branch_diagnostics(branch)
+    assert row["amplitude"] == 0.0
+    assert np.isnan(row["predictor_defect"])
 
 
 def test_speed_drop_scales_quadratically(water_branch):
@@ -209,17 +238,17 @@ def _count_jacobians(monkeypatch):
 
 
 def _count_residuals(monkeypatch):
-    """Record (n_modes, state) of every galerkin_residual call Newton makes;
+    """Record (n_modes, state) of every residual call Newton makes;
     the state is its speed, shift and coefficient bytes."""
     calls = []
-    original = continuation.galerkin_residual
+    original = continuation.residual
 
     def counting(state, *args, **kwargs):
         key = (state.speed_sq, state.bernoulli_shift, state.elevation.cos_coeffs.tobytes())
         calls.append((kwargs.get("n_modes"), key))
         return original(state, *args, **kwargs)
 
-    monkeypatch.setattr(continuation, "galerkin_residual", counting)
+    monkeypatch.setattr(continuation, "residual", counting)
     return calls
 
 
@@ -345,8 +374,7 @@ def test_nested_newton_shares_one_iteration_budget(monkeypatch, water):
     calls = _count_jacobians(monkeypatch)
     tests = _count_residuals(monkeypatch)
     state = initial_guess(5e-3, water, n_modes=16)
-    _, iters, _ = newton_correct(state, 5e-3, water, tol=1e-15, max_iter=5)
-    assert iters == 5
+    assert newton_correct(state, 5e-3, water, tol=1e-15, max_iter=5).newton_iters == 5
     assert calls == [4, 4, 4, 8, 16]
     assert [n for n, _ in tests] == [4, 4, 4, 4, 16, 8, 8, 16, 16]
     at_n = [key for n, key in tests if n == 16]

@@ -226,6 +226,8 @@ def test_audit_operators_match_mode_sums(water, wave_point):
     top = (m - 1) // 2
     modes = np.arange(1, top + 1)
     cos_mat, sin_mat = _trig_matrices(m, top)
+    # the layers keep the tension strength's samples, synthesized once
+    assert np.array_equal(layers.tension_samples, layers.tension.samples(m))
     quotient = layers.tension.samples(m) / layers.heights
     for _ in range(2):
         f = analyze(quotient)
@@ -248,6 +250,18 @@ def test_validate_wave_solution(water, wave_point):
     assert report.force_balance_fine <= 1e-9 * water.g
     assert report.residual_sup < 1e-9
     assert report.admissibility.passed
+
+
+def test_branch_point_audits_and_reconstructs_as_its_trial_state(water, wave_point):
+    # a traced point is the TrialState it was corrected to, and the audit
+    # and the reconstruction take it as it is, bit for bit
+    assert isinstance(wave_point, TrialState)
+    state = TrialState(wave_point.speed_sq, wave_point.bernoulli_shift, wave_point.elevation)
+    assert validate_solution(wave_point, water) == validate_solution(state, water)
+    got, want = reconstruct(wave_point, water, n_y=8), reconstruct(state, water, n_y=8)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_validate_laminar_solution(water):

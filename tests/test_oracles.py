@@ -61,7 +61,7 @@ def test_crapper_law_at_default_tolerance(k, ks_max):
 def test_crapper_waves_pass_the_audit(k):
     p, branch = _crapper_branch(k, 0.4)
     for pt in branch.points:
-        report = validate_solution(pt.state(), p)
+        report = validate_solution(pt, p)
         assert report.passed, (pt.amplitude, report.failures)
 
 
@@ -91,7 +91,7 @@ _AUDIT_ROUNDING = pytest.mark.xfail(
 def test_steepest_crapper_wave_passes_the_audit(k):
     # q = 0.175 at the last point, ks = 0.7
     p, branch = _crapper_branch(k, 0.7)
-    report = validate_solution(branch.points[-1].state(), p)
+    report = validate_solution(branch.points[-1], p)
     assert report.passed, report.failures
 
 

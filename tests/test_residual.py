@@ -299,14 +299,34 @@ def test_traced_branch_samples_each_residual_state_once(water, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(surface_equation, "_surface_rows", "rows")
-    count(surface_equation, "residual", "residual")
     for module in (surface_equation, continuation):
+        count(module, "residual", "residual")
         count(module, "check_admissibility", "check")
     branch = trace_branch(4e-3, 4, water, n_modes=16)
     assert branch.failure is None
     assert calls.count("residual") > len(branch.points)
     assert calls.count("check") == 0
     assert calls.count("rows1") == calls.count("residual")
+
+
+def test_jacobian_builds_no_periodic_function(water, monkeypatch):
+    # jacobian_fd reads theta off the state's coefficients and evaluates its
+    # perturbed states as arrays, so it constructs no PeriodicFunction
+    state = TrialState(
+        onset_speed_sq(1, water.k, water), 0.0,
+        PeriodicFunction.harmonic(1, 1e-3, n_modes=32, kind="cos"),
+    )
+    built = []
+    original = PeriodicFunction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PeriodicFunction, "__post_init__", counting)
+    jac = jacobian_fd(state, water, n_modes=32)
+    assert jac.shape == (33, 34)
+    assert built == []
 
 
 def test_jacobian_active_subset(water):
