@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import onset_speed_sq
-from .errors import FlowForceError, InadmissibleIterate, SingularExpression
+from .errors import InadmissibleIterate, SingularExpression
 from .params import PhysicalParams
 from .spectral import (
     PeriodicFunction,
@@ -128,11 +128,7 @@ def _strip_transform(values, n, coth, label, diag):
     if diag is not None:
         diag.setdefault("subtracted_means", {})[label] = float(a[0, 0])
     cos_mat, sin_mat = _trig_matrices(values.shape[1], n)
-    return (
-        0.0
-        + _synthesize(-coth * b[:, :n], cos_mat)
-        + _synthesize(coth * a[:, 1 : n + 1], sin_mat)
-    )
+    return _synthesize(-coth * b[:, :n], cos_mat) + _synthesize(coth * a[:, 1 : n + 1], sin_mat)
 
 
 def _surface_rows(cos_coeffs, p: PhysicalParams, m):
@@ -148,10 +144,10 @@ def _surface_rows(cos_coeffs, p: PhysicalParams, m):
     wp_sin = -modes * a
     wpp_cos = modes * wp_sin
     w = cos_coeffs[:, :1] + _synthesize(a, cos_mat)
-    wp = 0.0 + _synthesize(wp_sin, sin_mat)
-    wpp = 0.0 + _synthesize(wpp_cos, cos_mat)
-    cwp = 0.0 + _synthesize(-coth * wp_sin, cos_mat)
-    cwpp = 0.0 + _synthesize(coth * wpp_cos, sin_mat)
+    wp = _synthesize(wp_sin, sin_mat)
+    wpp = _synthesize(wpp_cos, cos_mat)
+    cwp = _synthesize(-coth * wp_sin, cos_mat)
+    cwpp = _synthesize(coth * wpp_cos, sin_mat)
     dnv = 1.0 / p.k + cwp
     return w, wp, wpp, cwp, cwpp, dnv, wp**2 + dnv**2
 
@@ -272,9 +268,9 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None)
     `active`, a sequence of indices into theta (default: all N + 2).
     Step per unknown: 1e-6 * max(1, |value|).  The perturbed
     states are evaluated together, in blocks of about _BLOCK_SAMPLES
-    grid values.  States are independent, so a slice of a block raises
-    exactly when one of its states fails: a failing block is bisected to
-    its first failing state in column order, whose own error is raised.
+    grid values, each block once.  A failing block raises the first
+    guard, in the residual's order, that any of its states fails,
+    reported at the first such state in column order.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     theta, a0 = _unknowns(state, n)
@@ -292,21 +288,7 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None)
         stack[:, 0] = a0
         stack[:, 1:] = rows[:, 2:]
         samples = _surface_rows(stack, p, collocation_size(n))
-        def states(i, j):
-            return _residual_rows(rows[i:j, 0], rows[i:j, 1], [a[i:j] for a in samples], p, n)
-        try:
-            r = states(0, rows.shape[0])
-        except FlowForceError:
-            lo, hi = 0, rows.shape[0]  # the first failing state is in [lo, hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    states(lo, mid)
-                    lo = mid
-                except FlowForceError:
-                    hi = mid
-            states(lo, hi)
-            raise
+        r = _residual_rows(rows[:, 0], rows[:, 1], samples, p, n)
         jac[:, start : start + col.size] = (
             (r[0::2] - r[1::2]) / (2.0 * step[:, None])
         ).T
