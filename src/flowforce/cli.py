@@ -131,7 +131,8 @@ def load_config(path=None):
     """Parse and validate a config file; defaults when path is None."""
     physical, run = {}, {}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # no section is special: [DEFAULT] is an unknown section like any other
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -229,8 +230,18 @@ def _jsonable(value):
     return value
 
 
+def _create(path):
+    """Open an output file for writing, making its directory first; a
+    location that cannot be created or written is a config error."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {exc.filename!r}: {exc.strerror}") from exc
+
+
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
@@ -252,7 +263,7 @@ def _write_csv(path, header, blocks):
     the block's float cells; or cell texts, such as an axis column formatted
     once for the whole file.  Only formatting happens here, so the caller
     computes every number first."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(header + "\n")
         for block in blocks:
             arrays = [c for c in block if isinstance(c, np.ndarray)]
@@ -267,7 +278,6 @@ def _write_csv(path, header, blocks):
 
 
 def _out_path(config, name):
-    os.makedirs(config.out_dir, exist_ok=True)
     return os.path.join(config.out_dir, name)
 
 

@@ -118,17 +118,16 @@ def _guard(values, floor, describe):
 
 
 def _strip_transform(values, n, coth, label, diag):
-    """Apply the strip Hilbert transform to grid values, mean dropped.
+    """Apply the strip Hilbert transform to the grid values of an odd field.
 
-    The analytic arguments are exact x-derivatives, odd and of zero mean;
-    the collocation mean picks up only aliasing dust.  The transform has
-    no mean mode, so it is dropped; diag records it.
+    The analytic arguments are exact x-derivatives, odd: their cosine
+    half, mean included, is aliasing dust, zero in exact arithmetic, so
+    only their sine modes 1..N are synthesized; diag records the mean.
     """
     a, b = _spectrum(values)
     if diag is not None:
         diag.setdefault("subtracted_means", {})[label] = float(a[0, 0])
-    cos_mat, sin_mat = _trig_matrices(values.shape[1], n)
-    return _synthesize(-coth * b[:, :n], cos_mat) + _synthesize(coth * a[:, 1 : n + 1], sin_mat)
+    return _synthesize(-coth * b[:, :n], _trig_matrices(values.shape[1], n)[0])
 
 
 def _surface_rows(cos_coeffs, p: PhysicalParams, m):
@@ -277,21 +276,17 @@ def jacobian_fd(state: TrialState, p: PhysicalParams, active=None, n_modes=None)
     cols = np.arange(n + 2) if active is None else np.asarray(active, dtype=np.intp)
     eps = 1e-6 * np.maximum(1.0, np.abs(theta[cols]))
     jac = np.empty((n + 1, cols.size))
-    per_block = max(1, _BLOCK_SAMPLES // (2 * collocation_size(n)))
+    m = collocation_size(n)
+    per_block = max(1, _BLOCK_SAMPLES // (2 * m))
     for start in range(0, cols.size, per_block):
         col, step = cols[start : start + per_block], eps[start : start + per_block]
         # rows 2i and 2i+1 move unknown col[i] up and down
         rows = np.tile(theta, (2 * col.size, 1))
         rows[0::2][np.arange(col.size), col] = theta[col] + step
         rows[1::2][np.arange(col.size), col] = theta[col] - step
-        stack = np.empty((rows.shape[0], n + 1))
-        stack[:, 0] = a0
-        stack[:, 1:] = rows[:, 2:]
-        samples = _surface_rows(stack, p, collocation_size(n))
+        samples = _surface_rows(np.insert(rows[:, 2:], 0, a0, axis=1), p, m)
         r = _residual_rows(rows[:, 0], rows[:, 1], samples, p, n)
-        jac[:, start : start + col.size] = (
-            (r[0::2] - r[1::2]) / (2.0 * step[:, None])
-        ).T
+        jac[:, start : start + col.size] = ((r[0::2] - r[1::2]) / (2.0 * step[:, None])).T
     return jac
 
 

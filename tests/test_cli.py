@@ -690,6 +690,24 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert f"{cfg}:4" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[DEFAULT]\nfoo = 1\n", 1),
+        # configparser's default section would lend gravity = 1 to [physical]
+        ("[physical]\ndepth = 0.1\n\n[DEFAULT]\ngravity = 1\n", 4),
+    ],
+    ids=["alone", "after-physical"],
+)
+def test_default_config_section_rejected(tmp_path, capsys, text, line):
+    """[DEFAULT] is an unknown section like any other, not one whose keys
+    every section inherits."""
+    cfg = _write(tmp_path / "c.ini", text)
+    assert main(["--config", cfg, "--out", str(tmp_path), "kernel-check"]) == 4
+    assert f"config error: {cfg}:{line}: unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "kernel_check.json").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = _write(tmp_path / "c.ini", "[physical]\ngravity = 9.81\ngravify = 1.0\n")
     assert main(["--config", cfg, "--out", str(tmp_path), "dispersion"]) == 4
@@ -734,6 +752,31 @@ def test_out_env_honored_and_flag_wins(tmp_path, monkeypatch):
     assert (env_dir / "kernel_check.json").exists()
     assert main(["--out", str(flag_dir), "kernel-check"]) == 0
     assert (flag_dir / "kernel_check.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_output_directory_naming_a_file_rejected(tmp_path, capsys, monkeypatch, source):
+    """An output directory that names an existing file cannot be created:
+    a config error names it, wherever the location came from."""
+    monkeypatch.delenv("FLOWFORCE_OUT", raising=False)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    argv = ["kernel-check"]
+    if source == "flag":
+        argv = ["--out", str(taken), *argv]
+    elif source == "env":
+        monkeypatch.setenv("FLOWFORCE_OUT", str(taken))
+    else:
+        argv = ["--config", _write(tmp_path / "c.ini", f"[output]\ndirectory = {taken}\n"), *argv]
+    assert main(argv) == 4
+    assert f"config error: cannot write output to '{taken}': " in capsys.readouterr().err
+
+
+def test_output_file_that_cannot_be_written_rejected(tmp_path, capsys):
+    target = tmp_path / "kernel_check.json"
+    target.mkdir()
+    assert main(["--out", str(tmp_path), "kernel-check"]) == 4
+    assert f"config error: cannot write output to '{target}': " in capsys.readouterr().err
 
 
 def test_branch_convergence_failure_exit_code(tmp_path, capsys):

@@ -154,6 +154,32 @@ def test_strip_transform_keeps_a_tiny_odd_argument(water):
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+def test_strip_transform_synthesizes_only_the_sine_half(water, monkeypatch):
+    """Both arguments of _strip_transform are odd, so their cosine half,
+    mean included, is aliasing dust: adding cosines to the analyzed
+    argument leaves the transform bitwise unchanged, and the mean is still
+    recorded.  The cosines are added to the argument's spectrum, since on
+    the grid the rounding of the sum would move its sines too."""
+    n = 8
+    w = PeriodicFunction.harmonic(1, 1e-3, n_modes=n)
+    m = collocation_size(n)
+    w_s, wp = surface_equation._surface_rows(w.cos_coeffs[None, :], water, m)[:2]
+    coth = _coth_table(n, water.strip_depth)
+    odd = w_s * wp
+    plain = surface_equation._strip_transform(odd, n, coth, "w*w'", None)
+    mean = float(spectral._spectrum(odd)[0][0, 0])
+
+    def with_cosines(values):
+        a, b = spectral._spectrum(values)
+        return a + 1e-3 * 0.5 ** np.arange(a.shape[1]), b
+
+    monkeypatch.setattr(surface_equation, "_spectrum", with_cosines)
+    diag = {}
+    got = surface_equation._strip_transform(odd, n, coth, "w*w'", diag)
+    assert np.array_equal(got, plain)
+    assert diag["subtracted_means"] == {"w*w'": mean + 1e-3}
+
+
 def test_atmospheric_pressure_cancels(water):
     """Gauge property: the residual is independent of p_atm to rounding."""
     w = PeriodicFunction.harmonic(1, 1e-3, n_modes=16, kind="cos")
