@@ -6,7 +6,7 @@ coefficient s of the elevation: s is frozen, and Newton's method solves
 the Galerkin system for the squared surface speed, the Bernoulli shift
 and the remaining coefficients a_2..a_N.  Successive amplitudes are
 warm-started from the previous corrected state.  At N > 32 each step
-is solved at 32 modes first and certified by the N-mode residual.
+is solved at 16 modes first and certified by the N-mode residual.
 """
 
 from dataclasses import dataclass
@@ -38,9 +38,11 @@ __all__ = [
 
 _COND_LIMIT = 1e14
 _STALL_STEP = np.sqrt(np.finfo(float).eps)
-# fewest modes of a Newton level: runs at N <= 32 keep their one level,
-# and a 32-mode Jacobian costs about a third of a 64-mode one
-_COARSEST_MODES = 32
+# Newton's ladder at N > 32 starts at 16 modes, which hold resolved (analytic)
+# waves to rounding.  Runs at N <= 32 keep their one level N: a ladder at
+# N = 32 moves the desk-water reference's mu past its 1e-12 rule, so this
+# bound is dropped with the next regeneration of that reference
+_FIRST_LEVEL_MODES, _SINGLE_LEVEL_MODES = 16, 32
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     """Correct a predictor at frozen amplitude s = first cosine coefficient.
 
     Returns the corrected wave, a BranchPoint of amplitude s.  At
-    N > 32 modes Newton visits the levels 32, 64, ... below N, then N,
-    each from the last one's result zero-padded; at N <= 32 the one
+    N > 32 modes Newton visits the levels 16, 32, 64, ... below N, then
+    N, each from the last one's result zero-padded; at N <= 32 the one
     level is N.  Each level tests its residual (max-norm <= tol) before
     each Jacobian assembly.  The first level's result, and each later
     one's after an update, is tested at N modes zero-padded, the
@@ -127,7 +129,7 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     else is evaluated on it.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
-    level, done, tested = min(n, _COARSEST_MODES), 0, None
+    level, done, tested = (n if n <= _SINGLE_LEVEL_MODES else _FIRST_LEVEL_MODES), 0, None
     while True:
         start, first = done, tested if level == n else None
         state, done, norm = _newton_level(state, s, p, level, tol, done, max_iter, first)

@@ -276,56 +276,72 @@ def test_large_steps_run_out_max_iter(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p, s_max",
+    "p, s_max, levels, at_16",
     [
-        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0), 4e-3),
-        (PhysicalParams(g=9.81, sigma=0.0, h=0.1, k=10.0), 1e-2),
-        (PhysicalParams(g=0.0, sigma=0.073, h=0.1, k=10.0), 4e-3),
-        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0), 4e-3),
+        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0), 4e-3, {16}, 8),
+        (PhysicalParams(g=9.81, sigma=0.0, h=0.1, k=10.0), 1e-2, {16, 32}, 6),
+        (PhysicalParams(g=0.0, sigma=0.073, h=0.1, k=10.0), 4e-3, {16}, 8),
+        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=101325.0), 4e-3, {16}, 8),
     ],
     ids=["water", "pure-gravity", "pure-capillarity", "p_atm"],
 )
-def test_nested_newton_certifies_coarse_solution(monkeypatch, p, s_max):
-    # 32 modes resolve these waves to rounding, so every update happens at
-    # 32 modes and the finer residuals only certify the padded result
-    coarse = trace_branch(s_max, 8, p, n_modes=32)
+def test_nested_newton_certifies_coarse_solution(monkeypatch, p, s_max, levels, at_16):
+    # 16 modes resolve these waves to rounding, so every update happens at
+    # 16 modes and the finer residuals only certify the padded result.
+    # Pure gravity at steepness 0.1 is the exception: the 16-mode results
+    # of its last two points fail the N-mode test and take 32-mode updates
+    coarse = trace_branch(s_max, 8, p, n_modes=16)
     assert coarse.failure is None and len(coarse.points) == 8
     calls = _count_jacobians(monkeypatch)
     for n_modes in (64, 128):
         calls.clear()
         fine = trace_branch(s_max, 8, p, n_modes=n_modes)
         assert fine.failure is None
-        assert calls and set(calls) == {32}
+        assert set(calls) == levels
         assert len(fine.points) == 8
-        for got, want in zip(fine.points, coarse.points):
+        for got, want in zip(fine.points[:at_16], coarse.points):
             a = got.elevation.cos_coeffs
             assert got.speed_sq == want.speed_sq
             assert got.bernoulli_shift == want.bernoulli_shift
-            assert np.array_equal(a[:33], want.elevation.cos_coeffs)
-            assert np.all(a[33:] == 0.0)
-            assert got.residual_norm <= 1e-11
+            assert np.array_equal(a[:17], want.elevation.cos_coeffs)
+            assert np.all(a[17:] == 0.0)
+        for got in fine.points[at_16:]:
+            a = got.elevation.cos_coeffs
+            assert np.any(a[17:33] != 0.0) and np.all(a[33:] == 0.0)
+        assert all(pt.residual_norm <= 1e-11 for pt in fine.points)
+
+
+@pytest.mark.parametrize("n_modes", [24, 32])
+def test_runs_up_to_32_modes_keep_one_level(monkeypatch, n_modes):
+    # pure gravity at steepness 0.1 climbs from 16 modes at N = 64, but at
+    # N <= 32 every Jacobian is built at N
+    p = PhysicalParams(g=9.81, sigma=0.0, h=0.1, k=10.0)
+    calls = _count_jacobians(monkeypatch)
+    branch = trace_branch(1e-2, 8, p, n_modes=n_modes)
+    assert branch.failure is None and len(branch.points) == 8
+    assert calls and set(calls) == {n_modes}
 
 
 def test_resolved_wave_is_certified_once_at_n(monkeypatch, water):
-    # desk water at N = 128 is resolved at 32 modes: each step's 32-mode
-    # result passes its first 128-mode test, so no 64-mode residual runs
+    # desk water at N = 128 is resolved at 16 modes: each step's 16-mode
+    # result passes its first 128-mode test, so no 32- or 64-mode residual runs
     tests = _count_residuals(monkeypatch)
     branch = trace_branch(1e-3, 4, water, n_modes=128)
     assert branch.failure is None and len(branch.points) == 4
     modes = [n for n, _ in tests]
-    assert 64 not in modes
+    assert set(modes) == {16, 128}
     assert modes.count(128) == len(branch.points)
 
 
-def test_nested_newton_updates_levels_32_modes_miss(monkeypatch):
-    # pure gravity at kh = 3 to steepness 0.2625: 32 modes do not resolve
-    # the steepest points, so the 64- and 128-mode levels take updates too,
+def test_nested_newton_updates_levels_16_modes_miss(monkeypatch):
+    # pure gravity at kh = 3 to steepness 0.2625: 16 modes do not resolve
+    # the steepest points, so the 32-, 64- and 128-mode levels take updates,
     # and every point still meets tol at 128 modes
     p = PhysicalParams(g=9.81, sigma=0.0, h=0.3, k=10.0)
     calls = _count_jacobians(monkeypatch)
     branch = trace_branch(0.02625, 8, p, n_modes=128)
     assert branch.failure is None and len(branch.points) == 8
-    assert set(calls) == {32, 64, 128}
+    assert set(calls) == {16, 32, 64, 128}
     assert sum(pt.newton_iters for pt in branch.points) == len(calls)
     assert all(pt.residual_norm <= 1e-11 for pt in branch.points)
 
@@ -351,7 +367,8 @@ def test_nested_newton_refines_unresolved_levels(monkeypatch, water):
     # rounding floor, so they agree to rounding rather than to the
     # distance between two iterates stopped at a looser tol
     single = trace_branch(2e-2, 4, water, n_modes=16, tol=1e-15)
-    monkeypatch.setattr(continuation, "_COARSEST_MODES", 4)
+    monkeypatch.setattr(continuation, "_FIRST_LEVEL_MODES", 4)
+    monkeypatch.setattr(continuation, "_SINGLE_LEVEL_MODES", 4)
     calls = _count_jacobians(monkeypatch)
     nested = trace_branch(2e-2, 4, water, n_modes=16, tol=1e-15)
     assert single.failure is None and nested.failure is None
@@ -370,7 +387,8 @@ def test_nested_newton_shares_one_iteration_budget(monkeypatch, water):
     # three updates and the 8- and 16-mode levels one each.  The 4- and
     # 8-mode results each fail one 16-mode test, whose residual is the
     # 16-mode level's first; its update passes the third
-    monkeypatch.setattr(continuation, "_COARSEST_MODES", 4)
+    monkeypatch.setattr(continuation, "_FIRST_LEVEL_MODES", 4)
+    monkeypatch.setattr(continuation, "_SINGLE_LEVEL_MODES", 4)
     calls = _count_jacobians(monkeypatch)
     tests = _count_residuals(monkeypatch)
     state = initial_guess(5e-3, water, n_modes=16)
