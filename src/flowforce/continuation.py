@@ -138,7 +138,7 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
         if tested is None or done > start:
             state = _trial_state(*_unknowns(state, n))
             tested = residual(state, p, n_modes=n).cos_coeffs
-            if (norm := float(np.max(np.abs(tested)))) <= tol:
+            if (norm := float(np.abs(tested).max())) <= tol:
                 break
         level = min(2 * level, n)
     return BranchPoint(state.speed_sq, state.bernoulli_shift, state.elevation, s, norm, done)
@@ -149,12 +149,12 @@ def _newton_level(state, s, p, n, tol, done, max_iter, r=None):
     theta, a0 = _unknowns(state, n)
     theta[2] = s
     # every unknown but a_1 (theta[2]), which is the frozen amplitude
-    active = np.r_[0, 1, 3 : n + 2]
+    active = np.concatenate(([0, 1], np.arange(3, n + 2)))
     current = _trial_state(theta, a0)
     norm, small_step = float("inf"), False
     for it in range(done, max_iter + 1):
         r = residual(current, p, n_modes=n).cos_coeffs if r is None or it > done else r
-        previous, norm = norm, float(np.max(np.abs(r)))
+        previous, norm = norm, float(np.abs(r).max())
         if norm <= tol:
             return current, it, norm
         if small_step and norm >= previous:
@@ -167,14 +167,18 @@ def _newton_level(state, s, p, n, tol, done, max_iter, r=None):
         if it == max_iter:
             break
         jac = jacobian_fd(current, p, active=active, n_modes=n)
-        cond = float(np.linalg.cond(jac))
+        try:  # kappa_F = |J|_F |J^-1|_F >= kappa_2; the SVD decides past 1% of the limit
+            bound = float(np.linalg.norm(jac)) * float(np.linalg.norm(np.linalg.inv(jac)))
+        except np.linalg.LinAlgError:
+            bound = np.inf
+        cond = bound if bound <= 0.01 * _COND_LIMIT else float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularJacobian(
                 f"Galerkin Jacobian condition {cond:.3e} exceeds {_COND_LIMIT:.0e}"
             )
         step = np.linalg.solve(jac, r)
         theta[active] -= step
-        small_step = np.max(np.abs(step)) <= _STALL_STEP * np.max(np.abs(theta))
+        small_step = np.abs(step).max() <= _STALL_STEP * np.abs(theta).max()
         current = _trial_state(theta, a0)
     raise NoConvergence(
         f"no convergence at amplitude {s:.6e} after {max_iter} iterations "

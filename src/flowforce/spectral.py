@@ -166,23 +166,26 @@ def _taylor_fits(f, reach):
     return remainder <= 2.0**-53 * (abs(f.cos_coeffs[0]) + float(np.sum(size)))
 
 
-def _spectrum(values):
+def _spectrum(values, cosines=True, sines=True):
     """Interpolation coefficients of every row of uniform grid samples.
 
     Returns cosines a_0..a_K and sines b_1..b_K, K = (m-1)//2 (the
-    Nyquist mode of an even-length grid is dropped).  Parity is left to
-    the caller: solver fields have it by construction, and analyze
-    decides it from samples.
+    Nyquist mode of an even-length grid is dropped); a half not asked
+    for is None and costs nothing.  Parity is left to the caller: solver
+    fields have it by construction, and analyze decides it from samples.
     """
     if not np.isfinite(values).all():
         raise InvalidSamples("non-finite sample values")
     m = values.shape[1]
     top = (m - 1) // 2
     spec = np.fft.rfft(values, axis=-1)
-    a = np.empty((values.shape[0], top + 1))
-    a[:, 0] = spec[:, 0].real / m
-    a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
-    b = -2.0 * spec[:, 1 : top + 1].imag / m
+    a = b = None
+    if cosines:
+        a = np.empty((values.shape[0], top + 1))
+        a[:, 0] = spec[:, 0].real / m
+        a[:, 1:] = 2.0 * spec[:, 1 : top + 1].real / m
+    if sines:
+        b = -2.0 * spec[:, 1 : top + 1].imag / m
     return a, b
 
 

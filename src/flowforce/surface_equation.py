@@ -122,9 +122,10 @@ def _strip_transform(values, n, coth, label, diag):
 
     The analytic arguments are exact x-derivatives, odd: their cosine
     half, mean included, is aliasing dust, zero in exact arithmetic, so
-    only their sine modes 1..N are synthesized; diag records the mean.
+    only their sine modes 1..N are synthesized; diag records the mean,
+    the only cosine analyzed, and only when diag is given.
     """
-    a, b = _spectrum(values)
+    a, b = _spectrum(values, cosines=diag is not None)
     if diag is not None:
         diag.setdefault("subtracted_means", {})[label] = float(a[0, 0])
     return _synthesize(-coth * b[:, :n], _trig_matrices(values.shape[1], n)[0])
@@ -178,14 +179,15 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
         lambda low: f"bracket denominator {low:.3e} below floor",
     )
     wp2 = wp**2
-    bracket = (wp2 / den).mean(axis=1)
+    m = w.shape[1]  # means are sum / m: ndarray.mean's arithmetic without its Python wrapper
+    bracket = (wp2 / den).sum(axis=1) / m
     n_coth = _coth_table(n, p.strip_depth)
     g_inner = _strip_transform(w * wp, n, n_coth, "w*w'", diag)
     flux = (cwpp * wp2 - dnv * wpp * wp) / metric32
     flux_t = _strip_transform(flux, n, n_coth, "curvature flux", diag)
     kh = p.k * p.h
     g_part = (
-        ((w**2).mean(axis=1) / (2.0 * kh))[:, None]
+        ((w**2).sum(axis=1) / m / (2.0 * kh))[:, None]
         - w / p.k
         + g_inner
         - w * cwp
@@ -213,7 +215,7 @@ def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
         + tm
         - ((speed_sq + shift)[:, None] + 2.0 * p.sigma * t_s - 2.0 * p.g * w) * metric
     )
-    full = _spectrum(res)[0]
+    full = _spectrum(res, sines=False)[0]
     if diag is not None:
         diag["min_quotient_denominator"] = float(low_d[0])
         diag["min_metric"] = float(low_metric[0])
@@ -320,7 +322,8 @@ def _admissibility(cos_coeffs, p: PhysicalParams, m):
     w, _, _, _, _, dnv, metric = samples
     surface_x = _surface_abscissa(cos_coeffs[None, :], p, m)[0]
     period_end = surface_x[0] + 2.0 * np.pi / p.k  # the first node, one period on
-    monotone = bool((np.diff(surface_x, append=period_end) > 0.0).all())
+    # strictly increasing nodes, the last one below period_end
+    monotone = bool((surface_x[1:] > surface_x[:-1]).all() and period_end > surface_x[-1])
     min_height, min_slope, min_metric = float(w.min()) + p.h, float(dnv.min()), float(metric.min())
     failures = tuple(
         failure

@@ -17,6 +17,7 @@ from flowforce import (
     KernelNotSimple,
     NoConvergence,
     PhysicalParams,
+    SingularJacobian,
     TrialState,
     branch_diagnostics,
     initial_guess,
@@ -199,6 +200,108 @@ def test_singular_jacobian_yields_partial_branch(water, rank_deficient_jacobian)
     assert branch.points == ()
     assert branch.failure.startswith("step 1 at amplitude 2.500000e-04: Galerkin Jacobian condition ")
     assert branch.failure.endswith(" exceeds 1e+14")
+
+
+_cond = np.linalg.cond
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices np.linalg.cond, the condition guard's full SVD, is called on."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "cond", lambda jac: calls.append(jac.copy()) or _cond(jac))
+    return calls
+
+
+def _fixed_jacobian(monkeypatch, jac):
+    monkeypatch.setattr(continuation, "jacobian_fd", lambda *args, **kwargs: jac.copy())
+
+
+def _conditioned(size, kappa):
+    """A size x size matrix with singular values kappa, 1, ..., 1 in random
+    orthogonal bases: 2-norm condition kappa, Frobenius bound about
+    kappa sqrt(size - 1)."""
+    rng = np.random.default_rng(size)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((size, size)))[0] for _ in range(2))
+    return (q1 * np.r_[kappa, np.ones(size - 1)]) @ q2.T
+
+
+def _guard_message(jac):
+    return f"Galerkin Jacobian condition {float(_cond(jac)):.3e} exceeds 1e+14"
+
+
+@pytest.mark.parametrize("s_max, steps, n_modes", [(1e-3, 4, 32), (4e-3, 8, 128)],
+                         ids=["desk-water", "fine-branch"])
+def test_condition_guard_runs_no_svd_on_benchmark_branches(water, svd_calls, s_max, steps,
+                                                           n_modes):
+    """The guard's Frobenius bound |J|_F |J^-1|_F admits every Jacobian of
+    these branches, so the full SVD never runs."""
+    branch = trace_branch(s_max, steps, water, n_modes=n_modes)
+    assert branch.completed and sum(pt.newton_iters for pt in branch.points) >= steps
+    assert svd_calls == []
+
+
+def test_condition_just_above_the_limit_raises(water, svd_calls, monkeypatch):
+    jac = _conditioned(9, 1.05e14)
+    assert 1e14 < _cond(jac) < 1.1e14
+    message = _guard_message(jac)
+    _fixed_jacobian(monkeypatch, jac)
+    with pytest.raises(SingularJacobian) as info:
+        newton_correct(initial_guess(1e-3, water, n_modes=8), 1e-3, water)
+    assert str(info.value) == message
+    assert len(svd_calls) == 1
+
+
+@pytest.mark.parametrize("kappa, svd_runs", [(2e11, 0), (1e13, 1), (5e13, 1)])
+def test_condition_below_the_limit_takes_the_update(water, svd_calls, monkeypatch, kappa,
+                                                    svd_runs):
+    """At kappa_2 below the limit the update is taken; the SVD runs only
+    once the Frobenius bound passes 1% of the limit, and at kappa_2 = 5e13
+    the bound is past the limit itself, so the SVD's verdict is the one kept."""
+    jac = _conditioned(9, kappa)
+    bound = np.linalg.norm(jac) * np.linalg.norm(np.linalg.inv(jac))
+    assert _cond(jac) < 1e14 and (bound > 1e12) == bool(svd_runs)
+    _fixed_jacobian(monkeypatch, jac)
+    with pytest.raises(NoConvergence, match="after 1 iterations"):
+        newton_correct(initial_guess(1e-3, water, n_modes=8), 1e-3, water, max_iter=1)
+    assert len(svd_calls) == svd_runs
+
+
+def test_exactly_singular_jacobian_raises_through_the_inv_failure(water, svd_calls,
+                                                                  monkeypatch):
+    """A zero column leaves LU an exactly zero pivot: inv fails, and the
+    SVD gives the verdict and the message."""
+    jacobian, failures, inv = continuation.jacobian_fd, [], np.linalg.inv
+
+    def zero_column(*args, **kwargs):
+        jac = jacobian(*args, **kwargs)
+        jac[:, 0] = 0.0
+        return jac
+
+    def recording_inv(jac):
+        try:
+            return inv(jac)
+        except np.linalg.LinAlgError:
+            failures.append(jac)
+            raise
+
+    monkeypatch.setattr(continuation, "jacobian_fd", zero_column)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    with pytest.raises(SingularJacobian) as info:
+        newton_correct(initial_guess(1e-3, water, n_modes=8), 1e-3, water)
+    assert len(failures) == 1 and len(svd_calls) == 1
+    assert str(info.value) == _guard_message(svd_calls[0])
+
+
+def test_rank_deficient_jacobian_is_refused_by_the_svd(water, svd_calls,
+                                                      rank_deficient_jacobian):
+    """A duplicated column is singular in exact arithmetic; LU may leave a
+    rounding pivot instead of a zero one, but then the bound is far past
+    the margin, so either way the SVD refuses J with today's message."""
+    with pytest.raises(SingularJacobian) as info:
+        newton_correct(initial_guess(2.5e-4, water, n_modes=16), 2.5e-4, water)
+    assert len(svd_calls) == 1
+    assert str(info.value) == _guard_message(svd_calls[0])
 
 
 def test_partial_branch_keeps_earlier_points(water):

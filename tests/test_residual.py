@@ -120,13 +120,15 @@ def test_jacobian_speed_column_at_onset(water):
 def test_residual_is_even_and_records_diagnostics(water, monkeypatch):
     """The residual of an even state is even by construction: no parity
     rule runs, and the sine block of its own samples is rounding noise
-    (4.2e-15 of its largest cosine on this 5-mode wave)."""
+    (4.2e-15 of its largest cosine on this 5-mode wave).  The patched
+    _spectrum records both halves of each analysis and returns the
+    halves asked for."""
     w = PeriodicFunction.from_cosines([0.0] + [1e-3 * 0.2**j for j in range(5)]).truncated(16)
     spectra = []
 
-    def recording(values):
+    def recording(values, **halves):
         spectra.append(spectral._spectrum(values))
-        return spectra[-1]
+        return spectral._spectrum(values, **halves)
 
     monkeypatch.setattr(surface_equation, "_spectrum", recording)
     diag = {}
@@ -159,7 +161,8 @@ def test_strip_transform_synthesizes_only_the_sine_half(water, monkeypatch):
     mean included, is aliasing dust: adding cosines to the analyzed
     argument leaves the transform bitwise unchanged, and the mean is still
     recorded.  The cosines are added to the argument's spectrum, since on
-    the grid the rounding of the sum would move its sines too."""
+    the grid the rounding of the sum would move its sines too, and both
+    halves are returned whichever the transform asks for."""
     n = 8
     w = PeriodicFunction.harmonic(1, 1e-3, n_modes=n)
     m = collocation_size(n)
@@ -169,7 +172,7 @@ def test_strip_transform_synthesizes_only_the_sine_half(water, monkeypatch):
     plain = surface_equation._strip_transform(odd, n, coth, "w*w'", None)
     mean = float(spectral._spectrum(odd)[0][0, 0])
 
-    def with_cosines(values):
+    def with_cosines(values, **halves):
         a, b = spectral._spectrum(values)
         return a + 1e-3 * 0.5 ** np.arange(a.shape[1]), b
 
@@ -284,6 +287,50 @@ def test_admissibility_matches_spectral_operators(water):
     assert report.min_metric == float(np.min(metric))
     assert report.monotone_graph
     assert report.passed
+
+
+def _abscissae(m, k):
+    """Crafted physical abscissae on m nodes, by name: a strictly
+    increasing row and rows that break it in one place."""
+    base = grid_nodes(m) / k
+    period = 2.0 * np.pi / k
+    rows = {"increasing": base}
+
+    def edit(name, **at):
+        row = base.copy()
+        for j, value in at.items():
+            row[int(j[1:])] = value
+        rows[name] = row
+
+    edit("tie", j3=base[2])
+    edit("subnormal_rise", j0=0.0, j1=5e-324, j2=1e-323)
+    edit("subnormal_fall", j0=0.0, j1=1e-323, j2=5e-324)
+    edit("plus_inf_inside", j5=np.inf)
+    edit("plus_inf_last", **{f"j{m - 1}": np.inf})
+    edit("minus_inf_first", j0=-np.inf)
+    edit("minus_inf_inside", j5=-np.inf)
+    edit("nan_inside", j4=np.nan)
+    edit("nan_first", j0=np.nan)
+    edit("wrap_tie", **{f"j{m - 1}": period})
+    edit("wrap_past", **{f"j{m - 1}": 1.5 * period})
+    edit("wrap_just_inside", **{f"j{m - 1}": np.nextafter(period, 0.0)})
+    return rows
+
+
+@pytest.mark.parametrize("name", list(_abscissae(16, 10.0)))
+def test_monotone_graph_test_gives_the_difference_verdict(water, name, monkeypatch):
+    """The monotone-graph test compares neighbours, and the last node with
+    the first one a period on; in IEEE arithmetic that is the verdict of
+    np.diff(x, append=period_end) > 0 on every row, non-finite ones too."""
+    w = PeriodicFunction.harmonic(1, 1e-3, n_modes=4)
+    x = _abscissae(collocation_size(w.n_modes), water.k)[name]
+    monkeypatch.setattr(surface_equation, "_surface_abscissa", lambda *args: x[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = bool((np.diff(x, append=x[0] + 2.0 * np.pi / water.k) > 0.0).all())
+    assert expect is (name in ("increasing", "subnormal_rise", "wrap_just_inside"))
+    report = check_admissibility(w, water)
+    assert report.monotone_graph is expect
+    assert ("graph map not monotone" in report.failures) is not expect
 
 
 @pytest.mark.parametrize(

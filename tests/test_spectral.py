@@ -245,6 +245,32 @@ def test_analyze_rejects_bad_input():
         analyze(np.array([1.0, np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("rows", [1, 66])
+@pytest.mark.parametrize("m", [128, 127])
+def test_spectrum_halves_are_bitwise_the_full_analysis(m, rows):
+    """A caller that reads one half of _spectrum gets that half of the
+    full analysis bit for bit, and None for the other half."""
+    values = np.random.default_rng(m * rows).standard_normal((rows, m))
+    a, b = spectral._spectrum(values)
+    assert a.shape == (rows, (m - 1) // 2 + 1) and b.shape == (rows, (m - 1) // 2)
+    cosines, no_sines = spectral._spectrum(values, sines=False)
+    no_cosines, sines = spectral._spectrum(values, cosines=False)
+    assert no_sines is None and no_cosines is None
+    assert np.array_equal(cosines, a) and np.array_equal(sines, b)
+    if rows == 1:
+        f = analyze(values[0])
+        assert np.array_equal(f.cos_coeffs, a[0]) and np.array_equal(f.sin_coeffs, b[0])
+
+
+@pytest.mark.parametrize("halves", [{}, {"sines": False}, {"cosines": False}])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_halves_reject_non_finite_samples(halves, bad):
+    values = np.ones((3, 16))
+    values[2, 5] = bad
+    with pytest.raises(InvalidSamples, match="non-finite sample values"):
+        spectral._spectrum(values, **halves)
+
+
 @pytest.mark.parametrize(
     "mode, kind",
     [(0, "sin"), (-1, "cos"), (-2, "sin"), (1, "tan")],
