@@ -297,7 +297,7 @@ def test_rank_deficient_jacobian_is_refused_by_the_svd(water, svd_calls,
                                                       rank_deficient_jacobian):
     """A duplicated column is singular in exact arithmetic; LU may leave a
     rounding pivot instead of a zero one, but then the bound is far past
-    the margin, so either way the SVD refuses J with today's message."""
+    the margin, so either way the SVD refuses J and words the message."""
     with pytest.raises(SingularJacobian) as info:
         newton_correct(initial_guess(2.5e-4, water, n_modes=16), 2.5e-4, water)
     assert len(svd_calls) == 1
