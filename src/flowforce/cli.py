@@ -1,4 +1,4 @@
-"""Command-line front door: config files in, CSV/JSON artifacts out.
+"""Command-line front door: config files in, CSV/JSON/NPY artifacts out.
 
 Subcommands: dispersion | kernel-check | branch | validate | reconstruct.
 The config file is a sectioned key-value (INI) file; every section and
@@ -7,8 +7,8 @@ rejected with their line number.  All numeric output is serialized with
 full round-trip precision and no timestamps, so identical configs give
 byte-identical artifacts.  A CSV number is the repr of its float64, run
 once per distinct bit pattern of its block and gathered back per cell; the
-writer formats and writes one block at a time, a grid row of field.csv or
-a branch point of profiles.csv.
+writer formats and writes one block at a time, a grid row of field.csv.
+The branch profiles are one float64 array, profiles.npy, written by np.save.
 
 Exit codes: 0 success, 2 validation failure (including a non-simple
 kernel), 3 convergence failure (partial branch written), 4 config or
@@ -230,12 +230,12 @@ def _jsonable(value):
     return value
 
 
-def _create(path):
-    """Open an output file for writing, making its directory first; a
-    location that cannot be created or written is a config error."""
+def _create(path, binary=False):
+    """Open an output file for writing, as text or binary, making its directory
+    first; a location that cannot be created or written is a config error."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output to {exc.filename!r}: {exc.strerror}") from exc
 
@@ -326,18 +326,18 @@ def _branch_payload(branch):
 
 
 def _write_profiles(path, branch):
-    """Each point's (X, Y) = (x/k + C(w), depth + w), sampled as the solver samples
-    it, one block per point; unchecked: each point passed the admissibility gate
-    when it converged."""
+    """Each point's (X, Y) = (x/k + C(w), depth + w), sampled as the solver samples it,
+    as one float64 array of rows (s, x, X, Y), x fastest, of shape (0, 4) with no
+    points; unchecked: each point passed the admissibility gate when it converged."""
     p, m = branch.params, collocation_size(branch.n_modes)
     stacked = [pt.elevation.cos_coeffs for pt in branch.points]
     coeffs = np.reshape(stacked, (-1, branch.n_modes + 1))  # (0, N + 1) with no points
     heights = [p.h + pt.elevation.samples(m) for pt in branch.points]
-    abscissa = _surface_abscissa(coeffs, p, m)
-    s = _cell_texts([pt.amplitude for pt in branch.points])
-    x = _cell_texts(grid_nodes(m))
-    blocks = ([repeat(s[i], m), x, abscissa[i], heights[i]] for i in range(len(s)))
-    _write_csv(path, "s [m],x [rad],X [m],Y [m]", blocks)
+    s = np.repeat([pt.amplitude for pt in branch.points], m)
+    x = np.tile(grid_nodes(m), len(branch.points))
+    table = np.column_stack((s, x, _surface_abscissa(coeffs, p, m).ravel(), np.ravel(heights)))
+    with _create(path, binary=True) as fh:
+        np.save(fh, table)
 
 
 def cmd_branch(config):
@@ -347,7 +347,7 @@ def cmd_branch(config):
         tol=config.tolerance, max_iter=config.max_iterations, scan_tol=config.scan_tol,
     )
     _write_json(_out_path(config, "branch.json"), _branch_payload(branch))
-    _write_profiles(_out_path(config, "profiles.csv"), branch)
+    _write_profiles(_out_path(config, "profiles.npy"), branch)
     if branch.failure is not None:
         print(f"branch truncated: {branch.failure}", file=sys.stderr)
         return 3

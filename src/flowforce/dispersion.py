@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelNotSimple
+from .errors import ConfigError, KernelNotSimple
 from .params import PhysicalParams
 
 __all__ = [
@@ -68,7 +68,18 @@ def monotone_dispersion(p: PhysicalParams):
     By kernel_is_simple's lemma the onset curve increases strictly iff
     sigma/(g h^2) >= 1/3 (g > 0); g = 0, the capillary limit, is True.
     """
-    return p.g == 0.0 or p.sigma / (p.g * p.h**2) > 1.0 / 3.0
+    return _monotone_ratio(p) > 1.0 / 3.0
+
+
+def _monotone_ratio(p: PhysicalParams):
+    """sigma/(g h^2), inf when g = 0; a depth whose square overflows (above
+    about 1.34e154, where h**2 raises OverflowError) is divided out twice."""
+    if p.g == 0.0:
+        return math.inf
+    try:
+        return p.sigma / (p.g * p.h**2)
+    except OverflowError:
+        return p.sigma / p.g / p.h / p.h
 
 
 def _onset_values(modes, k, p: PhysicalParams):
@@ -86,8 +97,17 @@ def _candidate_modes(k, p: PhysicalParams, base):
     # f(n k) falls in n (sigma = 0) or rises from n = 2 on: n = 2 is closest
     if p.sigma == 0.0 or not below(2):
         return np.array([2.0])
-    # f(lo k) < base, and f(n k) > base from n = 1 + g/(sigma k^2) on
-    lo, hi = 2, max(3, math.ceil(1.0 + p.g / (p.sigma * k * k)))
+    # f(lo k) < base, and f(n k) > base from n = 1 + g/(sigma k^2) on; the
+    # bisection needs that bound times k as a finite float
+    scale = p.sigma * k * k  # zero once it underflows
+    bound = 1.0 + p.g / scale if scale > 0.0 else math.inf
+    if not math.isfinite(bound * k):
+        raise ConfigError(
+            f"sigma = {p.sigma!r} is too small for the kernel check at k = {k!r}: "
+            "the onset crossing's bound (1 + g/(sigma k^2)) k overflows; "
+            "sigma = 0 describes pure gravity waves"
+        )
+    lo, hi = 2, max(3, math.ceil(bound))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
@@ -113,7 +133,7 @@ def kernel_is_simple(k, p: PhysicalParams, tol=1e-10):
     idx = int(np.argmin(gaps))
     min_gap, mode = float(gaps[idx]), int(modes[idx])
     simple = min_gap > tol
-    ratio = math.inf if p.g == 0.0 else p.sigma / (p.g * p.h**2)
+    ratio = _monotone_ratio(p)
     cap = math.inf if p.g == 0.0 else k * k * p.sigma / p.g
     return KernelReport(
         simple=simple,

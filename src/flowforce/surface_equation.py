@@ -152,6 +152,8 @@ def _surface_rows(cos_coeffs, p: PhysicalParams, m):
     return w, wp, wpp, cwp, cwpp, dnv, wp**2 + dnv**2
 
 
+# as in _admissibility: an overflow reads inf or nan, which _spectrum's gate reports
+@np.errstate(over="ignore", invalid="ignore")
 def _residual_rows(speed_sq, shift, samples, p: PhysicalParams, n, diag=None):
     """Galerkin residual modes r_0..r_n of a stack of B states.
 

@@ -185,9 +185,8 @@ def test_branch_profiles_have_one_crest(tmp_path):
     assert len(payload["points"]) == 2
     for rec in payload["points"]:
         assert rec["residual_norm"] < 1e-10
-    _, rows = _read_csv(out / "profiles.csv")
     heights = {}
-    for s, _x, _bigx, y in rows:
+    for s, _x, _bigx, y in np.load(out / "profiles.npy").tolist():
         heights.setdefault(s, []).append(y)
     assert set(heights) == {5e-4, 1e-3}
     for y in heights.values():
@@ -206,16 +205,16 @@ def _profile(curve, x):
 
 
 def _branch_and_profiles(tmp_path, text, *flags):
-    """Run branch on a config; its branch.json payload and profiles.csv
+    """Run branch on a config; its branch.json payload and profiles.npy
     reshaped to (points, nodes, 4)."""
     out = tmp_path / "out"
     cfg = _write(tmp_path / "c.ini", text)
     assert main(["--config", cfg, "--out", str(out), *flags, "branch"]) == 0
     payload = json.loads((out / "branch.json").read_text())
-    header, rows = _read_csv(out / "profiles.csv")
-    assert ",".join(header) == PROFILES_HEADER
+    table = np.load(out / "profiles.npy")
     m = collocation_size(payload["n_modes"])
-    return payload, np.reshape(rows, (len(payload["points"]), m, 4))
+    assert table.dtype == np.float64 and table.shape == (len(payload["points"]) * m, 4)
+    return payload, table.reshape(len(payload["points"]), m, 4)
 
 
 @pytest.mark.parametrize(
@@ -228,7 +227,7 @@ def _branch_and_profiles(tmp_path, text, *flags):
     ids=["water", "pure_gravity", "n128_zero_tail"],
 )
 def test_profiles_match_surface_curve(tmp_path, text, flags):
-    # profiles.csv is synthesized from the stacked points as the solver
+    # profiles.npy is synthesized from the stacked points as the solver
     # samples them; at the nodes it agrees with the curve's summed series
     # (_profile, Reinsch's recurrence) to 4 eps of each column's scale
     payload, profiles = _branch_and_profiles(
@@ -265,6 +264,47 @@ def test_profile_abscissa_is_the_admissibility_abscissa(tmp_path, monkeypatch):
         surface_equation, "_surface_abscissa", lambda *args: helper(*args)[:, ::-1]
     )
     assert not check_admissibility(w, params).monotone_graph
+
+
+def _write_profiles_csv(path, branch):
+    """profiles.csv as the branch command wrote it before profiles.npy: one
+    block of repr texts per point, s and x formatted once, by the CSV writer."""
+    p, m = branch.params, collocation_size(branch.n_modes)
+    coeffs = np.reshape([pt.elevation.cos_coeffs for pt in branch.points], (-1, branch.n_modes + 1))
+    abscissa = _surface_abscissa(coeffs, p, m)
+    s = cli._cell_texts([pt.amplitude for pt in branch.points])
+    x = cli._cell_texts(grid_nodes(m))
+    blocks = (
+        [[s[i]] * m, x, abscissa[i], p.h + pt.elevation.samples(m)]
+        for i, pt in enumerate(branch.points)
+    )
+    _write_csv(path, PROFILES_HEADER, blocks)
+
+
+@pytest.mark.parametrize(
+    "text, code, points",
+    [("", 0, 4), ("[continuation]\nmax_iterations = 1\n", 3, 3)],
+    ids=["complete", "truncated"],
+)
+def test_profiles_npy_holds_the_csv_floats(tmp_path, monkeypatch, text, code, points):
+    # profiles.npy holds, bit for bit and in the same row and column order,
+    # the floats that the text of the former profiles.csv parses back to;
+    # at max_iterations = 1 the fourth point needs a second update
+    branches, writer = [], cli._write_profiles
+
+    def capture(path, branch):
+        branches.append(branch)
+        writer(path, branch)
+
+    monkeypatch.setattr(cli, "_write_profiles", capture)
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path / "c.ini", text), "--out", str(out), "branch"]) == code
+    _write_profiles_csv(tmp_path / "profiles.csv", branches[0])
+    header, rows = _read_csv(tmp_path / "profiles.csv")
+    table = np.load(out / "profiles.npy")
+    assert table.dtype == np.float64 and table.shape == (points * collocation_size(32), 4)
+    assert np.array_equal(table.view(np.int64), np.array(rows).view(np.int64))
+    assert sorted(os.listdir(out)) == ["branch.json", "profiles.npy"]
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
@@ -390,7 +430,7 @@ def test_branch_outputs_are_byte_deterministic(tmp_path):
                 ["--config", cfg, "--out", str(d), command, str(d / "branch.json")]
             ) == 0
     names = (
-        "branch.json", "profiles.csv", "dispersion.csv", "kernel_check.json",
+        "branch.json", "profiles.npy", "dispersion.csv", "kernel_check.json",
         "validation.json", "field.csv", "field.json",
     )
     for name in names:
@@ -779,6 +819,15 @@ def test_output_file_that_cannot_be_written_rejected(tmp_path, capsys):
     assert f"config error: cannot write output to '{target}': " in capsys.readouterr().err
 
 
+def test_profiles_npy_that_cannot_be_written_rejected(tmp_path, capsys):
+    # profiles.npy is opened in binary mode through the same error handling
+    target = tmp_path / "profiles.npy"
+    target.mkdir()
+    cfg = _write(tmp_path / "c.ini", SMALL_BRANCH)
+    assert main(["--config", cfg, "--out", str(tmp_path), "branch"]) == 4
+    assert f"config error: cannot write output to '{target}': " in capsys.readouterr().err
+
+
 def test_branch_convergence_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(
@@ -791,7 +840,7 @@ def test_branch_convergence_failure_exit_code(tmp_path, capsys):
     payload = json.loads((out / "branch.json").read_text())
     assert payload["failure"] is not None
     assert payload["points"] == []
-    assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
+    assert np.load(out / "profiles.npy").shape == (0, 4)
 
 
 def test_branch_singular_quotient_exit_code(tmp_path, capsys):
@@ -808,7 +857,7 @@ def test_branch_singular_quotient_exit_code(tmp_path, capsys):
     payload = json.loads((out / "branch.json").read_text())
     assert payload["failure"].startswith("step 1 ")
     assert payload["points"] == []
-    assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
+    assert np.load(out / "profiles.npy").shape == (0, 4)
 
 
 def test_branch_singular_jacobian_exit_code(tmp_path, capsys, rank_deficient_jacobian):
@@ -821,7 +870,57 @@ def test_branch_singular_jacobian_exit_code(tmp_path, capsys, rank_deficient_jac
     payload = json.loads((out / "branch.json").read_text())
     assert payload["failure"].startswith("step 1 ")
     assert payload["points"] == []
-    assert (out / "profiles.csv").read_text() == PROFILES_HEADER + "\n"
+    assert np.load(out / "profiles.npy").shape == (0, 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_branch_overflowing_residual_truncates(tmp_path, capsys):
+    # surface_tension = 1e300: the residual's squared tangential term
+    # overflows; under warnings-as-errors it reads inf, not a warning, and
+    # the non-finite sample gate truncates the branch at step 1 (exit 3)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", "[physical]\nsurface_tension = 1e300\n")
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 3
+    assert capsys.readouterr().err == (
+        "branch truncated: step 1 at amplitude 2.500000e-04: non-finite sample values\n"
+    )
+    assert np.load(out / "profiles.npy").shape == (0, 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_depth_whose_square_overflows(tmp_path):
+    # depth = 1e160, above the 1.34e154 where depth**2 overflows: deep
+    # water, whose kernel is simple and whose branch is traced
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", "[physical]\ndepth = 1e160\n[dispersion]\nk_count = 5\n")
+    for command in ("dispersion", "kernel-check", "branch"):
+        assert main(["--config", cfg, "--out", str(out), command]) == 0
+    report = json.loads((out / "kernel_check.json").read_text())
+    assert report["simple"] and not report["monotone_criterion"]
+    _, rows = _read_csv(out / "dispersion.csv")
+    assert [row[4] for row in rows] == [0.073 / 9.81 / 1e160 / 1e160] * 5
+    assert len(json.loads((out / "branch.json").read_text())["points"]) == 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, commands",
+    [
+        ("surface_tension = 1e-320\n", ("dispersion", "kernel-check", "branch")),
+        ("surface_tension = 1e-300\nwavenumber = 1e-6\n", ("kernel-check", "branch")),
+    ],
+    ids=["sigma_1e-320", "sigma_1e-300_k_1e-6"],
+)
+def test_surface_tension_below_the_kernel_check_range(tmp_path, capsys, text, commands):
+    # 1 + g/(sigma k^2), the bound of the onset curve's crossing, times k is
+    # not a finite float: a config error (exit 4) that writes nothing
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", "[physical]\n" + text)
+    for command in commands:
+        assert main(["--config", cfg, "--out", str(out), command]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sigma = ") and "too small for the kernel check" in err
+    assert not out.exists()
 
 
 def test_validate_non_harmonic_potential(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from flowforce import (
     transversality_value,
 )
 from flowforce import dispersion
+from flowforce.errors import ConfigError
 from conftest import gravity_collision_depth, gravity_gap
 
 
@@ -95,6 +96,31 @@ def test_kernel_report_criteria_fields(water):
         100.0 * water.sigma / water.g, rel=1e-15
     )
     assert report.tol == 1e-10
+
+
+def test_monotone_ratio_keeps_its_bits_and_takes_an_overflowing_depth():
+    # the ratio keeps h**2 (on this depth h*h differs from it where pow is
+    # not correctly rounded); a depth whose square overflows is divided out
+    # twice: deep water, not monotone, with a simple kernel
+    for h in (0.1, 3.960885811883694, 1e150):
+        p = PhysicalParams(g=9.81, sigma=0.073, h=h, k=10.0)
+        assert kernel_is_simple(10.0, p).monotone_ratio == p.sigma / (p.g * p.h**2)
+    deep = PhysicalParams(g=9.81, sigma=0.073, h=1e160, k=10.0)
+    report = kernel_is_simple(10.0, deep)
+    assert report.monotone_ratio == 0.073 / 9.81 / 1e160 / 1e160 > 0.0
+    assert report.simple and not report.monotone_criterion and not monotone_dispersion(deep)
+
+
+@pytest.mark.parametrize(
+    "sigma, k", [(1e-320, 10.0), (1e-300, 1e-6), (1e-320, 1e-6), (1e-320, 1e10)]
+)
+def test_kernel_check_rejects_a_crossing_bound_beyond_floats(sigma, k):
+    # 1 + g/(sigma k^2) overflows, or sigma k^2 underflows to zero, or (at
+    # k = 1e10) only the bound times k overflows: the bisection has no
+    # finite bracket, and the check refuses (exit 4 on the CLI)
+    p = PhysicalParams(g=9.81, sigma=sigma, h=0.1, k=k)
+    with pytest.raises(ConfigError, match=f"sigma = {sigma!r} is too small for the kernel check"):
+        kernel_is_simple(k, p)
 
 
 def test_gravity_collision_depth_frozen():
