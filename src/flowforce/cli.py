@@ -1,14 +1,15 @@
 """Command-line front door: config files in, CSV/JSON/NPY artifacts out.
 
 Subcommands: dispersion | kernel-check | branch | validate | reconstruct.
-The config file is a sectioned key-value (INI) file; every section and
-key is validated against the key table below and unknown entries are
-rejected with their line number.  All numeric output is serialized with
-full round-trip precision and no timestamps, so identical configs give
-byte-identical artifacts.  A CSV number is the repr of its float64, run
-once per distinct bit pattern of its block and gathered back per cell; the
-writer formats and writes one block at a time, a grid row of field.csv.
-The branch profiles are one float64 array, profiles.npy, written by np.save.
+The config file is a sectioned key-value (INI) file; every section and key is
+validated against the key table below, and unknown entries are rejected with
+their line number.  All numeric output is serialized with full round-trip
+precision and no timestamps, so identical configs give byte-identical
+artifacts.  A CSV number is the repr of its float64, run once per distinct bit
+pattern of its block and gathered back per cell; the writer formats and writes
+one block at a time, a grid row of field.csv.  The branch profiles are one
+float64 array, profiles.npy, written by np.save.  Each JSON artifact is one
+line with sorted keys, from json's C encoder; python -m json.tool pretty-prints it.
 
 Exit codes: 0 success, 2 validation failure (including a non-simple
 kernel), 3 convergence failure (partial branch written), 4 config or
@@ -35,7 +36,9 @@ from .errors import (
 )
 from .fields import reconstruct, validate_solution
 from .params import PhysicalParams
-from .spectral import PeriodicFunction, collocation_size, grid_nodes, strip_nodes
+from .spectral import (
+    PeriodicFunction, _synthesize, _trig_matrices, collocation_size, grid_nodes, strip_nodes,
+)
 from .surface_equation import TrialState, _surface_abscissa
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -215,14 +218,13 @@ def _check_command(config, args):
 
 
 def _jsonable(value):
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, np.floating):
-        return _jsonable(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, np.ndarray):  # one tolist pass when no value maps to null
+        finite = value.dtype.kind == "f" and np.isfinite(value).all()
+        return value.tolist() if finite else _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -242,7 +244,7 @@ def _create(path, binary=False):
 
 def _write_json(path, payload):
     with _create(path) as fh:
-        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")
 
 
 def _cell_texts(values):
@@ -326,16 +328,15 @@ def _branch_payload(branch):
 
 
 def _write_profiles(path, branch):
-    """Each point's (X, Y) = (x/k + C(w), depth + w), sampled as the solver samples it,
-    as one float64 array of rows (s, x, X, Y), x fastest, of shape (0, 4) with no
-    points; unchecked: each point passed the admissibility gate when it converged."""
-    p, m = branch.params, collocation_size(branch.n_modes)
-    stacked = [pt.elevation.cos_coeffs for pt in branch.points]
-    coeffs = np.reshape(stacked, (-1, branch.n_modes + 1))  # (0, N + 1) with no points
-    heights = [p.h + pt.elevation.samples(m) for pt in branch.points]
+    """Each point's (X, Y) = (x/k + C(w), depth + w), sampled as the solver samples it
+    (one gemv per point), as one float64 array of rows (s, x, X, Y), x fastest, of shape
+    (0, 4) with no points; unchecked: each point passed the admissibility gate."""
+    p, n, m = branch.params, branch.n_modes, collocation_size(branch.n_modes)
+    coeffs = np.reshape([pt.elevation.cos_coeffs for pt in branch.points], (-1, n + 1))
+    heights = p.h + (coeffs[:, :1] + _synthesize(coeffs[:, 1:], _trig_matrices(m, n)[0]))
     s = np.repeat([pt.amplitude for pt in branch.points], m)
     x = np.tile(grid_nodes(m), len(branch.points))
-    table = np.column_stack((s, x, _surface_abscissa(coeffs, p, m).ravel(), np.ravel(heights)))
+    table = np.column_stack((s, x, _surface_abscissa(coeffs, p, m).ravel(), heights.ravel()))
     with _create(path, binary=True) as fh:
         np.save(fh, table)
 

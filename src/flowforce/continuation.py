@@ -112,21 +112,21 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     N, each from the last one's result zero-padded; at N <= 32 the one
     level is N.  Each level tests its residual (max-norm <= tol) before
     each Jacobian assembly.  The first level's result, and each later
-    one's after an update, is tested at N modes zero-padded, the
-    truncation certificate: a passing state is returned, its tail above
-    the last level that took an update exactly zero; a failing one goes
-    up the ladder, and its N-mode residual is the N level's first, so no
-    state is tested at N twice.  max_iter caps the updates of all levels
-    together, and newton_iters counts them all.  A level stops
-    early on the residual's rounding floor: once an update moves theta
-    by at most sqrt(eps) * max|theta|, quadratic contraction predicts a
-    next step below rounding, so a residual that then fails to fall can
-    never reach tol.  Raises SingularJacobian past condition 1e14,
-    NoConvergence on such a stall or after max_iter updates, and
-    InadmissibleIterate when an iterate leaves the physical regime: the
-    gate sits in the residual, which samples each iterate (the
-    predictor, then each update) once and checks it before anything
-    else is evaluated on it.
+    one's after an update, is tested at N modes as it is (the residual
+    samples it on N's grid), the truncation certificate: a passing state
+    is returned zero-padded, its tail above the last level that took an
+    update exactly zero; a failing one goes up the ladder, and its N-mode
+    residual is the N level's first, so no state is tested at N twice.
+    max_iter caps the updates of all levels together, and newton_iters
+    counts them all.  A level stops early on the residual's rounding
+    floor: once an update moves theta by at most sqrt(eps) * max|theta|,
+    quadratic contraction predicts a next step below rounding, so a
+    residual that then fails to fall can never reach tol.  Raises
+    SingularJacobian past condition 1e14, NoConvergence on such a stall
+    or after max_iter updates, and InadmissibleIterate when an iterate
+    leaves the physical regime: the gate sits in the residual, which
+    samples each iterate (the predictor, then each update) once and
+    checks it before anything else is evaluated on it.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
     level, done, tested = (n if n <= _SINGLE_LEVEL_MODES else _FIRST_LEVEL_MODES), 0, None
@@ -136,9 +136,9 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
         if level == n:
             break
         if tested is None or done > start:
-            state = _trial_state(*_unknowns(state, n))
             tested = residual(state, p, n_modes=n).cos_coeffs
             if (norm := float(np.abs(tested).max())) <= tol:
+                state = _trial_state(*_unknowns(state, n))
                 break
         level = min(2 * level, n)
     return BranchPoint(state.speed_sq, state.bernoulli_shift, state.elevation, s, norm, done)

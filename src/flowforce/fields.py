@@ -130,6 +130,8 @@ def conformal_map(elevation, p: PhysicalParams, rows, n_x=None):
 _Layers = namedtuple("_Layers", "surface_value tension tension_samples boundary heights slope")
 
 
+# as in _residual_rows: an overflow reads inf or nan, which _spectrum's gate reports
+@np.errstate(over="ignore", invalid="ignore")
 def _layers(state, p: PhysicalParams, samples):
     """The layers of state under p, none holding p_atm, from its single-row
     _surface_rows samples on collocation_size(N) nodes: S0, the tension strength

@@ -437,6 +437,78 @@ def test_branch_outputs_are_byte_deterministic(tmp_path):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
 
 
+def _parent_jsonable(value):
+    """cli._jsonable as it was when the JSON artifacts were written with
+    indent=2: every array element converted on its own, non-finite to None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, np.floating):
+        return _parent_jsonable(float(value))
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [_parent_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_parent_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _parent_jsonable(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize(
+    "text, command, artifact",
+    [
+        (SMALL_BRANCH, "kernel-check", "kernel_check.json"),
+        ("[physical]\ngravity = 0.0\n", "kernel-check", "kernel_check.json"),
+        (SMALL_BRANCH, "branch", "branch.json"),
+        (SMALL_BRANCH, "validate", "validation.json"),
+        (SMALL_BRANCH, "reconstruct", "field.json"),
+    ],
+    ids=["kernel_check.json", "kernel_check.json-capillary", "branch.json",
+         "validation.json", "field.json"],
+)
+def test_json_artifact_parses_as_its_indented_text(tmp_path, monkeypatch, text, command, artifact):
+    # a JSON artifact is one line with sorted keys, from json's C encoder, and
+    # parses to what the indent=2 text of the same payload parsed to
+    payloads, writer = {}, cli._write_json
+
+    def capture(path, payload):
+        payloads[os.path.basename(path)] = payload
+        writer(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    out = tmp_path / "out"
+    argv = ["--config", _write(tmp_path / "c.ini", text), "--out", str(out)]
+    if command in ("validate", "reconstruct"):
+        assert main([*argv, "branch"]) == 0
+        assert main([*argv, command, str(out / "branch.json")]) == 0
+    else:
+        assert main([*argv, command]) == 0
+    written = (out / artifact).read_text(encoding="utf-8")
+    indented = json.dumps(_parent_jsonable(payloads[artifact]), indent=2, sort_keys=True)
+    assert json.loads(written) == json.loads(indented)
+    assert written == json.dumps(json.loads(written), sort_keys=True) + "\n"
+
+
+def test_kernel_check_writes_null_for_infinite_criteria(tmp_path):
+    # at g = 0 the monotone ratio sigma/(g h^2) and k^2 sigma/g are inf,
+    # which JSON cannot hold: they are written as null
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", "[physical]\ngravity = 0.0\n")
+    assert main(["--config", cfg, "--out", str(out), "kernel-check"]) == 0
+    text = (out / "kernel_check.json").read_text(encoding="utf-8")
+    assert '"monotone_ratio": null' in text and '"capillary_constant": null' in text
+    payload = json.loads(text)
+    assert payload["monotone_ratio"] is None and payload["capillary_constant"] is None
+
+
+def test_jsonable_maps_non_finite_floats_to_null():
+    assert cli._jsonable(np.array([1.0, np.inf, np.nan])) == [1.0, None, None]
+    value = {"a": np.array([[1.0], [-np.inf]]), "b": np.float64(np.nan), "c": np.int64(3)}
+    assert cli._jsonable(value) == {"a": [[1.0], [None]], "b": None, "c": 3}
+    assert cli._jsonable(np.array([0.5, -0.0])) == [0.5, -0.0]
+
+
 def test_default_field_csv_is_per_cell_repr(tmp_path):
     # golden check of the writer on the default config: field.csv is the
     # repr of every cell of the reconstructed arrays, row-major from the bed
@@ -900,6 +972,25 @@ def test_depth_whose_square_overflows(tmp_path):
     _, rows = _read_csv(out / "dispersion.csv")
     assert [row[4] for row in rows] == [0.073 / 9.81 / 1e160 / 1e160] * 5
     assert len(json.loads((out / "branch.json").read_text())["points"]) == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_deep_branch_audit_is_an_input_error(tmp_path, capsys):
+    # depth = 1e160: the audit's boundary data (g/2)(depth + w)^2 overflows;
+    # it reads inf, not a warning, and the non-finite sample gate makes
+    # validate and reconstruct input errors (exit 4)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "c.ini", "[physical]\ndepth = 1e160\n")
+    assert main(["--config", cfg, "--out", str(out), "branch"]) == 0
+    branch = str(out / "branch.json")
+    for command, point in (("validate", "point 0 at s = 0.00025"),
+                           ("reconstruct", "point 3 at s = 0.001")):
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out", str(out), command, branch]) == 4
+        assert capsys.readouterr().err == (
+            f"input error: {branch}: {point}: non-finite sample values\n"
+        )
+    assert sorted(os.listdir(out)) == ["branch.json", "profiles.npy"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -449,6 +449,44 @@ def test_nested_newton_updates_levels_16_modes_miss(monkeypatch):
     assert all(pt.residual_norm <= 1e-11 for pt in branch.points)
 
 
+@pytest.mark.parametrize(
+    "p, s_max, levels",
+    [
+        (PhysicalParams(g=9.81, sigma=0.073, h=0.1, k=10.0), 4e-3, {16}),
+        (PhysicalParams(g=9.81, sigma=0.0, h=0.3, k=10.0), 0.02625, {16, 32, 64}),
+    ],
+    ids=["water", "pure-gravity-kh3"],
+)
+def test_certificate_tests_the_coarse_state_unpadded(monkeypatch, p, s_max, levels):
+    # the N-mode certificate samples a coarse level's result on N's grid as
+    # it is, and its residual is the zero-padded state's bit for bit; a
+    # passing state is returned with N + 1 coefficients, exactly zero above
+    # the last level that took an update.  The water branch passes every
+    # 16-mode result; the gravity branch also certifies 32- and 64-mode ones
+    n, tested, original = 128, [], continuation.residual
+
+    def recording(state, *args, **kwargs):
+        r = original(state, *args, **kwargs)
+        if kwargs.get("n_modes") == n and state.elevation.n_modes < n:
+            tested.append((state, r.cos_coeffs))
+        return r
+
+    monkeypatch.setattr(continuation, "residual", recording)
+    calls = _count_jacobians(monkeypatch)
+    branch = trace_branch(s_max, 8, p, n_modes=n)
+    assert branch.failure is None and len(branch.points) == 8
+    assert {state.elevation.n_modes for state, _ in tested} == levels
+    for state, got in tested:
+        padded = continuation._trial_state(*continuation._unknowns(state, n))
+        assert got.tobytes() == original(padded, p, n_modes=n).cos_coeffs.tobytes()
+    done = 0
+    for pt in branch.points:
+        last = max(calls[done : done + pt.newton_iters])
+        done += pt.newton_iters
+        a = pt.elevation.cos_coeffs
+        assert a.size == n + 1 and not a[last + 1 :].any()
+
+
 @pytest.mark.parametrize("n_modes", [32, 128])
 def test_atmospheric_pressure_branch_is_bitwise_gauge_free(water, n_modes):
     # p_atm cancels exactly from the residual, which therefore leaves it out
