@@ -38,6 +38,9 @@ __all__ = [
 
 _COND_LIMIT = 1e14
 _STALL_STEP = np.sqrt(np.finfo(float).eps)
+# Newton refuses a tol below eps*lambda*/k^2 / _FLOOR_MARGIN: with tol = 0 its lowest residual
+# measured 0.16-0.46 eps*lambda*/k^2 (8 regimes, lengths x 2^-10..2^20, ks 0.01 and 0.05)
+_FLOOR_MARGIN = 16
 # Newton's ladder at N > 32 starts at 16 modes, which hold resolved (analytic)
 # waves to rounding.  Runs at N <= 32 keep their one level N: a ladder at
 # N = 32 moves the desk-water reference's mu past its 1e-12 rule, so this
@@ -118,14 +121,15 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
     update exactly zero; a failing one goes up the ladder, and its N-mode
     residual is the N level's first, so no state is tested at N twice.
     max_iter caps the updates of all levels together, and newton_iters
-    counts them all.  A level stops early on the residual's rounding
-    floor: once an update moves theta by at most sqrt(eps) * max|theta|,
-    quadratic contraction predicts a next step below rounding, so a
-    residual that then fails to fall can never reach tol.  Raises
-    SingularJacobian past condition 1e14, NoConvergence on such a stall
-    or after max_iter updates, and InadmissibleIterate when an iterate
-    leaves the physical regime: the gate sits in the residual, which
-    samples each iterate (the predictor, then each update) once and
+    counts them all.  Newton stops on the residual's rounding floor,
+    measured at 0.16-0.46 eps*lambda*/k^2: a tol below eps*lambda*/k^2 / 16
+    fails at the first residual, before any Jacobian, and a residual that
+    fails to fall after an update of at most sqrt(eps) * max|theta| stalls,
+    since quadratic contraction then predicts a next step below rounding.
+    Raises SingularJacobian past condition 1e14, NoConvergence on such a
+    refusal or stall or after max_iter updates, and InadmissibleIterate when
+    an iterate leaves the physical regime: the gate sits in the residual,
+    which samples each iterate (the predictor, then each update) once and
     checks it before anything else is evaluated on it.
     """
     n = state.elevation.n_modes if n_modes is None else int(n_modes)
@@ -145,18 +149,26 @@ def newton_correct(state: TrialState, s, p: PhysicalParams, n_modes=None,
 
 
 def _newton_level(state, s, p, n, tol, done, max_iter, r=None):
-    """Newton at n modes, iterations `done` to max_iter; r: state's n-mode residual."""
+    """Newton at n modes, iterations `done` to max_iter; r: state's n-mode residual.
+    A tol below eps*lambda*/k^2 / 16, lambda* the onset speed^2, fails at the first residual."""
     theta, a0 = _unknowns(state, n)
     theta[2] = s
     # every unknown but a_1 (theta[2]), which is the frozen amplitude
     active = np.concatenate(([0, 1], np.arange(3, n + 2)))
     current = _trial_state(theta, a0)
+    floor = np.finfo(float).eps * onset_speed_sq(1, p.k, p) / p.k / p.k
     norm, small_step = float("inf"), False
     for it in range(done, max_iter + 1):
         r = residual(current, p, n_modes=n).cos_coeffs if r is None or it > done else r
         previous, norm = norm, float(np.abs(r).max())
         if norm <= tol:
             return current, it, norm
+        if tol < floor / _FLOOR_MARGIN:
+            raise NoConvergence(
+                f"residual {norm:.3e} at amplitude {s:.6e} misses tolerance {tol:.3e}, which lies "
+                f"below the residual's rounding floor (scale eps*lambda*/k^2 = {floor:.3e})",
+                iterations=it, last_residual=norm,
+            )
         if small_step and norm >= previous:
             raise NoConvergence(
                 f"Newton stalled at amplitude {s:.6e} after {it} iterations: "

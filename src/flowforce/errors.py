@@ -28,9 +28,9 @@ class SingularExpression(FlowForceError):
 class NoConvergence(FlowForceError):
     """Newton iteration stopped without meeting the tolerance.
 
-    Either it stalled on the residual's rounding floor or it used up
-    max_iter updates; iterations counts the updates done and
-    last_residual is the residual max-norm where it stopped.
+    It refused a tol below the residual's rounding floor, stalled on that
+    floor or used up max_iter updates; iterations counts the updates done
+    and last_residual is the residual max-norm where it stopped.
     """
 
     def __init__(self, message, iterations=None, last_residual=None):

@@ -26,6 +26,7 @@ from flowforce import (
     trace_branch,
 )
 from flowforce import continuation
+from flowforce.surface_equation import residual
 
 
 @pytest.fixture(scope="module")
@@ -318,16 +319,6 @@ def test_partial_branch_keeps_earlier_points(water):
     assert "abscissa slope not positive" in branch.failure
 
 
-def test_newton_stops_on_rounding_floor(water):
-    # tol = 1e-30 is below the residual's rounding floor, so every update
-    # after the solution is found only reshuffles rounding
-    state = initial_guess(1e-3, water, n_modes=32)
-    with pytest.raises(NoConvergence, match="stalled") as info:
-        newton_correct(state, 1e-3, water, tol=1e-30)
-    assert info.value.iterations <= 5
-    assert info.value.last_residual <= 1e-16
-
-
 def _count_jacobians(monkeypatch):
     calls = []
     original = continuation.jacobian_fd
@@ -355,14 +346,111 @@ def _count_residuals(monkeypatch):
     return calls
 
 
+def _floor_threshold(p):
+    """The tolerance below which Newton refuses to start: eps lambda*/k^2
+    over the margin, evaluated as continuation evaluates it."""
+    scale = np.finfo(float).eps * onset_speed_sq(1, p.k, p) / p.k / p.k
+    return scale / continuation._FLOOR_MARGIN
+
+
+def test_newton_stops_on_rounding_floor(water, monkeypatch):
+    # tol = 1e-30 is below the residual's rounding floor (threshold 1.8e-19
+    # on water), so Newton refuses it at the first residual
+    jacobians, residuals = _count_jacobians(monkeypatch), _count_residuals(monkeypatch)
+    state = initial_guess(1e-3, water, n_modes=32)
+    with pytest.raises(NoConvergence, match="rounding floor") as info:
+        newton_correct(state, 1e-3, water, tol=1e-30)
+    assert "tolerance 1.000e-30" in str(info.value)
+    assert "eps*lambda*/k^2 = 2.893e-18" in str(info.value)
+    assert (len(jacobians), len(residuals)) == (0, 1)
+    assert info.value.iterations == 0
+    assert info.value.last_residual == float(np.abs(residual(state, water).cos_coeffs).max())
+
+
+def test_newton_stalls_between_threshold_and_floor(water, monkeypatch):
+    # tol = eps lambda*/k^2 / 10 passes the floor rule but lies below the
+    # rounding floor reached (0.40 eps lambda*/k^2 here), so the small-step
+    # stall rule ends the iteration
+    jacobians = _count_jacobians(monkeypatch)
+    tol = np.finfo(float).eps * onset_speed_sq(1, water.k, water) / water.k**2 / 10
+    assert tol > _floor_threshold(water)
+    state = initial_guess(1e-3, water, n_modes=32)
+    with pytest.raises(NoConvergence, match="stalled") as info:
+        newton_correct(state, 1e-3, water, tol=tol)
+    assert 1 <= info.value.iterations <= 5
+    assert len(jacobians) == info.value.iterations
+    assert tol < info.value.last_residual <= 1e-17
+
+
 def test_ocean_stall_stops_early(monkeypatch):
-    # ocean scale: the residual floor (about 1e-9) lies above tol = 1e-11
-    calls = _count_jacobians(monkeypatch)
+    # ocean scale: tol = 1e-11 lies below the threshold 1.7e-9 / 16 of the
+    # residual's rounding floor, so step 1 ends at its first residual
+    jacobians, residuals = _count_jacobians(monkeypatch), _count_residuals(monkeypatch)
     p = PhysicalParams(g=9.81, sigma=0.073, h=100.0, k=0.01)
     branch = trace_branch(0.25, 4, p, n_modes=32)
     assert branch.failure.startswith("step 1 ")
-    assert "stalled" in branch.failure
-    assert len(calls) <= 8
+    assert "misses tolerance 1.000e-11, which lies below the residual's rounding floor" in (
+        branch.failure
+    )
+    assert (len(jacobians), len(residuals)) == (0, 1)
+
+
+_WATER = dict(g=9.81, sigma=0.073, h=0.1, k=10.0, p_atm=0.0)
+FLOOR_REGIMES = {
+    "desk": _WATER,
+    "ocean": dict(_WATER, h=100.0, k=0.01),
+    "deep-ocean": dict(_WATER, h=1000.0, k=0.01),
+    "microcapillary": dict(_WATER, h=1e-3, k=1000.0),
+    "k300-h1": dict(_WATER, h=1.0, k=300.0),
+    "pure-capillary": dict(_WATER, g=0.0),
+    "pure-gravity": dict(_WATER, sigma=0.0),
+    "p-atm": dict(_WATER, p_atm=101325.0),
+}
+
+
+def _scaled_regime(name, exponent):
+    """A regime with every length times L = 2^exponent at fixed g: h -> h L,
+    k -> k / L, sigma -> sigma L^2, p_atm -> p_atm L (all exact)."""
+    base, scale = FLOOR_REGIMES[name], 2.0**exponent
+    return PhysicalParams(
+        g=base["g"], sigma=base["sigma"] * scale**2, h=base["h"] * scale,
+        k=base["k"] / scale, p_atm=base["p_atm"] * scale,
+    )
+
+
+# the regime and length-scale pairs at L = 2^-10, 1 and 2^10 whose Newton
+# iteration runs: at L = 2^-10 every regime but ocean and deep ocean trips
+# the metric or quotient floor (ROADMAP item 2) before its first update, and
+# so does microcapillary's first Jacobian at L = 1
+REACHING_NEWTON = [
+    *((name, -10) for name in ("ocean", "deep-ocean")),
+    *((name, 0) for name in FLOOR_REGIMES if name != "microcapillary"),
+    *((name, 10) for name in FLOOR_REGIMES),
+]
+
+
+@pytest.mark.parametrize("name, exponent", REACHING_NEWTON)
+def test_floor_rule_refuses_no_reachable_tolerance(monkeypatch, name, exponent):
+    # Newton at tol exactly at the floor rule's threshold is not refused; it
+    # must stall, and its lowest residual must stay above that tol: the rule
+    # never refuses a tolerance Newton could meet
+    norms = []
+    original = continuation.residual
+
+    def recording(*args, **kwargs):
+        r = original(*args, **kwargs)
+        norms.append(float(np.abs(r.cos_coeffs).max()))
+        return r
+
+    monkeypatch.setattr(continuation, "residual", recording)
+    p = _scaled_regime(name, exponent)
+    tol = _floor_threshold(p)
+    for steepness in (0.01, 0.05):
+        norms.clear()
+        s = steepness / p.k
+        with pytest.raises(NoConvergence, match="stalled"):
+            newton_correct(initial_guess(s, p, n_modes=32), s, p, tol=tol)
+        assert len(norms) >= 2 and min(norms) > tol
 
 
 def test_large_steps_run_out_max_iter(monkeypatch):

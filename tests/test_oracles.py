@@ -125,8 +125,8 @@ def test_similarity_of_length_scales(unscaled_desk_branch):
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 2: absolute floors and tolerances; step 1 trips the "
-    "quotient floor (1.21e-11) at L = 2^-10 and stalls at residuals 2.2e-9 "
-    "(L = 2^10) and 1.45 (L = 2^20)",
+    "quotient floor (1.21e-11) at L = 2^-10, and at L = 2^10 and 2^20 tol = 1e-11 "
+    "lies below the residual's rounding floor (scale 3.1e-9 and 3.3)",
 )
 @pytest.mark.parametrize("exponent", [-10, 10, 20])
 def test_similarity_across_scales(exponent, unscaled_desk_branch):
